@@ -8,28 +8,11 @@ mode into $CARGO_TARGET_DIR (default `.bench_build` at the repository
 root), then runs it with the given arguments. The last line of standard
 output is the JSON result; build output goes to standard error. Exits
 non-zero without a result when the build or the run fails.
-
-While the benchmark runs, one idle-priority spinner per CPU keeps every
-CPU awake. A SCHED_IDLE task runs only when nothing else wants its CPU,
-so the spinners never delay the benchmark; but on a virtual machine they
-stop the hypervisor from parking idle vCPUs, and re-waking a parked vCPU
-costs milliseconds that would otherwise land in the measured latencies.
 """
 
 import os
 import subprocess
 import sys
-
-# Spins at SCHED_IDLE on one CPU until its parent exits.
-SPINNER = """
-import os, sys
-os.sched_setaffinity(0, {int(sys.argv[1])})
-os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
-parent = os.getppid()
-while os.getppid() == parent:
-    for _ in range(100000):
-        pass
-"""
 
 
 def main() -> int:
@@ -53,17 +36,7 @@ def main() -> int:
         print("perfbench: build failed", file=sys.stderr)
         return 1
     binary = os.path.join(target, "release", "perfbench")
-    spinners = [
-        subprocess.Popen([sys.executable, "-c", SPINNER, str(cpu)])
-        for cpu in sorted(os.sched_getaffinity(0))
-    ]
-    try:
-        return subprocess.run([binary, *sys.argv[1:]], cwd=root, env=env).returncode
-    finally:
-        for s in spinners:
-            s.kill()
-        for s in spinners:
-            s.wait()
+    return subprocess.run([binary, *sys.argv[1:]], cwd=root, env=env).returncode
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ pub fn run(args: &Args, check: &Check) -> Result<Metrics, String> {
     for _ in 0..SETUPS {
         // Set-up: the worker processes and their handshakes, and a cold
         // lap over the rotation. Each set-up then measures its share of
-        // the run (see `ccl`).
+        // the run (see `track`).
         report::on_fresh_thread(|| {
             let t0 = Instant::now();
             let dist = spawn_fleet()?;

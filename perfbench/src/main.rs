@@ -12,7 +12,6 @@
 //! metrics with `--trace 0`, the per-layer metrics with `--trace 1`.
 //! The line before it is the host-noise stamp. See `README.md`.
 
-mod ccl;
 mod fleet;
 mod host;
 mod report;
@@ -33,16 +32,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Keep every CPU awake for the whole run, calibration included (see
+    // `host::Spinners`).
+    let spinners = host::Spinners::start();
     let stamp = host::Stamp::begin();
     let check = Check::new(args.workload);
     let measured = match args.workload {
-        "ccl_1080p" => ccl::run(&args, &check),
         "track_dsl" => track::run(&args, &check),
         "serve_64cam" => serve::run(&args, &check),
         "fleet_df" => fleet::run(&args, &check),
         other => Err(format!("unknown workload {other}")),
     };
     let line = measured.and_then(|m| report::result_line(&check, args.trace, &m));
+    let stamp = stamp.render();
+    drop(spinners);
     match line {
         Ok(line) => {
             println!(
@@ -54,7 +57,7 @@ fn main() -> ExitCode {
                 check.failed(),
                 check.failed_share(),
                 check.inputs(),
-                stamp.render()
+                stamp
             );
             println!("{line}");
             ExitCode::SUCCESS

@@ -8,7 +8,7 @@ use std::time::Instant;
 use crate::{host, stats, trace};
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: &[&str] = &["ccl_1080p", "track_dsl", "serve_64cam", "fleet_df"];
+pub const WORKLOADS: &[&str] = &["track_dsl", "serve_64cam", "fleet_df"];
 
 /// End-to-end metrics `(name, unit)`: every untraced run prints each.
 pub const END_TO_END: &[(&str, &str)] = &[
@@ -23,9 +23,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
 /// layer the workload never calls into reads 0 (no calls, no time).
 pub const PER_LAYER: &[(&str, &str)] = &[
     ("kernel_floor_ms", "ms"),
-    ("vision.label_ms", "ms"),
-    ("vision.split_us", "us"),
-    ("apps.merge_ms", "ms"),
     ("arena.allocs_per_frame", "count"),
     ("skeleton.overhead_us", "us"),
     ("floor_ratio", "ratio"),
@@ -62,7 +59,7 @@ pub struct Args {
 }
 
 pub const USAGE: &str =
-    "usage: perfbench --workload <ccl_1080p|track_dsl|serve_64cam|fleet_df> --seed <n> --seconds <s> --trace <0|1>";
+    "usage: perfbench --workload <track_dsl|serve_64cam|fleet_df> --seed <n> --seconds <s> --trace <0|1>";
 
 impl Args {
     /// Parses `--workload`, `--seed`, `--seconds` and `--trace`; all four
@@ -296,7 +293,7 @@ pub fn interleave(phases: &mut [Phase<'_>], seconds: f64, block_s: f64, with_chi
         if with_children {
             host::cpu_ms_with_children()
         } else {
-            host::cpu_ms("self")
+            host::own_cpu_ms()
         }
     };
     let t0 = Instant::now();
@@ -415,7 +412,7 @@ mod tests {
 
     #[test]
     fn result_line_lists_declared_metrics_only() {
-        let check = Check::new("ccl_1080p");
+        let check = Check::new("track_dsl");
         check.frame(0, true, String::new);
         let mut m: Metrics = END_TO_END.iter().map(|(n, _)| (*n, 1.5)).collect();
         let line = result_line(&check, false, &m).unwrap();
@@ -423,7 +420,7 @@ mod tests {
         assert!(line.contains("\"setup_s\": {\"value\": 1.5, \"unit\": \"s\"}"));
         m.remove("setup_s");
         assert!(result_line(&check, false, &m).is_err());
-        m.insert("vision.label_ms", 1.0);
+        m.insert("df.detect_us", 1.0);
         assert!(result_line(&check, false, &m).is_err());
         let traced = result_line(&check, true, &Metrics::new()).unwrap();
         assert!(traced.contains("\"trace.overhead_pct\": {\"value\": 0.0, \"unit\": \"%\"}"));

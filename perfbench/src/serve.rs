@@ -207,10 +207,10 @@ fn paced(
         }
         dues.push(arrivals);
     }
-    let (cpu0, allocs0) = (host::cpu_ms("self"), skipper_vision::pixel_alloc_count());
+    let (cpu0, allocs0) = (host::own_cpu_ms(), skipper_vision::pixel_alloc_count());
     let t_serve = trace::now_ns();
     let outcome = serve(backend, body, streams, ServeConfig::default());
-    let cpu_ms = host::cpu_ms("self") - cpu0;
+    let cpu_ms = host::own_cpu_ms() - cpu0;
     let allocs = skipper_vision::pixel_alloc_count() - allocs0;
     verify(&outcome, &offered, inp, check);
     let mut admit_wait_ns = Vec::new();
@@ -260,7 +260,7 @@ pub fn run(args: &Args, check: &Check) -> Result<Metrics, String> {
     for rep in 0..SETUPS as u64 {
         // Set-up: the pool's threads and a cold lap of one frame per
         // stream through the engine. Each set-up then measures its share
-        // of the run (see `ccl`): a paced phase, then saturation rounds.
+        // of the run (see `track`): a paced phase, then saturation rounds.
         crate::report::on_fresh_thread(|| {
             let t0 = Instant::now();
             let backend = PoolBackend::configured(Workers::exact(host::pool_workers()));

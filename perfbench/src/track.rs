@@ -117,7 +117,8 @@ pub fn run(args: &Args, check: &Check) -> Result<Metrics, String> {
     for _ in 0..SETUPS {
         // Set-up: the pool's threads, the kernel registry and the DSL
         // compile, `prepare`, and a cold lap. Each set-up then measures
-        // its share of the run (see `ccl`).
+        // its share of the run, so the run samples what a fresh set-up
+        // decides (thread placement, buffer addresses) SETUPS times.
         report::on_fresh_thread(|| {
             let t0 = Instant::now();
             let backend = PoolBackend::configured(Workers::exact(host::pool_workers()));

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::process::Command;
 use std::sync::{Mutex, OnceLock};
 
-const WORKLOADS: [&str; 4] = ["ccl_1080p", "track_dsl", "serve_64cam", "fleet_df"];
+const WORKLOADS: [&str; 3] = ["track_dsl", "serve_64cam", "fleet_df"];
 
 /// What one run printed: the stamp's input fingerprint, the result's
 /// counts, and its metrics by name.
@@ -118,7 +118,16 @@ fn run(workload: &str, seed: u64, trace: bool) -> Outcome {
         .expect("stamp has the input fingerprint")
         .to_string();
     assert!(
-        stamp.contains("steal_share=") && stamp.contains("loadavg="),
+        [
+            "steal_share=",
+            "others_running=",
+            "loadavg=",
+            "calib_alu_ms=",
+            "calib_handoff_us=",
+            "calib_walk_ns="
+        ]
+        .iter()
+        .all(|field| stamp.contains(field)),
         "{stamp}"
     );
     let (correct, attempted, failed, metrics) = parse_result(lines[lines.len() - 1]);
@@ -180,22 +189,7 @@ fn a_second_seed_changes_the_inputs_but_not_the_metric_names() {
 #[test]
 fn a_traced_run_measures_the_per_layer_metrics_of_its_workload() {
     let names = declared("per_layer");
-    let own: [(&str, &[&str]); 4] = [
-        (
-            "ccl_1080p",
-            &[
-                "kernel_floor_ms",
-                "vision.label_ms",
-                "vision.split_us",
-                "apps.merge_ms",
-                "skeleton.overhead_us",
-                "floor_ratio",
-                "pool.fanout_us",
-                "pool.join_us",
-                "pool.busy_share",
-                "host.cpu_ms_per_frame",
-            ],
-        ),
+    let own: [(&str, &[&str]); 3] = [
         (
             "track_dsl",
             &[
@@ -257,11 +251,8 @@ fn a_traced_run_measures_the_per_layer_metrics_of_its_workload() {
     }
     // Steady state of the arena contract: no pixel buffer is allocated
     // once the cold lap has run.
-    for w in ["ccl_1080p", "serve_64cam"] {
-        assert_eq!(
-            run(w, 1, true).metrics["arena.allocs_per_frame"].0,
-            0.0,
-            "{w}"
-        );
-    }
+    assert_eq!(
+        run("serve_64cam", 1, true).metrics["arena.allocs_per_frame"].0,
+        0.0
+    );
 }
