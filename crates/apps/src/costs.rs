@@ -5,7 +5,7 @@
 //! below are calibrated so that the simulated application reproduces the
 //! *shape* of the paper's §4 measurements on a ring of 8 processors at
 //! 512×512 — ≈30 ms latency in tracking mode and ≈110 ms in
-//! reinitialisation mode (see EXPERIMENTS.md for the calibration record).
+//! reinitialisation mode (`tracker_sim`'s tests check that shape).
 
 use skipper_vision::window::Window;
 

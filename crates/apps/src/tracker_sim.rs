@@ -398,8 +398,8 @@ mod tests {
             reinit / MS,
             tracking / MS
         );
-        // Shape check against the paper's numbers (30 / 110 ms): generous
-        // windows here; EXPERIMENTS.md records the precise values.
+        // Shape check against the paper's numbers (30 / 110 ms), in
+        // generous windows.
         assert!(
             (10 * MS..80 * MS).contains(&tracking),
             "{} ms",

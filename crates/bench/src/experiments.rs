@@ -1,6 +1,5 @@
-//! The experiment harness: one function per paper artefact (see
-//! DESIGN.md §4 for the index). Each prints a paper-style table; measured
-//! values are recorded against expectations in EXPERIMENTS.md.
+//! The experiment harness: one function per paper artefact (`--list`
+//! prints the index). Each prints a paper-style table.
 
 use crate::pipeline;
 use skipper_apps::handcrafted::run_handcrafted;

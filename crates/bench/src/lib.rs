@@ -1,8 +1,8 @@
 //! The SKiPPER evaluation harness.
 //!
 //! [`experiments`] reproduces every figure and quantitative claim of the
-//! paper (index in DESIGN.md §4); [`pipeline`] is the end-to-end
-//! environment demo used by E2/E7 and the integration tests. The
+//! paper (`experiments --list` prints the index); [`pipeline`] is the
+//! end-to-end environment demo used by E2/E7 and the integration tests. The
 //! `experiments` binary runs them from the command line; Criterion
 //! micro-benchmarks live under `benches/`.
 

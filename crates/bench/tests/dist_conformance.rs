@@ -47,3 +47,21 @@ fn a_single_worker_fleet_still_conforms() {
     assert_backend_conforms(&dist);
     dist.shutdown().expect("orderly fleet shutdown");
 }
+
+#[test]
+fn sharded_df_receipts_equal_pool_receipts_at_edge_sizes() {
+    use skipper::conformance::df_case;
+    use skipper::{receipted, Backend};
+    let dist = fleet(2);
+    let pool = PoolBackend::new();
+    for n in [0usize, 1, 3, 4097] {
+        let xs: Vec<i64> = (0..n as i64).map(|i| i * 7919 % 1000 - 500).collect();
+        let prog = df_case(4);
+        let want = receipted(&xs[..], || pool.run(&prog, &xs[..]));
+        let got = dist
+            .run_df_sharded(4, &xs)
+            .expect("the fleet runs the farm");
+        assert_eq!(got, want, "{n} item(s)");
+    }
+    dist.shutdown().expect("orderly fleet shutdown");
+}

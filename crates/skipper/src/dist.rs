@@ -48,8 +48,8 @@
 use crate::backend::{Backend, Executable};
 use crate::pool::{PoolBackend, WorkerPool};
 use crate::program::{Skeleton, Workers};
-use crate::receipt::{partition, receipted, wire_hash, RunReceipt, Trace, TraceEvent};
-use crate::wire::{self, FromWire, ToWire, WireValue};
+use crate::receipt::{partition, receipted, wire_hash, Fnv64, RunReceipt, TraceEvent};
+use crate::wire::{self, Cursor, FromWire, ToWire, WireValue};
 use crate::{Df, IterLoop, Pure, Scm, Tf, Then};
 use crossbeam::channel;
 use std::collections::VecDeque;
@@ -80,9 +80,11 @@ fn shard_of(seq: usize, n_shards: usize) -> usize {
 }
 
 /// Sharded farm round: items are routed to shards by [`shard_of`], each
-/// shard self-schedules its items over its own pool, and the master
-/// folds the results **in item order**, seeded with `seed` — exact
-/// declarative equality, no commutativity needed.
+/// shard self-schedules its items over its own pool (each job keeps its
+/// results and stores them into the shard's output once, when the items
+/// run out), and the master scatters the shard outputs back into item
+/// order and folds them, seeded with `seed` — exact declarative
+/// equality, no commutativity needed.
 fn df_fold_sharded<I, O, C, A, Z>(
     prog: &Df<C, A, Z>,
     shards: &[Arc<WorkerPool>],
@@ -104,42 +106,51 @@ where
     for i in 0..xs.len() {
         by_shard[shard_of(i, n)].push(i);
     }
-    let (tx, rx) = channel::unbounded::<(usize, O)>();
     let comp = prog.compute_fn();
+    let workers = prog.workers().max(1);
     let mut slots: Vec<Option<O>> = (0..xs.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        for (shard, idxs) in by_shard.into_iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let tx = tx.clone();
-            let pool = &shards[shard];
-            let m = prog.workers().min(idxs.len());
-            s.spawn(move || {
-                let next = AtomicUsize::new(0);
-                let idxs = &idxs;
-                let next = &next;
-                pool.scope_park(|ps| {
-                    for _ in 0..m {
-                        let tx = tx.clone();
-                        ps.spawn(move || loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= idxs.len() {
-                                break;
-                            }
-                            let i = idxs[k];
-                            let o = comp(&xs[i]);
-                            if tx.send((i, o)).is_err() {
-                                break;
-                            }
-                        });
-                    }
+        let jobs: Vec<_> = by_shard
+            .iter()
+            .zip(shards)
+            .filter(|(idxs, _)| !idxs.is_empty())
+            .map(|(idxs, pool)| {
+                let job = s.spawn(move || {
+                    let next = AtomicUsize::new(0);
+                    let out = Mutex::new((0..idxs.len()).map(|_| None).collect::<Vec<_>>());
+                    let (next, out_ref) = (&next, &out);
+                    pool.scope_park(|ps| {
+                        for _ in 0..workers.min(idxs.len()) {
+                            ps.spawn(move || {
+                                let mut mine = Vec::new();
+                                loop {
+                                    let k = next.fetch_add(1, Ordering::Relaxed);
+                                    if k >= idxs.len() {
+                                        break;
+                                    }
+                                    mine.push((k, comp(&xs[idxs[k]])));
+                                }
+                                let mut out = out_ref.lock().expect("shard output poisoned");
+                                for (k, o) in mine {
+                                    out[k] = Some(o);
+                                }
+                            });
+                        }
+                    });
+                    out.into_inner()
+                        .expect("shard output poisoned")
+                        .into_iter()
+                        .map(|o| o.expect("every shard item is taken by one job"))
+                        .collect::<Vec<O>>()
                 });
-            });
-        }
-        drop(tx);
-        for (i, o) in rx.iter() {
-            slots[i] = Some(o);
+                (idxs, job)
+            })
+            .collect();
+        for (idxs, job) in jobs {
+            let out = job.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (&i, o) in idxs.iter().zip(out) {
+                slots[i] = Some(o);
+            }
         }
     });
     let mut z = seed;
@@ -538,6 +549,12 @@ impl From<io::Error> for DistError {
     }
 }
 
+impl From<wire::WireError> for DistError {
+    fn from(e: wire::WireError) -> Self {
+        DistError::Io(e.into())
+    }
+}
+
 fn s(text: &str) -> WireValue {
     WireValue::Str(text.to_string())
 }
@@ -630,37 +647,53 @@ fn run_catalog(
 
 /// Parallel in-order map of the `df` case's compute function over this
 /// worker's item chunk (the map half of the dist farm; the fold happens
-/// at the master, in global item order).
+/// at the master, in global item order): up to `degree` pool jobs, each
+/// filling one contiguous block of the pre-sized output.
 fn map_df_chunk(pool: &PoolBackend, degree: usize, items: &[i64]) -> Vec<i64> {
     let prog = crate::conformance::df_case(degree);
     let comp = prog.compute_fn();
+    let mut out = vec![0i64; items.len()];
     if items.is_empty() {
-        return Vec::new();
+        return out;
     }
-    let m = degree.max(1).min(items.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, i64)>();
+    let block = items.len().div_ceil(degree.max(1));
     pool.pool().scope(|ps| {
-        let next = &next;
-        for _ in 0..m {
-            let tx = tx.clone();
-            ps.spawn(move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= items.len() {
-                    break;
-                }
-                if tx.send((k, comp(&items[k]))).is_err() {
-                    break;
+        for (src, dst) in items.chunks(block).zip(out.chunks_mut(block)) {
+            ps.spawn(move || {
+                for (x, o) in src.iter().zip(dst) {
+                    *o = comp(x);
                 }
             });
         }
-        drop(tx);
-        let mut out = vec![0i64; items.len()];
-        for (k, o) in rx.iter() {
-            out[k] = o;
-        }
-        out
-    })
+    });
+    out
+}
+
+/// The fields `(id, degree, items)` of a well-formed `map-df` request
+/// for the `df` case, read off the frame with typed reads. `None` for
+/// any other message, which the worker decodes whole instead (that path
+/// also answers a malformed `map-df`). Each read returns early on a
+/// shape mismatch, so the cursor always sits where a whole-document
+/// decode would, and a defect is the same [`wire::WireError`] it would
+/// report.
+fn map_df_request(mut doc: Cursor<'_>) -> Result<Option<(i64, i64, Vec<i64>)>, wire::WireError> {
+    if doc.tuple()? != Some(5) || doc.str()? != Some("map-df") {
+        return Ok(None);
+    }
+    let Some(id) = doc.int()? else {
+        return Ok(None);
+    };
+    if doc.str()? != Some("df") {
+        return Ok(None);
+    }
+    let Some(degree) = doc.int()? else {
+        return Ok(None);
+    };
+    let Some(items) = doc.ints()? else {
+        return Ok(None);
+    };
+    doc.finish()?;
+    Ok(Some((id, degree, items)))
 }
 
 /// The worker's half of the dist protocol, generic over the transport
@@ -713,21 +746,30 @@ pub fn serve_connection<R: Read, W: Write>(mut input: R, mut output: W) -> io::R
 }
 
 fn serve_jobs<R: Read, W: Write>(pool: PoolBackend, mut input: R, mut output: W) -> io::Result<()> {
-    // One reply-encoding buffer for the connection's lifetime: replies
-    // reuse its capacity instead of allocating a document per job.
-    let mut scratch = Vec::new();
+    // One frame buffer and one reply-encoding buffer for the
+    // connection's lifetime: neither allocates per job once grown.
+    let (mut frame, mut scratch) = (Vec::new(), Vec::new());
     loop {
-        let Some(msg) = wire::read_frame(&mut input)? else {
+        let Some(doc) = wire::read_frame_into(&mut input, &mut frame)? else {
             // The master hung up without a shutdown; treat as orderly.
             return Ok(());
         };
+        if let Some((id, degree, items)) = map_df_request(doc.clone())? {
+            let outs = map_df_chunk(&pool, degree as usize, &items);
+            wire::write_frame_with(&mut output, &mut scratch, |e| {
+                e.tuple(3);
+                e.str("map-ok");
+                e.int(id);
+                e.ints(outs.iter().copied());
+            })?;
+            continue;
+        }
+        let msg = doc.into_value()?;
         let reply = match head_of(&msg) {
             Some(("shutdown", _)) => {
-                wire::write_frame_into(
-                    &mut output,
-                    &WireValue::Tuple(vec![s("bye")]),
-                    &mut scratch,
-                )?;
+                wire::write_frame_with(&mut output, &mut scratch, |e| {
+                    e.value(&WireValue::Tuple(vec![s("bye")]))
+                })?;
                 return Ok(());
             }
             Some((
@@ -739,33 +781,19 @@ fn serve_jobs<R: Read, W: Write>(pool: PoolBackend, mut input: R, mut output: W)
                 }
                 Err(e) => WireValue::Tuple(vec![s("err"), WireValue::Int(*id), s(&e)]),
             },
-            Some((
-                "map-df",
-                [WireValue::Int(id), WireValue::Str(case), WireValue::Int(degree), items_value],
-            )) => {
-                if case != "df" {
-                    WireValue::Tuple(vec![
-                        s("err"),
-                        WireValue::Int(*id),
-                        s(&format!("unknown case `{case}`")),
-                    ])
+            // A well-formed `df` chunk took the typed path above; what
+            // reaches here is a wrong case or a non-`Int` item list.
+            Some(("map-df", [WireValue::Int(id), WireValue::Str(case), WireValue::Int(_), _])) => {
+                let msg = if case == "df" {
+                    "malformed input for case `df`".to_string()
                 } else {
-                    match <Vec<i64>>::from_wire(items_value) {
-                        Some(items) => {
-                            let outs = map_df_chunk(&pool, *degree as usize, &items);
-                            WireValue::Tuple(vec![s("map-ok"), WireValue::Int(*id), outs.to_wire()])
-                        }
-                        None => WireValue::Tuple(vec![
-                            s("err"),
-                            WireValue::Int(*id),
-                            s("malformed input for case `df`"),
-                        ]),
-                    }
-                }
+                    format!("unknown case `{case}`")
+                };
+                WireValue::Tuple(vec![s("err"), WireValue::Int(*id), s(&msg)])
             }
             _ => WireValue::Tuple(vec![s("err"), WireValue::Int(-1), s("unexpected message")]),
         };
-        wire::write_frame_into(&mut output, &reply, &mut scratch)?;
+        wire::write_frame_with(&mut output, &mut scratch, |e| e.value(&reply))?;
     }
 }
 
@@ -782,6 +810,8 @@ struct WorkerLink {
     /// Reused frame-encoding buffer: steady-state sends on this link
     /// allocate nothing once it has grown to the working frame size.
     scratch: Vec<u8>,
+    /// Reused frame-reading buffer, likewise for replies.
+    frame: Vec<u8>,
 }
 
 struct MasterState {
@@ -810,18 +840,36 @@ impl std::fmt::Debug for DistBackend {
     }
 }
 
+/// The next reply on `link`, as a cursor over its frame.
+fn reply_doc(link: &mut WorkerLink) -> Result<Cursor<'_>, DistError> {
+    wire::read_frame_into(&mut link.rx, &mut link.frame)?
+        .ok_or_else(|| DistError::Protocol("worker hung up mid-conversation".into()))
+}
+
 fn read_reply(link: &mut WorkerLink) -> Result<WireValue, DistError> {
-    match wire::read_frame(&mut link.rx)? {
-        Some(v) => Ok(v),
-        None => Err(DistError::Protocol(
-            "worker hung up mid-conversation".into(),
-        )),
-    }
+    Ok(reply_doc(link)?.into_value()?)
 }
 
 fn send(link: &mut WorkerLink, msg: &WireValue) -> Result<(), DistError> {
-    wire::write_frame_into(&mut link.tx, msg, &mut link.scratch)?;
+    wire::write_frame_with(&mut link.tx, &mut link.scratch, |e| e.value(msg))?;
     Ok(())
+}
+
+/// The fields `(id, outputs)` of a well-formed `map-ok` reply, read
+/// with typed reads (see [`map_df_request`]); `None` for any other
+/// reply.
+fn map_ok_reply(mut doc: Cursor<'_>) -> Result<Option<(i64, Vec<i64>)>, wire::WireError> {
+    if doc.tuple()? != Some(3) || doc.str()? != Some("map-ok") {
+        return Ok(None);
+    }
+    let Some(id) = doc.int()? else {
+        return Ok(None);
+    };
+    let Some(outs) = doc.ints()? else {
+        return Ok(None);
+    };
+    doc.finish()?;
+    Ok(Some((id, outs)))
 }
 
 impl DistBackend {
@@ -848,6 +896,7 @@ impl DistBackend {
                 rx,
                 threads: 0,
                 scratch: Vec::new(),
+                frame: Vec::new(),
             };
             send(
                 &mut link,
@@ -945,6 +994,13 @@ impl DistBackend {
     /// the case's init — so the result *and* the canonical trace equal
     /// every other backend's. Returns the fold plus the master-built
     /// receipt.
+    ///
+    /// The master hashes the receipt's input and trace while the
+    /// workers compute: after sending every chunk and before reading
+    /// the first reply, it streams the items' canonical bytes and the
+    /// farm round's `Assign` events (partitions computed once, while
+    /// routing) straight into FNV-1a. Only the output hash waits for
+    /// the fold.
     pub fn run_df_sharded(
         &self,
         degree: usize,
@@ -955,9 +1011,12 @@ impl DistBackend {
         crate::receipt::record_assigns(xs.len());
         let mut master = self.inner.lock().expect("dist master poisoned");
         let n = master.workers.len();
+        let mut parts = Vec::with_capacity(xs.len());
         let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..xs.len() {
-            by_worker[shard_of(i, n)].push(i);
+            let part = partition(i as u64);
+            parts.push(part);
+            by_worker[(part % n as u64) as usize].push(i);
         }
         let id = master.next_id;
         master.next_id += 1;
@@ -969,46 +1028,55 @@ impl DistBackend {
             .filter(|(_, idxs)| !idxs.is_empty())
             .collect();
         for (w, idxs) in &sent {
-            let items: Vec<i64> = idxs.iter().map(|&i| xs[i]).collect();
-            send(
-                &mut master.workers[*w],
-                &WireValue::Tuple(vec![
-                    s("map-df"),
-                    WireValue::Int(id),
-                    s("df"),
-                    WireValue::Int(degree as i64),
-                    items.to_wire(),
-                ]),
-            )?;
+            let link = &mut master.workers[*w];
+            wire::write_frame_with(&mut link.tx, &mut link.scratch, |e| {
+                e.tuple(5);
+                e.str("map-df");
+                e.int(id);
+                e.str("df");
+                e.int(degree as i64);
+                e.ints(idxs.iter().map(|&i| xs[i]));
+            })?;
         }
-        let mut slots: Vec<Option<i64>> = vec![None; xs.len()];
+        // Hash the receipt's input and trace while the workers compute.
+        let input_hash = wire_hash(xs);
+        let mut trace = Fnv64::new();
+        for (seq, &part) in (0..).zip(&parts) {
+            TraceEvent::Assign { seq, part }.hash_into(&mut trace);
+        }
+        let mut outs = vec![0i64; xs.len()];
         for (w, idxs) in &sent {
-            let reply = read_reply(&mut master.workers[*w])?;
-            match head_of(&reply) {
-                Some(("map-ok", [WireValue::Int(rid), outs_value])) => {
-                    if *rid != id {
-                        return Err(DistError::Protocol(format!(
-                            "reply id {rid} for request {id}"
-                        )));
-                    }
-                    let outs = <Vec<i64>>::from_wire(outs_value)
-                        .ok_or_else(|| DistError::Protocol("malformed map-ok outputs".into()))?;
-                    if outs.len() != idxs.len() {
-                        return Err(DistError::Protocol(format!(
-                            "worker {w} returned {} output(s) for {} item(s)",
-                            outs.len(),
-                            idxs.len()
-                        )));
-                    }
-                    for (&i, o) in idxs.iter().zip(outs) {
-                        slots[i] = Some(o);
+            let doc = reply_doc(&mut master.workers[*w])?;
+            match map_ok_reply(doc.clone())? {
+                Some((rid, _)) if rid != id => {
+                    return Err(DistError::Protocol(format!(
+                        "reply id {rid} for request {id}"
+                    )));
+                }
+                Some((_, got)) if got.len() != idxs.len() => {
+                    return Err(DistError::Protocol(format!(
+                        "worker {w} returned {} output(s) for {} item(s)",
+                        got.len(),
+                        idxs.len()
+                    )));
+                }
+                Some((_, got)) => {
+                    for (&i, o) in idxs.iter().zip(got) {
+                        outs[i] = o;
                     }
                 }
-                Some(("err", [_, WireValue::Str(msg)])) => {
-                    return Err(DistError::Worker(msg.clone()));
-                }
-                _ => {
-                    return Err(DistError::Protocol(format!("unexpected reply: {reply:?}")));
+                None => {
+                    let reply = doc.into_value()?;
+                    return Err(match head_of(&reply) {
+                        Some(("map-ok", [WireValue::Int(rid), _])) if *rid != id => {
+                            DistError::Protocol(format!("reply id {rid} for request {id}"))
+                        }
+                        Some(("map-ok", [WireValue::Int(_), _])) => {
+                            DistError::Protocol("malformed map-ok outputs".into())
+                        }
+                        Some(("err", [_, WireValue::Str(msg)])) => DistError::Worker(msg.clone()),
+                        _ => DistError::Protocol(format!("unexpected reply: {reply:?}")),
+                    });
                 }
             }
         }
@@ -1016,24 +1084,10 @@ impl DistBackend {
         // Fold in item order, seeded with the case's init — exactly the
         // declarative semantics.
         let prog = crate::conformance::df_case(degree);
-        let mut z = *prog.init();
-        for slot in slots {
-            z = (prog.acc_fn())(z, slot.expect("every item was mapped"));
-        }
-        // The canonical trace of a farm round is a pure function of the
-        // item count; the master *is* the dispatcher here, so it builds
-        // the receipt.
-        let trace = Trace {
-            events: (0..xs.len() as u64)
-                .map(|seq| TraceEvent::Assign {
-                    seq,
-                    part: partition(seq),
-                })
-                .collect(),
-        };
+        let z = outs.into_iter().fold(*prog.init(), prog.acc_fn());
         let receipt = RunReceipt {
-            input_hash: wire_hash(&xs.to_vec()),
-            trace_hash: trace.hash(),
+            input_hash,
+            trace_hash: trace.finish(),
             output_hash: wire_hash(&z),
         };
         Ok((z, receipt))
@@ -1615,6 +1669,103 @@ mod tests {
         assert_eq!(outs, expected);
         drop(tx);
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn worker_answers_a_non_int_map_df_list_as_malformed_and_keeps_serving() {
+        let (mut tx, mut rx, handle) = in_process_worker();
+        wire::write_frame(&mut tx, &hello(i64::from(wire::VERSION))).unwrap();
+        wire::read_frame(&mut rx).unwrap().unwrap();
+        let map_df = |id: i64, items: WireValue| {
+            WireValue::Tuple(vec![
+                s("map-df"),
+                WireValue::Int(id),
+                s("df"),
+                WireValue::Int(2),
+                items,
+            ])
+        };
+        let bad = WireValue::List(vec![WireValue::Int(1), s("two"), WireValue::Int(3)]);
+        wire::write_frame(&mut tx, &map_df(4, bad)).unwrap();
+        let reply = wire::read_frame(&mut rx).unwrap().unwrap();
+        match head_of(&reply) {
+            Some(("err", [WireValue::Int(4), WireValue::Str(msg)])) => {
+                assert_eq!(msg, "malformed input for case `df`");
+            }
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        wire::write_frame(&mut tx, &map_df(5, vec![1i64, 2, 3].to_wire())).unwrap();
+        let reply = wire::read_frame(&mut rx).unwrap().unwrap();
+        assert_eq!(head_of(&reply).map(|(h, _)| h), Some("map-ok"));
+        drop(tx);
+        handle.join().unwrap().unwrap();
+    }
+
+    /// Every truncation and every single-byte mutation of a valid
+    /// `map-df` request and `map-ok` reply reads without a panic, and the
+    /// typed reads agree with a whole-document decode: the same
+    /// [`wire::WireError`] for a defect they meet, the same fields for a
+    /// well-formed message of the expected shape.
+    #[test]
+    fn typed_map_reads_agree_with_decode_under_every_corruption() {
+        let request = wire::encode_document(&WireValue::Tuple(vec![
+            s("map-df"),
+            WireValue::Int(7),
+            s("df"),
+            WireValue::Int(2),
+            vec![3i64, -1, i64::MIN].to_wire(),
+        ]));
+        let reply = wire::encode_document(&WireValue::Tuple(vec![
+            s("map-ok"),
+            WireValue::Int(7),
+            vec![9i64, 1, i64::MAX].to_wire(),
+        ]));
+        // A typed read either agrees with the whole-document decode or
+        // declines (`Ok(None)`), and the peer then falls back to it.
+        fn check(bytes: &[u8]) {
+            let decoded = wire::decode_document(bytes);
+            match Cursor::document(bytes).and_then(map_df_request) {
+                Err(e) => assert_eq!(decoded, Err(e), "request {bytes:?}"),
+                Ok(Some((id, degree, items))) => {
+                    let want = WireValue::Tuple(vec![
+                        s("map-df"),
+                        WireValue::Int(id),
+                        s("df"),
+                        WireValue::Int(degree),
+                        items.to_wire(),
+                    ]);
+                    assert_eq!(decoded, Ok(want), "request {bytes:?}");
+                }
+                Ok(None) => {}
+            }
+            match Cursor::document(bytes).and_then(map_ok_reply) {
+                Err(e) => assert_eq!(decoded, Err(e), "reply {bytes:?}"),
+                Ok(Some((id, outs))) => {
+                    let want =
+                        WireValue::Tuple(vec![s("map-ok"), WireValue::Int(id), outs.to_wire()]);
+                    assert_eq!(decoded, Ok(want), "reply {bytes:?}");
+                }
+                Ok(None) => {}
+            }
+        }
+        let (mut requests, mut replies) = (0, 0);
+        for doc in [&request, &reply] {
+            for cut in 0..doc.len() {
+                check(&doc[..cut]);
+            }
+            for at in 0..doc.len() {
+                for byte in 0..=u8::MAX {
+                    let mut bytes = doc.clone();
+                    bytes[at] = byte;
+                    check(&bytes);
+                    let fields = Cursor::document(&bytes).and_then(map_df_request);
+                    requests += usize::from(matches!(fields, Ok(Some(_))));
+                    let fields = Cursor::document(&bytes).and_then(map_ok_reply);
+                    replies += usize::from(matches!(fields, Ok(Some(_))));
+                }
+            }
+        }
+        assert!(requests > 0 && replies > 0, "some mutants stay well-formed");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! assert_eq!(seq, pool); // same input, same schedule, same output
 //! ```
 
-use crate::wire::{canonical_bytes, ToWire, WireValue};
+use crate::wire::{ByteSink, Encoder, ToWire, WireValue};
 use std::cell::RefCell;
 
 /// The FNV-1a 64-bit offset basis (also the hash of empty input).
@@ -84,6 +84,14 @@ impl Default for Fnv64 {
     }
 }
 
+/// Hashing is encoding into the hasher: [`wire_hash`] streams canonical
+/// bytes straight in.
+impl ByteSink for Fnv64 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
 /// One-shot FNV-1a 64-bit hash of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -92,10 +100,13 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The canonical wire hash of any encodable value: FNV-1a over its
-/// headerless [`canonical_bytes`]. This is the `input_hash`/`output_hash`
-/// function of every [`RunReceipt`].
+/// headerless [`crate::wire::canonical_bytes`], streamed through the
+/// [`Encoder`] into the hasher without building a byte buffer. This is
+/// the `input_hash`/`output_hash` function of every [`RunReceipt`].
 pub fn wire_hash<T: ToWire + ?Sized>(value: &T) -> u64 {
-    fnv1a(&canonical_bytes(&value.to_wire()))
+    let mut h = Fnv64::new();
+    value.encode(&mut Encoder::new(&mut h));
+    h.finish()
 }
 
 /// Number of logical partitions farm traffic is hashed into. Shards map
@@ -130,6 +141,25 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// Feeds this event's canonical bytes into `h`: [`Trace::hash`] is
+    /// these bytes for every event in order, so a dispatcher can hash
+    /// its trace as it goes without collecting the events.
+    pub fn hash_into(&self, h: &mut Fnv64) {
+        match self {
+            TraceEvent::Assign { seq, part } => {
+                h.write(&[0x01]);
+                h.write(&seq.to_le_bytes());
+                h.write(&part.to_le_bytes());
+            }
+            TraceEvent::Frame { seq } => {
+                h.write(&[0x02]);
+                h.write(&seq.to_le_bytes());
+            }
+        }
+    }
+}
+
 /// An ordered canonical trace: the job-assignment log of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -142,19 +172,7 @@ impl Trace {
     /// hashes to [`FNV_OFFSET`]).
     pub fn hash(&self) -> u64 {
         let mut h = Fnv64::new();
-        for ev in &self.events {
-            match ev {
-                TraceEvent::Assign { seq, part } => {
-                    h.write(&[0x01]);
-                    h.write(&seq.to_le_bytes());
-                    h.write(&part.to_le_bytes());
-                }
-                TraceEvent::Frame { seq } => {
-                    h.write(&[0x02]);
-                    h.write(&seq.to_le_bytes());
-                }
-            }
-        }
+        self.events.iter().for_each(|ev| ev.hash_into(&mut h));
         h.finish()
     }
 }

@@ -48,6 +48,28 @@
 //! [`WireError`] (`Truncated`, `BadMagic`, `BadVersion`, `BadTag`,
 //! `BadBool`, `BadLength`, `Utf8`, `Trailing`).
 //!
+//! # One encoder, one decoder
+//!
+//! The format is written in one place and read in one place. The
+//! streaming [`Encoder`] writes canonical bytes field by field into any
+//! [`ByteSink`]: a frame buffer, or an FNV-1a hasher, so
+//! [`crate::receipt::wire_hash`] hashes a value without buffering its
+//! bytes. The [`Cursor`] decoder reads a document in place.
+//! [`encode_document`], [`canonical_bytes`] and [`decode_document`] are
+//! thin wrappers over the two, as are [`ToWire::encode`] and the frame
+//! functions ([`write_frame_with`] encodes into a reused per-link
+//! buffer, [`read_frame_into`] reads into one).
+//!
+//! A whole [`WireValue`] tree is built only where a message's shape is
+//! open: the catalog `job` path, the handshake and error replies. The
+//! dist farm's `map-df` request and `map-ok` reply never build one: the
+//! sender streams its `i64` items through [`Encoder::ints`], and the
+//! receiver reads them with the cursor's typed reads ([`Cursor::tuple`],
+//! [`Cursor::str`], [`Cursor::int`], [`Cursor::ints`]) straight into a
+//! `Vec<i64>`. A typed read that meets another shape consumes nothing,
+//! so the receiver falls back to [`Cursor::value`]; a defect is the same
+//! [`WireError`] either way.
+//!
 //! ```
 //! use skipper::wire::{decode_document, encode_document, WireValue};
 //!
@@ -176,51 +198,130 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn encode_value_into(v: &WireValue, out: &mut Vec<u8>) {
-    match v {
-        WireValue::Unit => out.push(TAG_UNIT),
-        WireValue::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        WireValue::Int(n) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        WireValue::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        WireValue::Str(s) => {
-            out.push(TAG_STR);
-            push_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
-        WireValue::Bytes(b) => {
-            out.push(TAG_BYTES);
-            push_len(out, b.len());
-            out.extend_from_slice(b);
-        }
-        WireValue::List(items) => {
-            out.push(TAG_LIST);
-            push_len(out, items.len());
-            for item in items {
-                encode_value_into(item, out);
-            }
-        }
-        WireValue::Tuple(items) => {
-            out.push(TAG_TUPLE);
-            push_len(out, items.len());
-            for item in items {
-                encode_value_into(item, out);
-            }
-        }
+/// Where an [`Encoder`] writes: a growable buffer (documents, frames,
+/// [`canonical_bytes`]) or a hasher that consumes the bytes as they
+/// come ([`crate::receipt::Fnv64`], so [`crate::receipt::wire_hash`]
+/// needs no buffer at all).
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-fn push_len(out: &mut Vec<u8>, len: usize) {
-    let n = u32::try_from(len).expect("wire collections are capped at u32::MAX elements");
-    out.extend_from_slice(&n.to_le_bytes());
+/// The streaming encoder: writes canonical bytes field by field into a
+/// [`ByteSink`]. [`Encoder::value`] encodes a whole [`WireValue`]; the
+/// typed writes let a caller emit a message straight from its own data —
+/// [`Encoder::list`] and [`Encoder::tuple`] open a collection whose
+/// `len` values the caller writes next.
+pub struct Encoder<'a, S: ByteSink + ?Sized> {
+    out: &'a mut S,
+}
+
+impl<'a, S: ByteSink + ?Sized> Encoder<'a, S> {
+    /// An encoder appending to `out`.
+    pub fn new(out: &'a mut S) -> Self {
+        Encoder { out }
+    }
+
+    /// The document header: [`MAGIC`], then [`VERSION`].
+    pub fn header(&mut self) {
+        self.out.put(&MAGIC);
+        self.out.put(&VERSION.to_le_bytes());
+    }
+
+    /// A `Unit`.
+    pub fn unit(&mut self) {
+        self.out.put(&[TAG_UNIT]);
+    }
+
+    /// A `Bool`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.put(&[TAG_BOOL, u8::from(b)]);
+    }
+
+    /// An `Int`.
+    pub fn int(&mut self, n: i64) {
+        self.tagged(TAG_INT, n.to_le_bytes());
+    }
+
+    /// A `Float`.
+    pub fn float(&mut self, x: f64) {
+        self.tagged(TAG_FLOAT, x.to_bits().to_le_bytes());
+    }
+
+    /// A `Str`.
+    pub fn str(&mut self, s: &str) {
+        self.tagged_len(TAG_STR, s.len());
+        self.out.put(s.as_bytes());
+    }
+
+    /// A `Bytes`.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.tagged_len(TAG_BYTES, b.len());
+        self.out.put(b);
+    }
+
+    /// Opens a `List` of `len` values; write exactly `len` values next.
+    pub fn list(&mut self, len: usize) {
+        self.tagged_len(TAG_LIST, len);
+    }
+
+    /// Opens a `Tuple` of `arity` values; write exactly `arity` values
+    /// next.
+    pub fn tuple(&mut self, arity: usize) {
+        self.tagged_len(TAG_TUPLE, arity);
+    }
+
+    /// A `List` of `Int`s, streamed from `xs`.
+    pub fn ints<I>(&mut self, xs: I)
+    where
+        I: IntoIterator<Item = i64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let xs = xs.into_iter();
+        self.list(xs.len());
+        for x in xs {
+            self.int(x);
+        }
+    }
+
+    /// A whole [`WireValue`].
+    pub fn value(&mut self, v: &WireValue) {
+        match v {
+            WireValue::Unit => self.unit(),
+            WireValue::Bool(b) => self.bool(*b),
+            WireValue::Int(n) => self.int(*n),
+            WireValue::Float(x) => self.float(*x),
+            WireValue::Str(s) => self.str(s),
+            WireValue::Bytes(b) => self.bytes(b),
+            WireValue::List(items) => {
+                self.list(items.len());
+                items.iter().for_each(|item| self.value(item));
+            }
+            WireValue::Tuple(items) => {
+                self.tuple(items.len());
+                items.iter().for_each(|item| self.value(item));
+            }
+        }
+    }
+
+    fn tagged(&mut self, tag: u8, payload: [u8; 8]) {
+        let mut field = [tag; 9];
+        field[1..].copy_from_slice(&payload);
+        self.out.put(&field);
+    }
+
+    fn tagged_len(&mut self, tag: u8, len: usize) {
+        let n = u32::try_from(len).expect("wire collections are capped at u32::MAX elements");
+        let mut field = [tag; 5];
+        field[1..].copy_from_slice(&n.to_le_bytes());
+        self.out.put(&field);
+    }
 }
 
 /// The canonical **headerless** encoding of one value: what
@@ -228,25 +329,69 @@ fn push_len(out: &mut Vec<u8>, len: usize) {
 /// identical bytes here, independent of platform or process.
 pub fn canonical_bytes(v: &WireValue) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value_into(v, &mut out);
+    Encoder::new(&mut out).value(v);
     out
 }
 
 /// Encodes one value as a complete document: magic, version, value.
 pub fn encode_document(v: &WireValue) -> Vec<u8> {
     let mut out = Vec::with_capacity(8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    encode_value_into(v, &mut out);
+    let mut e = Encoder::new(&mut out);
+    e.header();
+    e.value(v);
     out
 }
 
-struct Reader<'a> {
+/// The cursor decoder: reads one document's values in order, in place,
+/// without copying the input. [`Cursor::value`] decodes the next value
+/// into a [`WireValue`]; the typed reads ([`Cursor::tuple`],
+/// [`Cursor::str`], [`Cursor::int`], [`Cursor::ints`]) decode it into
+/// plain Rust values instead. A typed read whose value has another
+/// shape returns `Ok(None)` and consumes nothing, so the caller can
+/// fall back to [`Cursor::value`] from the same position; a defect in
+/// the bytes is the same [`WireError`] [`Cursor::value`] reports.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> Cursor<'a> {
+    /// A cursor over the complete document `bytes`, past its checked
+    /// header.
+    pub fn document(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut c = Cursor { buf: bytes, pos: 0 };
+        let magic = c.take(4)?;
+        if magic != MAGIC {
+            return Err(WireError::BadMagic([
+                magic[0], magic[1], magic[2], magic[3],
+            ]));
+        }
+        let version = c.u16_le()?;
+        if version != VERSION {
+            return Err(WireError::BadVersion {
+                got: version,
+                want: VERSION,
+            });
+        }
+        Ok(c)
+    }
+
+    /// Checks that the document has been read to its end.
+    pub fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::Trailing { extra }),
+        }
+    }
+
+    /// Reads the document's one value and checks that nothing follows.
+    pub fn into_value(mut self) -> Result<WireValue, WireError> {
+        let v = self.value()?;
+        self.finish()?;
+        Ok(v)
+    }
+
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -277,6 +422,13 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    fn u64_le(&mut self) -> Result<u64, WireError> {
+        let b = self.take(8)?;
+        let mut a = [0u8; 8];
+        a.copy_from_slice(b);
+        Ok(u64::from_le_bytes(a))
+    }
+
     /// Reads a collection length and sanity-checks it against the
     /// remaining input (every element occupies at least one byte, so a
     /// length beyond `remaining` can never be satisfied).
@@ -288,19 +440,28 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    /// Capacity to pre-allocate for a declared element count. The count
-    /// passed [`Reader::len`], but that only guarantees one *input byte*
-    /// per element while each reserved slot costs
-    /// `size_of::<WireValue>()` bytes — a ~40× amplification a hostile
-    /// or corrupt length field could command before the first element
-    /// fails to parse. Cap the reservation so it never exceeds the
-    /// unread input; genuine large collections still reach full size
-    /// through amortised growth.
-    fn capacity_for(&self, declared: usize) -> usize {
-        declared.min(self.remaining() / std::mem::size_of::<WireValue>())
+    /// Capacity to pre-allocate for a declared count of elements that
+    /// each take at least `min_bytes` of input. The count passed
+    /// [`Cursor::len`], but that only guarantees one *input byte* per
+    /// element while each reserved slot may cost far more (a
+    /// `WireValue` is ~40 bytes) — an amplification a hostile or corrupt
+    /// length field could command before the first element fails to
+    /// parse. Cap the reservation so it never exceeds what the unread
+    /// input could encode; genuine large collections still reach full
+    /// size through amortised growth.
+    fn capacity_for(&self, declared: usize, min_bytes: usize) -> usize {
+        declared.min(self.remaining() / min_bytes)
     }
 
-    fn value(&mut self) -> Result<WireValue, WireError> {
+    /// Consumes the next value's tag if it is `tag`.
+    fn eat(&mut self, tag: u8) -> bool {
+        let hit = self.buf.get(self.pos) == Some(&tag);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Reads the next value.
+    pub fn value(&mut self) -> Result<WireValue, WireError> {
         match self.u8()? {
             TAG_UNIT => Ok(WireValue::Unit),
             TAG_BOOL => match self.u8()? {
@@ -308,120 +469,133 @@ impl<'a> Reader<'a> {
                 1 => Ok(WireValue::Bool(true)),
                 b => Err(WireError::BadBool(b)),
             },
-            TAG_INT => {
-                let b = self.take(8)?;
-                let mut a = [0u8; 8];
-                a.copy_from_slice(b);
-                Ok(WireValue::Int(i64::from_le_bytes(a)))
-            }
-            TAG_FLOAT => {
-                let b = self.take(8)?;
-                let mut a = [0u8; 8];
-                a.copy_from_slice(b);
-                Ok(WireValue::Float(f64::from_bits(u64::from_le_bytes(a))))
-            }
-            TAG_STR => {
-                let n = self.len()?;
-                let b = self.take(n)?;
-                match std::str::from_utf8(b) {
-                    Ok(s) => Ok(WireValue::Str(s.to_string())),
-                    Err(_) => Err(WireError::Utf8),
-                }
-            }
+            TAG_INT => Ok(WireValue::Int(self.u64_le()? as i64)),
+            TAG_FLOAT => Ok(WireValue::Float(f64::from_bits(self.u64_le()?))),
+            TAG_STR => Ok(WireValue::Str(self.str_payload()?.to_string())),
             TAG_BYTES => {
                 let n = self.len()?;
                 Ok(WireValue::Bytes(self.take(n)?.to_vec()))
             }
-            TAG_LIST => {
-                let n = self.len()?;
-                let mut items = Vec::with_capacity(self.capacity_for(n));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(WireValue::List(items))
-            }
-            TAG_TUPLE => {
-                let n = self.len()?;
-                let mut items = Vec::with_capacity(self.capacity_for(n));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(WireValue::Tuple(items))
-            }
+            TAG_LIST => Ok(WireValue::List(self.values()?)),
+            TAG_TUPLE => Ok(WireValue::Tuple(self.values()?)),
             t => Err(WireError::BadTag(t)),
         }
+    }
+
+    fn values(&mut self) -> Result<Vec<WireValue>, WireError> {
+        let n = self.len()?;
+        let mut items = Vec::with_capacity(self.capacity_for(n, std::mem::size_of::<WireValue>()));
+        for _ in 0..n {
+            items.push(self.value()?);
+        }
+        Ok(items)
+    }
+
+    fn str_payload(&mut self) -> Result<&'a str, WireError> {
+        let n = self.len()?;
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Utf8)
+    }
+
+    /// Opens the next value if it is a `Tuple`, returning its arity; its
+    /// fields are the next values.
+    pub fn tuple(&mut self) -> Result<Option<usize>, WireError> {
+        if !self.eat(TAG_TUPLE) {
+            return Ok(None);
+        }
+        self.len().map(Some)
+    }
+
+    /// Reads the next value if it is a `Str`, borrowing from the input.
+    pub fn str(&mut self) -> Result<Option<&'a str>, WireError> {
+        if !self.eat(TAG_STR) {
+            return Ok(None);
+        }
+        self.str_payload().map(Some)
+    }
+
+    /// Reads the next value if it is an `Int`.
+    pub fn int(&mut self) -> Result<Option<i64>, WireError> {
+        if !self.eat(TAG_INT) {
+            return Ok(None);
+        }
+        Ok(Some(self.u64_le()? as i64))
+    }
+
+    /// Reads the next value if it is a `List` of `Int`s only.
+    pub fn ints(&mut self) -> Result<Option<Vec<i64>>, WireError> {
+        let start = self.pos;
+        if !self.eat(TAG_LIST) {
+            return Ok(None);
+        }
+        let n = self.len()?;
+        let mut xs = Vec::with_capacity(self.capacity_for(n, 9));
+        for _ in 0..n {
+            match self.int()? {
+                Some(x) => xs.push(x),
+                None => {
+                    self.pos = start;
+                    return Ok(None);
+                }
+            }
+        }
+        Ok(Some(xs))
     }
 }
 
 /// Decodes one complete document, rejecting bad headers, malformed
 /// values and trailing bytes with pinned [`WireError`]s.
 pub fn decode_document(bytes: &[u8]) -> Result<WireValue, WireError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        return Err(WireError::BadMagic([
-            magic[0], magic[1], magic[2], magic[3],
-        ]));
+    Cursor::document(bytes)?.into_value()
+}
+
+/// A wire defect met on a pipe is invalid data on that pipe.
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
     }
-    let version = r.u16_le()?;
-    if version != VERSION {
-        return Err(WireError::BadVersion {
-            got: version,
-            want: VERSION,
-        });
-    }
-    let value = r.value()?;
-    if r.remaining() != 0 {
-        return Err(WireError::Trailing {
-            extra: r.remaining(),
-        });
-    }
-    Ok(value)
 }
 
 /// Writes one document as a length-prefixed frame (`u32` LE byte length,
 /// then the document) — the unit of exchange on a dist pipe.
 pub fn write_frame<W: Write>(w: &mut W, v: &WireValue) -> io::Result<()> {
-    write_frame_into(w, v, &mut Vec::with_capacity(8))
+    write_frame_with(w, &mut Vec::new(), |e| e.value(v))
 }
 
-/// [`write_frame`] encoding into a caller-owned scratch buffer (cleared
-/// on entry, capacity kept). A long-lived link that sends many frames —
-/// the dist master's per-worker pipes, the worker's reply stream —
-/// reuses one buffer and stops paying a fresh document allocation per
-/// frame once the scratch has grown to the link's working frame size.
-pub fn write_frame_into<W: Write>(
-    w: &mut W,
-    v: &WireValue,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
+/// Writes one frame whose value `encode` streams into `scratch` (cleared
+/// on entry, capacity kept), then sends length prefix and document in
+/// one write. A long-lived link — the dist master's per-worker pipes,
+/// the worker's reply stream — reuses one buffer and stops allocating
+/// once it has grown to the link's working frame size.
+pub fn write_frame_with<W, F>(w: &mut W, scratch: &mut Vec<u8>, encode: F) -> io::Result<()>
+where
+    W: Write,
+    F: FnOnce(&mut Encoder<'_, Vec<u8>>),
+{
     scratch.clear();
-    scratch.extend_from_slice(&MAGIC);
-    scratch.extend_from_slice(&VERSION.to_le_bytes());
-    encode_value_into(v, scratch);
-    let len = u32::try_from(scratch.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge(scratch.len() as u64),
-        )
-    })?;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge(u64::from(len)),
-        ));
-    }
-    w.write_all(&len.to_le_bytes())?;
+    scratch.extend_from_slice(&[0; 4]);
+    let mut e = Encoder::new(scratch);
+    e.header();
+    encode(&mut e);
+    let doc_len = scratch.len() - 4;
+    let len = u32::try_from(doc_len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_LEN)
+        .ok_or(WireError::FrameTooLarge(doc_len as u64))?;
+    scratch[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(scratch)?;
     w.flush()
 }
 
-/// Reads one length-prefixed frame. A clean EOF **before the length
-/// prefix** yields `Ok(None)` (the peer hung up between frames); EOF
-/// mid-frame, an oversized length, or a malformed document yield an
-/// `InvalidData`/`UnexpectedEof` error carrying the underlying
-/// [`WireError`] where applicable.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<WireValue>> {
+/// Reads one length-prefixed frame into `buf` (cleared first, capacity
+/// kept) and returns a [`Cursor`] over its document, header checked. A
+/// clean EOF **before the length prefix** yields `Ok(None)` (the peer
+/// hung up between frames); EOF mid-frame, an oversized length, or a
+/// bad header yield an `UnexpectedEof`/`InvalidData` error, the latter
+/// carrying the underlying [`WireError`].
+pub fn read_frame_into<'b, R: Read>(
+    r: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Cursor<'b>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -438,16 +612,21 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<WireValue>> {
     }
     let len = u32::from_le_bytes(len_bytes);
     if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge(u64::from(len)),
-        ));
+        return Err(WireError::FrameTooLarge(u64::from(len)).into());
     }
-    let mut doc = vec![0u8; len as usize];
-    r.read_exact(&mut doc)?;
-    decode_document(&doc)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    buf.clear();
+    buf.resize(len as usize, 0);
+    r.read_exact(buf)?;
+    Ok(Some(Cursor::document(buf)?))
+}
+
+/// Reads one length-prefixed frame and decodes its value (see
+/// [`read_frame_into`] for the EOF and error contract).
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<WireValue>> {
+    match read_frame_into(r, &mut Vec::new())? {
+        Some(doc) => Ok(Some(doc.into_value()?)),
+        None => Ok(None),
+    }
 }
 
 /// Conversion into the canonical wire universe. Implemented for the
@@ -457,6 +636,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<WireValue>> {
 pub trait ToWire {
     /// This value as a [`WireValue`].
     fn to_wire(&self) -> WireValue;
+
+    /// Streams this value's canonical bytes into `e`: always the bytes
+    /// of `e.value(&self.to_wire())`, which is the default. Only `i64`
+    /// and lists override it, so hashing an `i64` list (a farm's input)
+    /// builds no [`WireValue`] tree.
+    fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
+        e.value(&self.to_wire());
+    }
 }
 
 /// Conversion back from the wire universe; the inverse of [`ToWire`]
@@ -497,6 +684,10 @@ impl FromWire for bool {
 impl ToWire for i64 {
     fn to_wire(&self) -> WireValue {
         WireValue::Int(*self)
+    }
+
+    fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
+        e.int(*self);
     }
 }
 
@@ -581,11 +772,20 @@ impl<T: ToWire> ToWire for [T] {
     fn to_wire(&self) -> WireValue {
         WireValue::List(self.iter().map(ToWire::to_wire).collect())
     }
+
+    fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
+        e.list(self.len());
+        self.iter().for_each(|x| x.encode(e));
+    }
 }
 
 impl<T: ToWire> ToWire for Vec<T> {
     fn to_wire(&self) -> WireValue {
         self.as_slice().to_wire()
+    }
+
+    fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
+        self.as_slice().encode(e);
     }
 }
 
@@ -770,13 +970,18 @@ mod tests {
         // left to read: a count that squeaked past the one-byte-per-
         // element plausibility check still cannot reserve more memory
         // than the input could possibly encode.
-        let r = Reader {
+        let r = Cursor {
             buf: &[0u8; 64],
             pos: 0,
         };
         let per_slot = std::mem::size_of::<WireValue>();
-        assert_eq!(r.capacity_for(64), 64 / per_slot);
-        assert_eq!(r.capacity_for(2), 2, "small counts keep exact capacity");
+        assert_eq!(r.capacity_for(64, per_slot), 64 / per_slot);
+        assert_eq!(
+            r.capacity_for(2, per_slot),
+            2,
+            "small counts keep exact capacity"
+        );
+        assert_eq!(r.capacity_for(64, 9), 7, "an Int takes 9 bytes");
 
         // End to end: a list declaring one element per remaining byte
         // (passes the length check) whose payload is garbage must fail
@@ -793,19 +998,19 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_into_matches_write_frame_and_reuses_the_scratch() {
+    fn write_frame_with_matches_write_frame_and_reuses_the_scratch() {
         let mut scratch = Vec::new();
         let mut via_scratch = Vec::new();
         let mut via_fresh = Vec::new();
         for v in samples() {
-            write_frame_into(&mut via_scratch, &v, &mut scratch).unwrap();
+            write_frame_with(&mut via_scratch, &mut scratch, |e| e.value(&v)).unwrap();
             write_frame(&mut via_fresh, &v).unwrap();
         }
         assert_eq!(via_scratch, via_fresh, "same bytes on the wire");
         // Once grown, further sends of no-larger frames keep the buffer.
         let cap = scratch.capacity();
         for v in samples() {
-            write_frame_into(&mut io::sink(), &v, &mut scratch).unwrap();
+            write_frame_with(&mut io::sink(), &mut scratch, |e| e.value(&v)).unwrap();
         }
         assert_eq!(scratch.capacity(), cap, "steady state must not reallocate");
     }

@@ -6,7 +6,8 @@
 //! time, and per-hop store-and-forward overhead. The defaults below are
 //! calibrated so that the tracking application reproduces the *shape* of the
 //! paper's figures (≈30 ms tracking latency, ≈110 ms reinitialisation
-//! latency on 8 processors); see `EXPERIMENTS.md` for the calibration notes.
+//! latency on 8 processors); the tests of `skipper_apps::tracker_sim`
+//! check that shape.
 
 /// Virtual time in nanoseconds.
 pub type Ns = u64;

@@ -207,7 +207,7 @@ impl<T: ArenaPixel> Image<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::pixel_alloc_count;
+    use crate::image::thread_pixel_alloc_count;
 
     #[test]
     fn lease_fill_and_freeze() {
@@ -230,9 +230,9 @@ mod tests {
         assert_eq!(arena.slots(), 2);
         drop(a);
         drop(b);
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         let c = arena.lease(64, |b| b.fill(3));
-        assert_eq!(pixel_alloc_count(), before, "recycled lease is free");
+        assert_eq!(thread_pixel_alloc_count(), before, "recycled lease is free");
         assert_eq!(arena.slots(), 2);
         assert!(c.iter().all(|&p| p == 3));
     }
@@ -271,9 +271,13 @@ mod tests {
     fn smaller_lease_reuses_larger_capacity() {
         let mut arena = FrameArena::<u8>::new();
         drop(arena.lease(128, |_| {}));
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         let small = arena.lease(16, |b| b.fill(9));
-        assert_eq!(pixel_alloc_count(), before, "shrinking reuse is free");
+        assert_eq!(
+            thread_pixel_alloc_count(),
+            before,
+            "shrinking reuse is free"
+        );
         assert_eq!(small.len(), 16);
     }
 
@@ -281,9 +285,9 @@ mod tests {
     fn growing_a_slot_counts_one_alloc() {
         let mut arena = FrameArena::<u8>::new();
         drop(arena.lease(8, |_| {}));
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         let big = arena.lease(1 << 16, |_| {});
-        assert_eq!(pixel_alloc_count(), before + 1);
+        assert_eq!(thread_pixel_alloc_count(), before + 1);
         assert_eq!(big.len(), 1 << 16);
     }
 
@@ -307,12 +311,12 @@ mod tests {
         for _ in 0..2 {
             drop(Image::<u32>::leased(32, 32, |b| b.fill(1)));
         }
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         for _ in 0..16 {
             let img = Image::<u32>::leased(32, 32, |b| b.fill(2));
             assert_eq!(img.get(0, 0), 2);
         }
-        assert_eq!(pixel_alloc_count(), before);
+        assert_eq!(thread_pixel_alloc_count(), before);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Every fresh pixel-buffer allocation (and only those — clones, views and
 //! arena reuse are free) bumps the process-global [`pixel_alloc_count`]
-//! probe, which the steady-state allocation tests pin to zero.
+//! probe, which the steady-state allocation tests pin to zero. Unit
+//! tests read the allocating thread's own count instead, so that tests
+//! running in parallel cannot bleed into each other's deltas.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +19,12 @@ use std::sync::Arc;
 
 /// Process-global count of fresh pixel-buffer allocations.
 static PIXEL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`PIXEL_ALLOCS`].
+    static THREAD_PIXEL_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Number of fresh pixel-buffer heap allocations made by this crate since
 /// process start: `Image::new`/`from_fn`/`from_raw`/`crop`/`map`, a
@@ -27,11 +35,20 @@ pub fn pixel_alloc_count() -> u64 {
     PIXEL_ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The calling thread's share of [`pixel_alloc_count`]: what unit-test
+/// deltas read, since sibling tests allocate on other threads.
+#[cfg(test)]
+pub(crate) fn thread_pixel_alloc_count() -> u64 {
+    THREAD_PIXEL_ALLOCS.with(std::cell::Cell::get)
+}
+
 /// Records one fresh pixel-buffer allocation (no-op for empty buffers,
 /// which `Vec` never heap-allocates).
 pub(crate) fn note_pixel_alloc(len: usize) {
     if len > 0 {
         PIXEL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_PIXEL_ALLOCS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -642,10 +659,14 @@ mod tests {
     #[test]
     fn unique_image_mutates_in_place_without_alloc() {
         let mut img = Image::<u8>::new(16, 16);
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         img.fill(3);
         img.set(0, 0, 1);
-        assert_eq!(pixel_alloc_count(), before, "unique mutation is free");
+        assert_eq!(
+            thread_pixel_alloc_count(),
+            before,
+            "unique mutation is free"
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! | image processing | [`skipper_vision`] | the sequential C functions |
 //! | applications | [`skipper_apps`] | tracking, CCL, road following (§4) |
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the architecture and
-//! experiment index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `README.md` for a tour; `experiments --list` (in
+//! `skipper-bench`) prints the index of paper experiments.
 //!
 //! # Quickstart
 //!

@@ -12,7 +12,11 @@
 //! must fail to decode with exactly the documented error message.
 
 use proptest::prelude::*;
-use skipper::wire::{canonical_bytes, decode_document, encode_document, WireValue};
+use skipper::receipt::{fnv1a, wire_hash};
+use skipper::wire::{
+    canonical_bytes, decode_document, encode_document, Cursor, Encoder, FromWire, ToWire,
+    WireError, WireValue,
+};
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -176,6 +180,67 @@ fn negative_fixtures_are_rejected_with_the_pinned_errors() {
         assert_eq!(committed, bytes, "`{name}` fixture bytes drifted");
         let err = decode_document(&committed).expect_err("a negative fixture must fail to decode");
         assert_eq!(err.to_string(), message, "`{name}` rejection message");
+        assert_eq!(
+            typed_decode(&committed).expect_err("typed reads must reject it too"),
+            err,
+            "`{name}` through the cursor's typed reads"
+        );
+    }
+}
+
+/// Decodes a document the way a dist peer reads a `map-df` payload:
+/// the typed `ints()` read first, falling back to `value()` on a shape
+/// mismatch.
+fn typed_decode(bytes: &[u8]) -> Result<WireValue, WireError> {
+    let doc = Cursor::document(bytes)?;
+    let mut typed = doc.clone();
+    match typed.ints()? {
+        Some(xs) => {
+            typed.finish()?;
+            Ok(xs.to_wire())
+        }
+        None => doc.into_value(),
+    }
+}
+
+/// The three identities of the `i64`-list fast path: the streaming
+/// encoder writes `encode_document`'s bytes, the typed `ints()` read
+/// returns what `decode_document` + `from_wire` return, and the
+/// streamed `wire_hash` is FNV-1a over `canonical_bytes`.
+fn check_int_list(xs: &[i64]) {
+    let tree = xs.to_wire();
+    let mut streamed = Vec::new();
+    let mut e = Encoder::new(&mut streamed);
+    e.header();
+    e.ints(xs.iter().copied());
+    assert_eq!(streamed, encode_document(&tree), "encoder bytes for {xs:?}");
+
+    let mut doc = Cursor::document(&streamed).expect("header");
+    let typed = doc.ints().expect("well-formed").expect("an Int list");
+    doc.finish().expect("nothing trails");
+    let via_tree = <Vec<i64>>::from_wire(&decode_document(&streamed).expect("decodes"));
+    assert_eq!(Some(typed), via_tree, "typed read of {xs:?}");
+
+    assert_eq!(
+        wire_hash(xs),
+        fnv1a(&canonical_bytes(&tree)),
+        "hash of {xs:?}"
+    );
+}
+
+#[test]
+fn int_list_fast_path_edge_cases() {
+    check_int_list(&[]);
+    check_int_list(&[i64::MIN]);
+    check_int_list(&[i64::MAX]);
+    check_int_list(&[i64::MIN, -1, 0, 1, i64::MAX]);
+}
+
+#[test]
+fn typed_reads_leave_other_shapes_to_value() {
+    for (_, value) in golden_values() {
+        let bytes = encode_document(&value);
+        assert_eq!(typed_decode(&bytes), Ok(value));
     }
 }
 
@@ -223,6 +288,16 @@ fn arb_value(words: &[u64]) -> WireValue {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The `i64`-list fast path agrees with the tree path on seeded
+    /// random lists (empty included), drawn over the full `i64` range.
+    #[test]
+    fn int_list_fast_path_matches_the_tree_path(
+        words in prop::collection::vec(0u64..u64::MAX, 0..200),
+    ) {
+        let xs: Vec<i64> = words.iter().map(|&w| w as i64).collect();
+        check_int_list(&xs);
+    }
 
     /// Round trip: decode(encode(v)) == v for every value shape.
     #[test]
