@@ -33,10 +33,7 @@
 //! signatures, so a mismatch here means a registered signature lies
 //! about its Rust kernel — unreachable from DSL text.
 
-use std::num::NonZeroUsize;
-use std::sync::Arc;
-
-use skipper::{itermem, IterLoop, PoolRun, ShardRun, Skeleton, WorkerPool};
+use skipper::{itermem, run_with, Dispatch, IterLoop, Skeleton};
 use skipper_exec::Value;
 use skipper_lang::compile::KernelRegistry;
 use skipper_vision::geometry::{Point2, Rect};
@@ -567,48 +564,21 @@ pub fn app_registry() -> KernelRegistry {
 // Handwritten comparators
 // ---------------------------------------------------------------------------
 
-/// How a handwritten body drives its inner skeleton — mirrors the four
-/// host strategies so each frame runs through exactly the `skipper`
-/// entry point [`skipper_lang::compile::CompiledBody`] would use, making
-/// dispatch receipts comparable.
-enum Host<'h> {
-    Seq,
-    Threads(Option<NonZeroUsize>),
-    Pool(&'h WorkerPool),
-    Shards(&'h [Arc<WorkerPool>]),
-}
-
-macro_rules! host_body {
+/// Implements [`Skeleton`] for a handwritten body whose `step` takes the
+/// dispatcher its inner skeleton runs on (`None`: declaratively) —
+/// exactly as [`skipper_lang::compile::CompiledBody`] drives its steps,
+/// so dispatch receipts are comparable.
+macro_rules! dispatched_body {
     ($ty:ty) => {
         impl<'a> Skeleton<&'a (Value, Value)> for $ty {
             type Output = (Value, Value);
 
             fn run_declarative(&self, t: &'a (Value, Value)) -> (Value, Value) {
-                self.step(t, &Host::Seq)
+                self.step(t, None)
             }
 
-            fn run_threaded(
-                &self,
-                t: &'a (Value, Value),
-                workers: Option<NonZeroUsize>,
-            ) -> (Value, Value) {
-                self.step(t, &Host::Threads(workers))
-            }
-        }
-
-        impl<'a> PoolRun<&'a (Value, Value)> for $ty {
-            fn run_pooled(&self, pool: &WorkerPool, t: &'a (Value, Value)) -> (Value, Value) {
-                self.step(t, &Host::Pool(pool))
-            }
-        }
-
-        impl<'a> ShardRun<&'a (Value, Value)> for $ty {
-            fn run_sharded(
-                &self,
-                shards: &[Arc<WorkerPool>],
-                t: &'a (Value, Value),
-            ) -> (Value, Value) {
-                self.step(t, &Host::Shards(shards))
+            fn run_on(&self, d: &dyn Dispatch, t: &'a (Value, Value)) -> (Value, Value) {
+                self.step(t, Some(d))
             }
         }
     };
@@ -624,20 +594,15 @@ pub struct CclBody {
 }
 
 impl CclBody {
-    fn step(&self, t: &(Value, Value), host: &Host<'_>) -> (Value, Value) {
+    fn step(&self, t: &(Value, Value), dispatch: Option<&dyn Dispatch>) -> (Value, Value) {
         let img = image_of(&t.1);
         let prog = crate::ccl::ccl_program(self.bands);
-        let count = match host {
-            Host::Seq => prog.run_declarative(&img),
-            Host::Threads(w) => prog.run_threaded(&img, *w),
-            Host::Pool(p) => prog.run_pooled(p, &img),
-            Host::Shards(s) => prog.run_sharded(s, &img),
-        };
+        let count = run_with(&prog, dispatch, &img);
         (t.0.clone(), Value::Int(i64::from(count)))
     }
 }
 
-host_body!(CclBody);
+dispatched_body!(CclBody);
 
 /// The handwritten road-following loop body over the native
 /// [`crate::road::line_program`] `scm`.
@@ -648,20 +613,15 @@ pub struct RoadBody {
 }
 
 impl RoadBody {
-    fn step(&self, t: &(Value, Value), host: &Host<'_>) -> (Value, Value) {
+    fn step(&self, t: &(Value, Value), dispatch: Option<&dyn Dispatch>) -> (Value, Value) {
         let img = image_of(&t.1);
         let prog = crate::road::line_program(self.bands);
-        let line = match host {
-            Host::Seq => prog.run_declarative(&img),
-            Host::Threads(w) => prog.run_threaded(&img, *w),
-            Host::Pool(p) => prog.run_pooled(p, &img),
-            Host::Shards(s) => prog.run_sharded(s, &img),
-        };
+        let line = run_with(&prog, dispatch, &img);
         (t.0.clone(), line_value(&line))
     }
 }
 
-host_body!(RoadBody);
+dispatched_body!(RoadBody);
 
 /// The handwritten tracker loop body: native `get_windows`, the
 /// [`crate::tracking::detection_farm`] `df`, then native `predict` —
@@ -674,23 +634,18 @@ pub struct TrackBody {
 }
 
 impl TrackBody {
-    fn step(&self, t: &(Value, Value), host: &Host<'_>) -> (Value, Value) {
+    fn step(&self, t: &(Value, Value), dispatch: Option<&dyn Dispatch>) -> (Value, Value) {
         let state = state_of(&t.0);
         let img = image_of(&t.1);
         let windows = crate::tracking::get_windows(&state, &img);
         let farm = crate::tracking::detection_farm(self.nproc);
-        let marks = match host {
-            Host::Seq => farm.run_declarative(&windows[..]),
-            Host::Threads(w) => farm.run_threaded(&windows[..], *w),
-            Host::Pool(p) => farm.run_pooled(p, &windows[..]),
-            Host::Shards(s) => farm.run_sharded(s, &windows[..]),
-        };
+        let marks = run_with(&farm, dispatch, &windows[..]);
         let (state2, out) = crate::tracking::predict(&state, marks);
         (state_value(&state2), marks_value(&out))
     }
 }
 
-host_body!(TrackBody);
+dispatched_body!(TrackBody);
 
 /// The handwritten CCL stream program (`itermem` over [`CclBody`]).
 pub fn ccl_loop(bands: usize) -> IterLoop<CclBody, Value> {

@@ -32,8 +32,8 @@
 //! The loop body is compiled to a [`CompiledBody`]: a short sequence of
 //! steps (kernel calls and `df`/`scm`/`tf` skeleton stages) over an
 //! environment of frame-local values. `CompiledBody` implements the same
-//! execution traits as any handwritten body — [`Skeleton`],
-//! [`PoolRun`], [`ShardRun`] and `SimLowerBody` — and each skeleton
+//! execution traits as any handwritten body — [`Skeleton`] (run on any
+//! host [`Dispatch`]) and `SimLowerBody` — and each skeleton
 //! stage executes through the very same `skipper::{df, scm, tf}` entry
 //! points a handwritten program uses, so a compiled program's dispatch
 //! **receipts** ([`skipper::receipted`]) are bit-identical to the
@@ -53,10 +53,9 @@
 use crate::ast::{Expr, ExprKind, Pattern, Program};
 use crate::diag::{Diagnostic, Span, Stage};
 use crate::types::{check_program, parse_type, Type, TypeEnv};
-use skipper::{df, itermem, scm, tf, IterLoop, PoolRun, ShardRun, Skeleton, WorkerPool};
+use skipper::{df, itermem, run_with, scm, tf, Dispatch, IterLoop, Skeleton};
 use skipper_exec::{Fragment, Lowering, SimLower, SimLowerBody, Value};
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// A registered kernel body: a named Rust function over executive
@@ -422,20 +421,10 @@ impl std::fmt::Debug for Step {
     }
 }
 
-/// How a [`CompiledBody`] drives its skeleton steps: mirrors the four
-/// host execution strategies so each step runs through exactly the
-/// `skipper` entry point the strategy's backend would use.
-enum Mode<'m> {
-    Declarative,
-    Threaded(Option<NonZeroUsize>),
-    Pooled(&'m WorkerPool),
-    Sharded(&'m [Arc<WorkerPool>]),
-}
-
 /// A compiled `itermem` loop body: steps over a frame environment,
 /// ending in the `(state', output)` pair. Runs anywhere a handwritten
-/// body runs — declaratively, on scoped threads, on a [`WorkerPool`],
-/// across shards, or lowered onto the simulated machine — and its
+/// body runs — declaratively, on any host [`Dispatch`], or lowered onto
+/// the simulated machine — and its
 /// skeleton steps call the same `skipper` entry points a handwritten
 /// program would, making dispatch receipts comparable across the two.
 #[derive(Clone)]
@@ -451,7 +440,9 @@ impl std::fmt::Debug for CompiledBody {
 }
 
 impl CompiledBody {
-    fn run(&self, input: &(Value, Value), mode: &Mode<'_>) -> (Value, Value) {
+    /// Runs the steps, each skeleton step through `dispatch` (declaratively
+    /// when `None`).
+    fn run(&self, input: &(Value, Value), dispatch: Option<&dyn Dispatch>) -> (Value, Value) {
         let mut env: Vec<Value> = vec![input.0.clone(), input.1.clone()];
         for step in self.steps.iter() {
             let v = match step {
@@ -473,12 +464,7 @@ impl CompiledBody {
                         None => kernel_contract_violation("<df items>", "a list", &items_v),
                     };
                     let prog = df_value(comp, acc, *workers, seed_v);
-                    match mode {
-                        Mode::Declarative => prog.run_declarative(&xs[..]),
-                        Mode::Threaded(w) => prog.run_threaded(&xs[..], *w),
-                        Mode::Pooled(pool) => prog.run_pooled(pool, &xs[..]),
-                        Mode::Sharded(shards) => prog.run_sharded(shards, &xs[..]),
-                    }
+                    run_with(&prog, dispatch, &xs[..])
                 }
                 Step::Scm {
                     workers,
@@ -489,12 +475,7 @@ impl CompiledBody {
                 } => {
                     let x = inp.resolve(&env);
                     let prog = scm_value(split, comp, merge, *workers);
-                    match mode {
-                        Mode::Declarative => prog.run_declarative(&x),
-                        Mode::Threaded(w) => prog.run_threaded(&x, *w),
-                        Mode::Pooled(pool) => prog.run_pooled(pool, &x),
-                        Mode::Sharded(shards) => prog.run_sharded(shards, &x),
-                    }
+                    run_with(&prog, dispatch, &x)
                 }
                 Step::Tf {
                     workers,
@@ -510,12 +491,7 @@ impl CompiledBody {
                         None => kernel_contract_violation("<tf tasks>", "a list", &tasks_v),
                     };
                     let prog = tf_value(worker, acc, *workers, seed_v);
-                    match mode {
-                        Mode::Declarative => prog.run_declarative(ts),
-                        Mode::Threaded(w) => prog.run_threaded(ts, *w),
-                        Mode::Pooled(pool) => prog.run_pooled(pool, ts),
-                        Mode::Sharded(shards) => prog.run_sharded(shards, ts),
-                    }
+                    run_with(&prog, dispatch, ts)
                 }
             };
             env.push(v);
@@ -609,27 +585,11 @@ impl<'a> Skeleton<&'a (Value, Value)> for CompiledBody {
     type Output = (Value, Value);
 
     fn run_declarative(&self, input: &'a (Value, Value)) -> (Value, Value) {
-        self.run(input, &Mode::Declarative)
+        self.run(input, None)
     }
 
-    fn run_threaded(
-        &self,
-        input: &'a (Value, Value),
-        workers: Option<NonZeroUsize>,
-    ) -> (Value, Value) {
-        self.run(input, &Mode::Threaded(workers))
-    }
-}
-
-impl<'a> PoolRun<&'a (Value, Value)> for CompiledBody {
-    fn run_pooled(&self, pool: &WorkerPool, input: &'a (Value, Value)) -> (Value, Value) {
-        self.run(input, &Mode::Pooled(pool))
-    }
-}
-
-impl<'a> ShardRun<&'a (Value, Value)> for CompiledBody {
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], input: &'a (Value, Value)) -> (Value, Value) {
-        self.run(input, &Mode::Sharded(shards))
+    fn run_on(&self, d: &dyn Dispatch, input: &'a (Value, Value)) -> (Value, Value) {
+        self.run(input, Some(d))
     }
 }
 
@@ -1500,7 +1460,7 @@ pub fn compile_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper::Backend;
+    use skipper::{Backend, PoolBackend, ShardBackend, ThreadBackend, Workers};
     use skipper_exec::SimBackend;
 
     fn int(v: &Value) -> i64 {
@@ -1578,13 +1538,17 @@ let main = itermem lists loop show 0 ();;
         let (z, ys) = lp.run_declarative(frames.clone());
         assert_eq!(int(&z), want_z);
         assert_eq!(ys.iter().map(int).collect::<Vec<_>>(), want_ys);
-        let (z2, ys2) = lp.run_threaded(frames.clone(), NonZeroUsize::new(2));
-        assert_eq!((z2, ys2), (z.clone(), ys.clone()));
-        let pool = WorkerPool::new(NonZeroUsize::new(2).expect("nonzero"));
+        let w = Workers::exact(2);
+        let pool = PoolBackend::configured(w);
+        let threads = ThreadBackend::configured(w);
+        let shards = ShardBackend::configured(2, w);
+        assert_eq!(threads.run(&lp, frames.clone()), (z.clone(), ys.clone()));
+        assert_eq!(pool.run(&lp, frames.clone()), (z.clone(), ys.clone()));
+        assert_eq!(shards.run(&lp, frames.clone()), (z.clone(), ys.clone()));
         let mut zs = prog.init().clone();
         let mut ys3 = Vec::new();
         for f in &frames {
-            let (z2, y) = prog.body().run_pooled(&pool, &(zs, f.clone()));
+            let (z2, y) = pool.run(prog.body(), &(zs, f.clone()));
             zs = z2;
             ys3.push(y);
         }

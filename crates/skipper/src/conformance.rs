@@ -31,7 +31,7 @@
 //! assert_backend_conforms(&ThreadBackend::new());
 //! ```
 
-use crate::backend::{Backend, Executable};
+use crate::backend::{Backend, Dispatch, Executable};
 use crate::pool::PoolBackend;
 use crate::program::{default_workers, Workers};
 use crate::receipt::{receipted, RunReceipt};
@@ -1089,50 +1089,32 @@ pub fn assert_serving_conforms(backend: &PoolBackend) {
 /// dispatch trace, output hash) on each, per input case, across the
 /// standard [`worker_counts`] sweep.
 ///
-/// Strategies exercised: declarative, scoped threads, a shared
-/// [`WorkerPool`](crate::WorkerPool), and a two-shard
-/// [`ShardRun`](crate::ShardRun) split — the same four entry points the
-/// host backends dispatch through.
+/// Strategies exercised: declarative, then every [`Dispatch`] host
+/// backend — threads, a pool, and two shards — sized to each worker count.
 pub fn assert_programs_equivalent<P, Q, I, O>(label: &str, p: &P, q: &Q, inputs: &[I])
 where
-    P: crate::Skeleton<I, Output = O> + crate::PoolRun<I> + crate::ShardRun<I>,
-    Q: crate::Skeleton<I, Output = O> + crate::PoolRun<I> + crate::ShardRun<I>,
+    P: crate::Skeleton<I, Output = O>,
+    Q: crate::Skeleton<I, Output = O>,
     I: Clone + crate::wire::ToWire,
     O: PartialEq + std::fmt::Debug + crate::wire::ToWire,
 {
-    use crate::WorkerPool;
-    use std::num::NonZeroUsize;
-    use std::sync::Arc;
+    use crate::{run_with, ShardBackend};
 
     for &workers in &worker_counts() {
-        let w = NonZeroUsize::new(workers).expect("worker counts are nonzero");
-        let pool = WorkerPool::new(w);
-        let shards: Vec<Arc<WorkerPool>> = (0..2).map(|_| Arc::new(WorkerPool::new(w))).collect();
+        let w = Workers::exact(workers);
+        let (thread, pool) = (ThreadBackend::configured(w), PoolBackend::configured(w));
+        let shard = ShardBackend::configured(2, w);
+        let strategies: [(&str, Option<&dyn Dispatch>); 4] = [
+            ("declarative", None),
+            ("threaded", Some(&thread)),
+            ("pooled", Some(&pool)),
+            ("sharded", Some(&shard)),
+        ];
         for (case, input) in inputs.iter().enumerate() {
             let golden = p.run_declarative(input.clone());
-            let runs = [
-                (
-                    "declarative",
-                    receipted(input, || p.run_declarative(input.clone())),
-                    receipted(input, || q.run_declarative(input.clone())),
-                ),
-                (
-                    "threaded",
-                    receipted(input, || p.run_threaded(input.clone(), Some(w))),
-                    receipted(input, || q.run_threaded(input.clone(), Some(w))),
-                ),
-                (
-                    "pooled",
-                    receipted(input, || p.run_pooled(&pool, input.clone())),
-                    receipted(input, || q.run_pooled(&pool, input.clone())),
-                ),
-                (
-                    "sharded",
-                    receipted(input, || p.run_sharded(&shards, input.clone())),
-                    receipted(input, || q.run_sharded(&shards, input.clone())),
-                ),
-            ];
-            for (strategy, (po, pr), (qo, qr)) in runs {
+            for (strategy, d) in strategies {
+                let (po, pr) = receipted(input, || run_with(p, d, input.clone()));
+                let (qo, qr) = receipted(input, || run_with(q, d, input.clone()));
                 assert_eq!(
                     po, golden,
                     "{label}: left program diverged from its declarative golden \

@@ -6,16 +6,17 @@
 //! accumulating partial results until each input data is processed"
 //! (paper §2).
 //!
-//! The operational semantics here uses self-scheduling workers (a shared
-//! atomic work index) and a result channel back to the accumulating master
-//! — the thread-pool equivalent of the master/worker process network of
-//! Fig. 1, with identical load-balancing behaviour: a worker takes the next
-//! item the moment it finishes the previous one.
+//! The operational semantics is the shared host farm round
+//! ([`Skeleton::run_on`]): self-scheduling workers claim chunks of items
+//! from a shared atomic cursor — the thread-pool equivalent of the
+//! master/worker process network of Fig. 1, with the same load-balancing
+//! behaviour: a worker claims the next chunk the moment it finishes the
+//! previous one — and the master folds the results **in item order**, so
+//! every backend agrees with the declarative semantics for any `acc`.
 
+use crate::backend::{map_units, Dispatch};
 use crate::program::{resolve_workers, Skeleton};
-use crossbeam::channel;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The data-farming skeleton.
 ///
@@ -109,78 +110,15 @@ impl<C, A, Z> Df<C, A, Z> {
     pub fn init(&self) -> &Z {
         &self.init
     }
-
-    /// Operational semantics with **deterministic** accumulation: results
-    /// are buffered and folded in list order, so it agrees with the
-    /// declarative semantics for *any* `acc` at the price of buffering all
-    /// results.
-    pub fn run_par_ordered<I, O>(&self, xs: &[I]) -> Z
-    where
-        C: Fn(&I) -> O + Sync,
-        A: Fn(Z, O) -> Z,
-        Z: Clone,
-        I: Sync,
-        O: Send,
-    {
-        let mut slots: Vec<Option<O>> = (0..xs.len()).map(|_| None).collect();
-        self.farm(xs, self.workers.get(), |rx| {
-            for (idx, o) in rx.iter() {
-                slots[idx] = Some(o);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every item produces a result"))
-            .fold(self.init.clone(), |z, o| (self.acc)(z, o))
-    }
-
-    /// Shared farm machinery: spawn `n` self-scheduling workers over `xs`
-    /// and hand the master-side receiver to `collect`.
-    fn farm<I, O>(&self, xs: &[I], n: usize, collect: impl FnOnce(channel::Receiver<(usize, O)>))
-    where
-        C: Fn(&I) -> O + Sync,
-        I: Sync,
-        O: Send,
-    {
-        if xs.is_empty() {
-            let (tx, rx) = channel::unbounded();
-            drop(tx);
-            collect(rx);
-            return;
-        }
-        let n = n.min(xs.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = channel::unbounded::<(usize, O)>();
-        let comp = &self.comp;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..n {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= xs.len() {
-                        break;
-                    }
-                    let o = comp(&xs[i]);
-                    if tx.send((i, o)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            collect(rx);
-        })
-        .expect("df worker panicked");
-    }
 }
 
 /// The program-description semantics of a farm over an item slice.
 ///
-/// The parallel result equals the declarative one only when `acc` is
-/// commutative and associative, as the paper requires ("since the
+/// The paper requires a commutative and associative `acc` "since the
 /// accumulation order in the parallel case is intrinsically
-/// unpredictable"); [`Df::run_par_ordered`] restores determinism for
-/// non-commutative folds.
+/// unpredictable". Here the parallel round buffers each item's result and
+/// folds them in item order, so it equals the declarative result for any
+/// `acc`.
 impl<'a, I, O, C, A, Z> Skeleton<&'a [I]> for Df<C, A, Z>
 where
     C: Fn(&I) -> O + Sync,
@@ -196,33 +134,27 @@ where
         crate::spec::df(self.workers(), &self.comp, &self.acc, self.init.clone(), xs)
     }
 
-    fn run_threaded(&self, xs: &'a [I], workers: Option<NonZeroUsize>) -> Z {
-        self.fold_threaded(xs, self.init.clone(), workers)
+    fn run_on(&self, d: &dyn Dispatch, xs: &'a [I]) -> Z {
+        fold_on(self, d, xs, self.init.clone())
     }
 }
 
-impl<C, A, Z> Df<C, A, Z> {
-    /// Threaded farm round folding into an explicit `seed` accumulator
-    /// (the loop-body form threads the carried state through here).
-    pub(crate) fn fold_threaded<I, O>(&self, xs: &[I], seed: Z, workers: Option<NonZeroUsize>) -> Z
-    where
-        C: Fn(&I) -> O + Sync,
-        A: Fn(Z, O) -> Z,
-        I: Sync,
-        O: Send,
-    {
-        // The canonical trace logs the farm round at dispatch, on the
-        // calling thread — identically on every backend.
-        crate::receipt::record_assigns(xs.len());
-        let n = workers.unwrap_or(self.workers).get();
-        let mut z = Some(seed);
-        self.farm(xs, n, |rx| {
-            for (_idx, o) in rx.iter() {
-                z = Some((self.acc)(z.take().expect("accumulator present"), o));
-            }
-        });
-        z.expect("accumulator present")
-    }
+/// The host farm round folding into an explicit `seed` accumulator (the
+/// loop-body form threads the carried state through here).
+fn fold_on<I, O, C, A, Z>(farm: &Df<C, A, Z>, d: &dyn Dispatch, xs: &[I], seed: Z) -> Z
+where
+    C: Fn(&I) -> O + Sync,
+    A: Fn(Z, O) -> Z,
+    I: Sync,
+    O: Send,
+{
+    // The canonical trace logs the farm round at dispatch, on the
+    // calling thread — identically on every backend.
+    crate::receipt::record_assigns(xs.len());
+    let comp = &farm.comp;
+    map_units(d, farm.workers(), xs.len(), |i| comp(&xs[i]))
+        .into_iter()
+        .fold(seed, |z, o| (farm.acc)(z, o))
 }
 
 /// A farm as an [`crate::itermem()`] loop body (the paper's tracking-loop
@@ -250,8 +182,8 @@ where
         (z.clone(), z)
     }
 
-    fn run_threaded(&self, t: &'a (Z, Vec<I>), workers: Option<NonZeroUsize>) -> (Z, Z) {
-        let z = self.fold_threaded(&t.1, t.0.clone(), workers);
+    fn run_on(&self, d: &dyn Dispatch, t: &'a (Z, Vec<I>)) -> (Z, Z) {
+        let z = fold_on(self, d, &t.1, t.0.clone());
         (z.clone(), z)
     }
 }
@@ -259,8 +191,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, SeqBackend, ThreadBackend};
-    use std::sync::atomic::AtomicU64;
+    use crate::{Backend, PoolBackend, SeqBackend, ShardBackend, ThreadBackend, Workers};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -284,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn par_ordered_equals_seq_for_non_commutative_acc() {
+    fn non_commutative_acc_folds_in_item_order_on_every_host_backend() {
         // String concatenation is associative but NOT commutative.
         let farm = Df::new(
             4,
@@ -292,15 +224,25 @@ mod tests {
             |z: String, y: String| z + &y,
             String::new(),
         );
-        let xs: Vec<u32> = (0..64).collect();
-        assert_eq!(farm.run_par_ordered(&xs), SeqBackend.run(&farm, &xs[..]));
+        let dispatchers: [Box<dyn Dispatch>; 4] = [
+            Box::new(ThreadBackend::new()),
+            Box::new(PoolBackend::configured(Workers::exact(1))),
+            Box::new(PoolBackend::configured(Workers::exact(4))),
+            Box::new(ShardBackend::configured(2, Workers::exact(2))),
+        ];
+        for len in [0u32, 1, 7, 64, 300] {
+            let xs: Vec<u32> = (0..len).collect();
+            let golden = SeqBackend.run(&farm, &xs[..]);
+            for d in &dispatchers {
+                assert_eq!(farm.run_on(&**d, &xs[..]), golden, "{d:?}, {len} items");
+            }
+        }
     }
 
     #[test]
     fn empty_input_returns_initial() {
         let farm = Df::new(2, |x: &i32| *x, |z: i32, y| z + y, 7);
         assert_eq!(ThreadBackend::new().run(&farm, &[][..]), 7);
-        assert_eq!(farm.run_par_ordered(&[]), 7);
         assert_eq!(SeqBackend.run(&farm, &[][..]), 7);
     }
 

@@ -45,395 +45,18 @@
 //! dist.shutdown().unwrap();
 //! ```
 
-use crate::backend::{Backend, Executable};
+use crate::backend::{Backend, Dispatch};
 use crate::pool::{PoolBackend, WorkerPool};
-use crate::program::{Skeleton, Workers};
+use crate::program::Workers;
 use crate::receipt::{partition, receipted, wire_hash, Fnv64, RunReceipt, TraceEvent};
 use crate::wire::{self, Cursor, FromWire, ToWire, WireValue};
-use crate::{Df, IterLoop, Pure, Scm, Tf, Then};
-use crossbeam::channel;
-use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // ShardBackend: hash-partitioned farms over N independent pools
 // ---------------------------------------------------------------------------
-
-/// A program shape [`ShardBackend`] knows how to execute across a set
-/// of shard pools. Mirrors [`crate::PoolRun`]: the sharded semantics
-/// must agree with [`Skeleton::run_declarative`] under the paper's side
-/// conditions.
-pub trait ShardRun<I>: Skeleton<I> {
-    /// Runs this program across `shards`, blocking until the result is
-    /// ready.
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], input: I) -> Self::Output;
-}
-
-/// Routes farm unit `seq` to one of `n_shards` shards (via its logical
-/// [`partition`], so the mapping is stable under re-sharding of the
-/// partition space).
-fn shard_of(seq: usize, n_shards: usize) -> usize {
-    (partition(seq as u64) % n_shards as u64) as usize
-}
-
-/// Sharded farm round: items are routed to shards by [`shard_of`], each
-/// shard self-schedules its items over its own pool (each job keeps its
-/// results and stores them into the shard's output once, when the items
-/// run out), and the master scatters the shard outputs back into item
-/// order and folds them, seeded with `seed` — exact declarative
-/// equality, no commutativity needed.
-fn df_fold_sharded<I, O, C, A, Z>(
-    prog: &Df<C, A, Z>,
-    shards: &[Arc<WorkerPool>],
-    xs: &[I],
-    seed: Z,
-) -> Z
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    I: Sync,
-    O: Send,
-{
-    crate::receipt::record_assigns(xs.len());
-    if xs.is_empty() {
-        return seed;
-    }
-    let n = shards.len();
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..xs.len() {
-        by_shard[shard_of(i, n)].push(i);
-    }
-    let comp = prog.compute_fn();
-    let workers = prog.workers().max(1);
-    let mut slots: Vec<Option<O>> = (0..xs.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let jobs: Vec<_> = by_shard
-            .iter()
-            .zip(shards)
-            .filter(|(idxs, _)| !idxs.is_empty())
-            .map(|(idxs, pool)| {
-                let job = s.spawn(move || {
-                    let next = AtomicUsize::new(0);
-                    let out = Mutex::new((0..idxs.len()).map(|_| None).collect::<Vec<_>>());
-                    let (next, out_ref) = (&next, &out);
-                    pool.scope_park(|ps| {
-                        for _ in 0..workers.min(idxs.len()) {
-                            ps.spawn(move || {
-                                let mut mine = Vec::new();
-                                loop {
-                                    let k = next.fetch_add(1, Ordering::Relaxed);
-                                    if k >= idxs.len() {
-                                        break;
-                                    }
-                                    mine.push((k, comp(&xs[idxs[k]])));
-                                }
-                                let mut out = out_ref.lock().expect("shard output poisoned");
-                                for (k, o) in mine {
-                                    out[k] = Some(o);
-                                }
-                            });
-                        }
-                    });
-                    out.into_inner()
-                        .expect("shard output poisoned")
-                        .into_iter()
-                        .map(|o| o.expect("every shard item is taken by one job"))
-                        .collect::<Vec<O>>()
-                });
-                (idxs, job)
-            })
-            .collect();
-        for (idxs, job) in jobs {
-            let out = job.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (&i, o) in idxs.iter().zip(out) {
-                slots[i] = Some(o);
-            }
-        }
-    });
-    let mut z = seed;
-    for slot in slots {
-        z = (prog.acc_fn())(z, slot.expect("every sharded item produces a result"));
-    }
-    z
-}
-
-impl<'a, I, O, C, A, Z> ShardRun<&'a [I]> for Df<C, A, Z>
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    I: Sync,
-    O: Send,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], xs: &'a [I]) -> Z {
-        df_fold_sharded(self, shards, xs, self.init().clone())
-    }
-}
-
-impl<'a, I, O, C, A, Z> ShardRun<&'a (Z, Vec<I>)> for Df<C, A, Z>
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    I: Sync,
-    O: Send,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], t: &'a (Z, Vec<I>)) -> (Z, Z) {
-        let z = df_fold_sharded(self, shards, &t.1, t.0.clone());
-        (z.clone(), z)
-    }
-}
-
-impl<'a, I, F, P, R, S, C, M> ShardRun<&'a I> for Scm<S, C, M>
-where
-    S: Fn(&I, usize) -> Vec<F>,
-    C: Fn(F) -> P + Sync,
-    M: Fn(Vec<P>) -> R,
-    F: Send,
-    P: Send,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], x: &'a I) -> R {
-        let frags = (self.split_fn())(x, self.workers());
-        let count = frags.len();
-        crate::receipt::record_assigns(count);
-        if count == 0 {
-            return (self.merge_fn())(Vec::new());
-        }
-        let n = shards.len();
-        // Route fragment i to its shard; within a shard, assign
-        // statically to min(workers, |fragments|) jobs (scm is the
-        // skeleton for *regular* workloads).
-        let mut by_shard: Vec<Vec<(usize, F)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, f) in frags.into_iter().enumerate() {
-            by_shard[shard_of(i, n)].push((i, f));
-        }
-        let (tx, rx) = channel::unbounded::<(usize, P)>();
-        let compute = self.compute_fn();
-        let mut slots: Vec<Option<P>> = (0..count).map(|_| None).collect();
-        std::thread::scope(|s| {
-            for (shard, mine) in by_shard.into_iter().enumerate() {
-                if mine.is_empty() {
-                    continue;
-                }
-                let tx = tx.clone();
-                let pool = &shards[shard];
-                let m = self.workers().min(mine.len());
-                s.spawn(move || {
-                    let mut per_job: Vec<Vec<(usize, F)>> = (0..m).map(|_| Vec::new()).collect();
-                    for (k, item) in mine.into_iter().enumerate() {
-                        per_job[k % m].push(item);
-                    }
-                    pool.scope_park(|ps| {
-                        for assignment in per_job {
-                            let tx = tx.clone();
-                            ps.spawn(move || {
-                                for (i, f) in assignment {
-                                    let p = compute(f);
-                                    if tx.send((i, p)).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                        }
-                    });
-                });
-            }
-            drop(tx);
-            for (i, p) in rx.iter() {
-                slots[i] = Some(p);
-            }
-        });
-        let partials = slots
-            .into_iter()
-            .map(|s| s.expect("every fragment produces a partial"))
-            .collect();
-        (self.merge_fn())(partials)
-    }
-}
-
-/// Sharded task-farm round: *root* tasks are routed by [`shard_of`];
-/// each shard elaborates its task subtrees on its own pool (subtasks
-/// stay on their root's shard) and streams outputs to the master, which
-/// folds them in arrival order seeded with `seed` — equal to the
-/// declarative result under the commutative-associative side condition,
-/// exactly as on the thread and pool backends.
-fn tf_fold_sharded<T, O, W, A, Z>(
-    prog: &Tf<W, A, Z>,
-    shards: &[Arc<WorkerPool>],
-    tasks: Vec<T>,
-    seed: Z,
-) -> Z
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    T: Send,
-    O: Send,
-{
-    crate::receipt::record_assigns(tasks.len());
-    if tasks.is_empty() {
-        return seed;
-    }
-    let n = shards.len();
-    let mut by_shard: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, t) in tasks.into_iter().enumerate() {
-        by_shard[shard_of(i, n)].push(t);
-    }
-    let (tx, rx) = channel::unbounded::<O>();
-    let worker = prog.worker_fn();
-    let mut z = Some(seed);
-    std::thread::scope(|s| {
-        for (shard, roots) in by_shard.into_iter().enumerate() {
-            if roots.is_empty() {
-                continue;
-            }
-            let tx = tx.clone();
-            let pool = &shards[shard];
-            let m = prog.workers();
-            s.spawn(move || {
-                let outstanding = AtomicUsize::new(roots.len());
-                let queue = Mutex::new(VecDeque::from(roots));
-                let outstanding = &outstanding;
-                let queue = &queue;
-                pool.scope_park(|ps| {
-                    for _ in 0..m {
-                        let tx = tx.clone();
-                        ps.spawn(move || {
-                            struct TaskDone<'a>(&'a AtomicUsize);
-                            impl Drop for TaskDone<'_> {
-                                fn drop(&mut self) {
-                                    self.0.fetch_sub(1, Ordering::SeqCst);
-                                }
-                            }
-                            let backoff = crossbeam::utils::Backoff::new();
-                            loop {
-                                let task = queue.lock().expect("task queue poisoned").pop_front();
-                                match task {
-                                    Some(t) => {
-                                        backoff.reset();
-                                        let done = TaskDone(outstanding);
-                                        let (new_tasks, result) = worker(t);
-                                        if !new_tasks.is_empty() {
-                                            outstanding
-                                                .fetch_add(new_tasks.len(), Ordering::SeqCst);
-                                            let mut q = queue.lock().expect("task queue poisoned");
-                                            q.extend(new_tasks);
-                                        }
-                                        if let Some(o) = result {
-                                            if tx.send(o).is_err() {
-                                                return;
-                                            }
-                                        }
-                                        drop(done);
-                                    }
-                                    None => {
-                                        if outstanding.load(Ordering::SeqCst) == 0 {
-                                            return;
-                                        }
-                                        backoff.snooze();
-                                    }
-                                }
-                            }
-                        });
-                    }
-                });
-            });
-        }
-        drop(tx);
-        for o in rx.iter() {
-            z = Some((prog.acc_fn())(z.take().expect("accumulator present"), o));
-        }
-    });
-    z.expect("accumulator present")
-}
-
-impl<T, O, W, A, Z> ShardRun<Vec<T>> for Tf<W, A, Z>
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    T: Send,
-    O: Send,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], tasks: Vec<T>) -> Z {
-        tf_fold_sharded(self, shards, tasks, self.init().clone())
-    }
-}
-
-impl<'a, T, O, W, A, Z> ShardRun<&'a (Z, Vec<T>)> for Tf<W, A, Z>
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    T: Clone + Send,
-    O: Send,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], t: &'a (Z, Vec<T>)) -> (Z, Z) {
-        let z = tf_fold_sharded(self, shards, t.1.clone(), t.0.clone());
-        (z.clone(), z)
-    }
-}
-
-impl<In, Out, F> ShardRun<In> for Pure<F>
-where
-    F: Fn(In) -> Out,
-{
-    fn run_sharded(&self, _shards: &[Arc<WorkerPool>], input: In) -> Out {
-        (self.get())(input)
-    }
-}
-
-impl<In, A, B> ShardRun<In> for Then<A, B>
-where
-    A: ShardRun<In>,
-    B: ShardRun<A::Output>,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], input: In) -> Self::Output {
-        self.second()
-            .run_sharded(shards, self.first().run_sharded(shards, input))
-    }
-}
-
-impl<P, Z, B, Y> ShardRun<Vec<B>> for IterLoop<P, Z>
-where
-    P: for<'a> ShardRun<&'a (Z, B), Output = (Z, Y)>,
-    Z: Clone,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], frames: Vec<B>) -> (Z, Vec<Y>) {
-        let mut z = self.init().clone();
-        let mut ys = Vec::with_capacity(frames.len());
-        for (i, b) in frames.into_iter().enumerate() {
-            crate::receipt::record_frame(i as u64);
-            let pair = (z, b);
-            let (z2, y) = self.body().run_sharded(shards, &pair);
-            z = z2;
-            ys.push(y);
-        }
-        (z, ys)
-    }
-}
-
-impl<'a, P, Z, B, Y> ShardRun<&'a (Z, Vec<B>)> for IterLoop<P, Z>
-where
-    P: for<'x> ShardRun<&'x (Z, B), Output = (Z, Y)>,
-    Z: Clone,
-    B: Clone,
-{
-    fn run_sharded(&self, shards: &[Arc<WorkerPool>], t: &'a (Z, Vec<B>)) -> (Z, Vec<Y>) {
-        let mut z = t.0.clone();
-        let mut ys = Vec::with_capacity(t.1.len());
-        for (i, b) in t.1.iter().enumerate() {
-            crate::receipt::record_frame(i as u64);
-            let pair = (z, b.clone());
-            let (z2, y) = self.body().run_sharded(shards, &pair);
-            z = z2;
-            ys.push(y);
-        }
-        (z, ys)
-    }
-}
 
 /// N independent worker pools with deterministic hash-partitioned farm
 /// traffic — the single-machine rehearsal of distribution (every shard
@@ -472,42 +95,23 @@ impl ShardBackend {
     }
 }
 
-/// A program prepared by [`ShardBackend`]: the shard set is resolved
-/// once, at prepare time.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardExecutable<'p, P> {
-    shards: &'p [Arc<WorkerPool>],
-    prog: &'p P,
-}
-
-impl<P, I> Executable<I> for ShardExecutable<'_, P>
-where
-    P: ShardRun<I>,
-{
-    type Output = P::Output;
-
-    fn run(&self, input: I) -> P::Output {
-        self.prog.run_sharded(self.shards, input)
+/// Lane `l` is shard `l`: a round's units are routed to shards by their
+/// deterministic partition, and each shard's jobs run on its own pool.
+/// The coordinator **parks** instead of helping: lanes other than 0 are
+/// coordinated from scoped threads that die with the run, and a compute
+/// job stolen by one of them would lease frame-arena buffers that are
+/// never recycled (see [`WorkerPool::scope_park`]).
+impl Dispatch for ShardBackend {
+    fn lanes(&self) -> usize {
+        self.shards.len()
     }
-}
 
-impl<P, I> Backend<P, I> for ShardBackend
-where
-    P: ShardRun<I>,
-{
-    type Output = P::Output;
-
-    type Prepared<'p>
-        = ShardExecutable<'p, P>
-    where
-        Self: 'p,
-        P: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p P) -> ShardExecutable<'p, P> {
-        ShardExecutable {
-            shards: &self.shards,
-            prog,
-        }
+    fn run_jobs(&self, lane: usize, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        self.shards[lane].scope_park(|s| {
+            for j in 0..jobs {
+                s.spawn(move || job(j));
+            }
+        });
     }
 }
 

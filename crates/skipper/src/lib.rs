@@ -41,24 +41,25 @@
 //! - [`SeqBackend`] runs the *declarative* semantics — the executable
 //!   specification, a pure combination of `map`/`fold` calls usable for
 //!   sequential emulation and debugging on a workstation.
-//! - [`ThreadBackend`] runs the *operational* semantics on crossbeam
-//!   scoped threads (the modern stand-in for the paper's Transputer
-//!   process networks). Worker counts default to
-//!   [`std::thread::available_parallelism`] when a program is built with
-//!   a degree of 0, and can be overridden per backend with
-//!   [`ThreadBackend::configured`] and a [`Workers`] value.
-//! - [`PoolBackend`] runs the same operational semantics on a
-//!   **persistent work-stealing thread pool** created once per backend.
-//!   Prefer it when programs run repeatedly on small inputs (the
-//!   real-time `itermem` loop, per-frame farms): it amortises the thread
-//!   spawn cost [`ThreadBackend`] pays on every `run`.
+//! - Every other host backend is a [`Dispatch`]: the *operational*
+//!   semantics ([`Skeleton::run_on`]) is written once, and a dispatcher
+//!   only says where the jobs of each farm round run.
+//! - [`ThreadBackend`] runs them on crossbeam scoped threads (the modern
+//!   stand-in for the paper's Transputer process networks). Worker
+//!   counts default to [`std::thread::available_parallelism`] when a
+//!   program is built with a degree of 0, and can be overridden per
+//!   backend with [`ThreadBackend::configured`] and a [`Workers`] value.
+//! - [`PoolBackend`] runs them on a **persistent work-stealing thread
+//!   pool** created once per backend. Prefer it when programs run
+//!   repeatedly on small inputs (the real-time `itermem` loop, per-frame
+//!   farms): it amortises the thread spawn cost [`ThreadBackend`] pays on
+//!   every farm round.
 //! - `SimBackend` (in the `skipper-exec` crate) lowers the same program
 //!   through process-network expansion, SynDEx scheduling and macro-code
 //!   generation, and executes it on the simulated Transputer machine —
 //!   the full paper pipeline, used for latency and scaling studies.
-//!
-//! - [`ShardBackend`] partitions farm traffic over
-//!   **N independent worker pools** by a deterministic item hash
+//! - [`ShardBackend`] is the dispatcher with N lanes: it routes farm units
+//!   over **N independent worker pools** by a deterministic item hash
 //!   ([`receipt::partition`]) — the single-machine rehearsal of
 //!   distribution.
 //! - [`DistBackend`] runs master and workers as
@@ -76,7 +77,7 @@
 //!
 //! Every backend splits execution into a **prepare** phase
 //! ([`Backend::prepare`], compiling the program into an [`Executable`]:
-//! resolved worker counts and pool handles on the host backends, the full
+//! the pinned dispatcher on the host backends, the full
 //! lowering/scheduling/macro-code pipeline on the simulator) and a
 //! **run** phase ([`Executable::run`], one input per call);
 //! [`Backend::run`] is the prepare-then-run convenience. Frame loops
@@ -89,14 +90,14 @@
 //! # Equivalence requirements
 //!
 //! As in the paper, the implementor of the operational semantics must prove
-//! it equivalent to the declarative one. For [`Df`] and [`Tf`] this
-//! requires the accumulation function to be **commutative and associative**
+//! it equivalent to the declarative one. The paper requires [`Df`] and
+//! [`Tf`] accumulation functions to be **commutative and associative**
 //! ("since the accumulation order in the parallel case is intrinsically
-//! unpredictable"); [`Df::run_par_ordered`] restores determinism for
-//! non-commutative folds at a small synchronisation cost. The [`spec`]
-//! module contains the paper's one-line Caml declarative definitions
-//! transliterated to Rust, used as the reference semantics in property
-//! tests.
+//! unpredictable"). Here every host `df` round folds its results in item
+//! order, so [`Df`] needs no side condition; [`Tf`] folds in arrival
+//! order and keeps it. The [`spec`] module contains the paper's one-line
+//! Caml declarative definitions transliterated to Rust, used as the
+//! reference semantics in property tests.
 
 pub mod backend;
 pub mod conformance;
@@ -113,12 +114,12 @@ pub mod tf;
 pub mod wire;
 
 pub use backend::{
-    Backend, Executable, SeqBackend, SeqExecutable, ThreadBackend, ThreadExecutable,
+    run_with, Backend, Dispatch, Executable, HostExecutable, SeqBackend, ThreadBackend,
 };
 pub use df::Df;
-pub use dist::{DistBackend, DistError, ShardBackend, ShardExecutable, ShardRun};
+pub use dist::{DistBackend, DistError, ShardBackend};
 pub use itermem::{frames_from_fn, stream_of, BoundedSource, FrameSource, IterMem, VecSource};
-pub use pool::{HostBackend, HostExecutable, PoolBackend, PoolExecutable, PoolRun, WorkerPool};
+pub use pool::{HostBackend, PoolBackend, WorkerPool};
 pub use program::{
     default_workers, df, itermem, pure, scm, tf, Compose, CostModel, IterLoop, Pure, Skeleton,
     Then, Workers,

@@ -11,7 +11,7 @@
 //! # Design
 //!
 //! - **Persistent workers.** [`WorkerPool::new`] spawns its threads up
-//!   front; [`PoolBackend::run`] never creates a thread.
+//!   front; a run on [`PoolBackend`] never creates a thread.
 //! - **Work stealing.** Each pool thread owns a job deque. Spawned jobs
 //!   are distributed round-robin; a worker pops its own deque from the
 //!   front and, when empty, steals from the *back* of a sibling's deque.
@@ -20,8 +20,9 @@
 //! - **Chunked self-scheduling.** Within one skeleton run, farm workers
 //!   claim *chunks* of the item range from a shared atomic cursor (the
 //!   master/worker self-scheduling of paper Fig. 1, batched to keep
-//!   per-item synchronisation off the hot path). Results travel back over
-//!   the `crossbeam` shim's channels, exactly as in the thread backend.
+//!   per-item synchronisation off the hot path). The round itself is the
+//!   one every host backend shares; [`PoolBackend`] only supplies the
+//!   [`Dispatch`] that runs its jobs here.
 //! - **Scoped, borrowing jobs.** Skeleton runs borrow their input
 //!   (`&[I]`) and user functions (`&C`), so jobs must be non-`'static`.
 //!   [`WorkerPool::scope`] provides the same guarantee as
@@ -31,12 +32,13 @@
 //!
 //! # Semantics
 //!
-//! [`PoolBackend`] runs the same operational semantics as
-//! [`crate::ThreadBackend`] and is subject to the same paper side
-//! condition: `df`/`tf` accumulation must be commutative and associative,
-//! because results are folded in arrival order. The backend-conformance
-//! kit ([`crate::conformance`]) pins the agreement with
-//! [`crate::SeqBackend`] golden results for every skeleton.
+//! [`PoolBackend`] runs the same operational semantics
+//! ([`Skeleton::run_on`]) as [`crate::ThreadBackend`] and is subject to
+//! the same paper side condition: `tf` accumulation must be commutative
+//! and associative, because task results are folded in arrival order.
+//! The backend-conformance kit ([`crate::conformance`]) pins the
+//! agreement with [`crate::SeqBackend`] golden results for every
+//! skeleton.
 //!
 //! ```
 //! use skipper::{df, Backend, PoolBackend, SeqBackend};
@@ -50,10 +52,8 @@
 //! }
 //! ```
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Dispatch, HostExecutable};
 use crate::program::{Skeleton, Workers};
-use crate::{Df, IterLoop, Pure, Scm, Tf, Then};
-use crossbeam::channel;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -228,13 +228,13 @@ impl WorkerPool {
     ///
     /// The helping behaviour of [`WorkerPool::scope`] is right when the
     /// caller is a long-lived thread (the `PoolBackend` master earns its
-    /// keep between frames). It is wrong for the *ephemeral* shard
-    /// coordinators in [`crate::dist`]: if a coordinator stole a compute
-    /// job, per-frame pixel kernels would run — and lease arena buffers
-    /// — on a thread that dies at the end of the run, so the buffers
-    /// could never be recycled and every frame would pay a fresh
-    /// allocation. Coordinators therefore use this variant, keeping all
-    /// compute (and any thread-local frame arenas the kernels lease
+    /// keep between frames). It is wrong for the *ephemeral* lane
+    /// coordinators of a [`crate::ShardBackend`] round: if a coordinator
+    /// stole a compute job, per-frame pixel kernels would run — and lease
+    /// arena buffers — on a thread that dies at the end of the run, so
+    /// the buffers could never be recycled and every frame would pay a
+    /// fresh allocation. Coordinators therefore use this variant, keeping
+    /// all compute (and any thread-local frame arenas the kernels lease
     /// from) on the persistent pool workers.
     pub fn scope_park<'pool, 'scope, F, R>(&'pool self, f: F) -> R
     where
@@ -454,363 +454,19 @@ impl Default for PoolBackend {
     }
 }
 
-/// A program prepared by [`PoolBackend`]: the pool handle is resolved
-/// once, at prepare time, so a frame loop never touches the backend's
-/// `Arc` again.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolExecutable<'p, P> {
-    pool: &'p WorkerPool,
-    prog: &'p P,
-}
-
-impl<P, I> crate::backend::Executable<I> for PoolExecutable<'_, P>
-where
-    P: PoolRun<I>,
-{
-    type Output = P::Output;
-
-    fn run(&self, input: I) -> P::Output {
-        self.prog.run_pooled(self.pool, input)
+/// The pool's lane runs a round's jobs on the persistent workers, and
+/// the calling thread helps run them while it waits.
+impl Dispatch for PoolBackend {
+    fn lanes(&self) -> usize {
+        1
     }
-}
 
-impl<P, I> Backend<P, I> for PoolBackend
-where
-    P: PoolRun<I>,
-{
-    type Output = P::Output;
-
-    type Prepared<'p>
-        = PoolExecutable<'p, P>
-    where
-        Self: 'p,
-        P: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p P) -> PoolExecutable<'p, P> {
-        PoolExecutable {
-            pool: &self.pool,
-            prog,
-        }
-    }
-}
-
-/// A program shape [`PoolBackend`] knows how to execute on a
-/// [`WorkerPool`]: every [`Skeleton`] of the repertoire plus the
-/// `then`/`nest` composition adapters.
-///
-/// The implementor contract mirrors [`Skeleton::run_threaded`]: the
-/// pooled semantics must agree with [`Skeleton::run_declarative`] under
-/// the paper's side conditions (commutative-associative accumulation for
-/// the farms).
-pub trait PoolRun<I>: Skeleton<I> {
-    /// Runs this program on `pool`, blocking until the result is ready.
-    fn run_pooled(&self, pool: &WorkerPool, input: I) -> Self::Output;
-}
-
-/// Chunk size for self-scheduling `len` items over `n` farm workers:
-/// enough chunks for dynamic balancing (≈4 per worker), but at least 1
-/// and at most 1024 items per claim.
-fn chunk_size(len: usize, n: usize) -> usize {
-    (len / (4 * n.max(1))).clamp(1, 1024)
-}
-
-/// Chunked self-scheduling farm round on the pool, folding into an
-/// explicit `seed` accumulator (shared by the slice form, which seeds
-/// with the program's `init`, and the loop-body form, which seeds with
-/// the carried state).
-fn df_fold_pooled<I, O, C, A, Z>(prog: &Df<C, A, Z>, pool: &WorkerPool, xs: &[I], seed: Z) -> Z
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    I: Sync,
-    O: Send,
-{
-    // Canonical trace: the farm round is logged at dispatch, on the
-    // calling thread, before any job is pushed — so the trace matches
-    // the declarative and threaded backends event for event.
-    crate::receipt::record_assigns(xs.len());
-    let len = xs.len();
-    if len == 0 {
-        return seed;
-    }
-    let n = prog.workers().min(len);
-    let chunk = chunk_size(len, n);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<Vec<O>>();
-    let comp = prog.compute_fn();
-    pool.scope(|s| {
-        for _ in 0..n {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + chunk).min(len);
-                let batch: Vec<O> = xs[start..end].iter().map(comp).collect();
-                if tx.send(batch).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut z = seed;
-        for batch in rx.iter() {
-            for o in batch {
-                z = (prog.acc_fn())(z, o);
+    fn run_jobs(&self, _lane: usize, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        self.pool.scope(|s| {
+            for j in 0..jobs {
+                s.spawn(move || job(j));
             }
-        }
-        z
-    })
-}
-
-impl<'a, I, O, C, A, Z> PoolRun<&'a [I]> for Df<C, A, Z>
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    I: Sync,
-    O: Send,
-{
-    fn run_pooled(&self, pool: &WorkerPool, xs: &'a [I]) -> Z {
-        df_fold_pooled(self, pool, xs, self.init().clone())
-    }
-}
-
-/// A farm as an `itermem` loop body on the pool: the carried state seeds
-/// the accumulator (see the matching `Skeleton<&(Z, Vec<I>)>` impl).
-impl<'a, I, O, C, A, Z> PoolRun<&'a (Z, Vec<I>)> for Df<C, A, Z>
-where
-    C: Fn(&I) -> O + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    I: Sync,
-    O: Send,
-{
-    fn run_pooled(&self, pool: &WorkerPool, t: &'a (Z, Vec<I>)) -> (Z, Z) {
-        let z = df_fold_pooled(self, pool, &t.1, t.0.clone());
-        (z.clone(), z)
-    }
-}
-
-impl<'a, I, F, P, R, S, C, M> PoolRun<&'a I> for Scm<S, C, M>
-where
-    S: Fn(&I, usize) -> Vec<F>,
-    C: Fn(F) -> P + Sync,
-    M: Fn(Vec<P>) -> R,
-    F: Send,
-    P: Send,
-{
-    fn run_pooled(&self, pool: &WorkerPool, x: &'a I) -> R {
-        let frags = (self.split_fn())(x, self.workers());
-        let count = frags.len();
-        crate::receipt::record_assigns(count);
-        if count == 0 {
-            return (self.merge_fn())(Vec::new());
-        }
-        let n = self.workers().min(count);
-        let (tx, rx) = channel::unbounded::<(usize, P)>();
-        let compute = self.compute_fn();
-        // Static assignment, as in the thread backend: fragment i goes to
-        // worker i mod n (scm is the skeleton for *regular* workloads).
-        let mut per_worker: Vec<Vec<(usize, F)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, f) in frags.into_iter().enumerate() {
-            per_worker[i % n].push((i, f));
-        }
-        pool.scope(|s| {
-            for assignment in per_worker {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    for (i, f) in assignment {
-                        let p = compute(f);
-                        if tx.send((i, p)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
         });
-        let mut slots: Vec<Option<P>> = (0..count).map(|_| None).collect();
-        for (i, p) in rx.iter() {
-            slots[i] = Some(p);
-        }
-        let partials = slots
-            .into_iter()
-            .map(|s| s.expect("every fragment produces a partial"))
-            .collect();
-        (self.merge_fn())(partials)
-    }
-}
-
-/// Task-farm round on the pool, folding into an explicit `seed`
-/// accumulator (shared by the owned-task form and the loop-body form).
-fn tf_fold_pooled<T, O, W, A, Z>(prog: &Tf<W, A, Z>, pool: &WorkerPool, tasks: Vec<T>, seed: Z) -> Z
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    T: Send,
-    O: Send,
-{
-    // Canonical trace: root tasks only, logged at dispatch (subtask
-    // elaboration is intra-partition and untraced) — see `Tf`'s
-    // `fold_threaded`.
-    crate::receipt::record_assigns(tasks.len());
-    if tasks.is_empty() {
-        return seed;
-    }
-    let n = prog.workers();
-    let outstanding = AtomicUsize::new(tasks.len());
-    let queue = Mutex::new(VecDeque::from(tasks));
-    let (tx, rx) = channel::unbounded::<O>();
-    let worker = prog.worker_fn();
-    pool.scope(|s| {
-        for _ in 0..n {
-            let tx = tx.clone();
-            let queue = &queue;
-            let outstanding = &outstanding;
-            s.spawn(move || {
-                // Counts the popped task as completed even when the
-                // worker function unwinds: without this, a panicking
-                // task leaves `outstanding` above zero forever, the
-                // sibling jobs snooze indefinitely on persistent pool
-                // threads, and the run never returns.
-                struct TaskDone<'a>(&'a AtomicUsize);
-                impl Drop for TaskDone<'_> {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let backoff = crossbeam::utils::Backoff::new();
-                loop {
-                    let task = queue.lock().expect("task queue poisoned").pop_front();
-                    match task {
-                        Some(t) => {
-                            backoff.reset();
-                            let done = TaskDone(outstanding);
-                            let (new_tasks, result) = worker(t);
-                            if !new_tasks.is_empty() {
-                                outstanding.fetch_add(new_tasks.len(), Ordering::SeqCst);
-                                let mut q = queue.lock().expect("task queue poisoned");
-                                q.extend(new_tasks);
-                            }
-                            if let Some(o) = result {
-                                if tx.send(o).is_err() {
-                                    return;
-                                }
-                            }
-                            // Completed AFTER children were registered.
-                            drop(done);
-                        }
-                        None => {
-                            if outstanding.load(Ordering::SeqCst) == 0 {
-                                return;
-                            }
-                            backoff.snooze();
-                        }
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut z = seed;
-        for o in rx.iter() {
-            z = (prog.acc_fn())(z, o);
-        }
-        z
-    })
-}
-
-impl<T, O, W, A, Z> PoolRun<Vec<T>> for Tf<W, A, Z>
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    T: Send,
-    O: Send,
-{
-    fn run_pooled(&self, pool: &WorkerPool, tasks: Vec<T>) -> Z {
-        tf_fold_pooled(self, pool, tasks, self.init().clone())
-    }
-}
-
-/// A task farm as an `itermem` loop body on the pool: the carried state
-/// seeds the accumulator (see the matching `Skeleton<&(Z, Vec<T>)>`
-/// impl).
-impl<'a, T, O, W, A, Z> PoolRun<&'a (Z, Vec<T>)> for Tf<W, A, Z>
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-    A: Fn(Z, O) -> Z,
-    Z: Clone,
-    T: Clone + Send,
-    O: Send,
-{
-    fn run_pooled(&self, pool: &WorkerPool, t: &'a (Z, Vec<T>)) -> (Z, Z) {
-        let z = tf_fold_pooled(self, pool, t.1.clone(), t.0.clone());
-        (z.clone(), z)
-    }
-}
-
-impl<In, Out, F> PoolRun<In> for Pure<F>
-where
-    F: Fn(In) -> Out,
-{
-    fn run_pooled(&self, _pool: &WorkerPool, input: In) -> Out {
-        (self.get())(input)
-    }
-}
-
-impl<In, A, B> PoolRun<In> for Then<A, B>
-where
-    A: PoolRun<In>,
-    B: PoolRun<A::Output>,
-{
-    fn run_pooled(&self, pool: &WorkerPool, input: In) -> Self::Output {
-        self.second()
-            .run_pooled(pool, self.first().run_pooled(pool, input))
-    }
-}
-
-impl<P, Z, B, Y> PoolRun<Vec<B>> for IterLoop<P, Z>
-where
-    P: for<'a> PoolRun<&'a (Z, B), Output = (Z, Y)>,
-    Z: Clone,
-{
-    fn run_pooled(&self, pool: &WorkerPool, frames: Vec<B>) -> (Z, Vec<Y>) {
-        let mut z = self.init().clone();
-        let mut ys = Vec::with_capacity(frames.len());
-        for (i, b) in frames.into_iter().enumerate() {
-            crate::receipt::record_frame(i as u64);
-            let pair = (z, b);
-            let (z2, y) = self.body().run_pooled(pool, &pair);
-            z = z2;
-            ys.push(y);
-        }
-        (z, ys)
-    }
-}
-
-/// A stream loop as the body of an outer stream loop on the pool (nested
-/// `itermem`): the burst runs through the inner loop seeded with the
-/// carried outer state (see the matching `Skeleton<&(Z, Vec<B>)>` impl).
-impl<'a, P, Z, B, Y> PoolRun<&'a (Z, Vec<B>)> for IterLoop<P, Z>
-where
-    P: for<'x> PoolRun<&'x (Z, B), Output = (Z, Y)>,
-    Z: Clone,
-    B: Clone,
-{
-    fn run_pooled(&self, pool: &WorkerPool, t: &'a (Z, Vec<B>)) -> (Z, Vec<Y>) {
-        let mut z = t.0.clone();
-        let mut ys = Vec::with_capacity(t.1.len());
-        for (i, b) in t.1.iter().enumerate() {
-            crate::receipt::record_frame(i as u64);
-            let pair = (z, b.clone());
-            let (z2, y) = self.body().run_pooled(pool, &pair);
-            z = z2;
-            ys.push(y);
-        }
-        (z, ys)
     }
 }
 
@@ -889,39 +545,9 @@ impl std::str::FromStr for HostBackend {
     }
 }
 
-/// A program prepared by [`HostBackend`]: the strategy choice is
-/// resolved once, at prepare time.
-#[derive(Debug, Clone, Copy)]
-pub enum HostExecutable<'p, P> {
-    /// Prepared declarative emulation.
-    Seq(crate::backend::SeqExecutable<'p, P>),
-    /// Prepared scoped-thread execution.
-    Thread(crate::backend::ThreadExecutable<'p, P>),
-    /// Prepared pool execution.
-    Pool(PoolExecutable<'p, P>),
-    /// Prepared sharded execution.
-    Shard(crate::dist::ShardExecutable<'p, P>),
-}
-
-impl<P, I> crate::backend::Executable<I> for HostExecutable<'_, P>
-where
-    P: PoolRun<I> + crate::dist::ShardRun<I>,
-{
-    type Output = P::Output;
-
-    fn run(&self, input: I) -> P::Output {
-        match self {
-            HostExecutable::Seq(e) => e.run(input),
-            HostExecutable::Thread(e) => e.run(input),
-            HostExecutable::Pool(e) => e.run(input),
-            HostExecutable::Shard(e) => e.run(input),
-        }
-    }
-}
-
 impl<P, I> Backend<P, I> for HostBackend
 where
-    P: PoolRun<I> + crate::dist::ShardRun<I>,
+    P: Skeleton<I>,
 {
     type Output = P::Output;
 
@@ -932,12 +558,13 @@ where
         P: 'p;
 
     fn prepare<'p>(&'p self, prog: &'p P) -> HostExecutable<'p, P> {
-        match self {
-            HostBackend::Seq => HostExecutable::Seq(crate::backend::SeqExecutable { prog }),
-            HostBackend::Thread(t) => HostExecutable::Thread(t.prepare(prog)),
-            HostBackend::Pool(p) => HostExecutable::Pool(p.prepare(prog)),
-            HostBackend::Shard(b) => HostExecutable::Shard(b.prepare(prog)),
-        }
+        let dispatch: Option<&dyn Dispatch> = match self {
+            HostBackend::Seq => None,
+            HostBackend::Thread(t) => Some(t),
+            HostBackend::Pool(p) => Some(p),
+            HostBackend::Shard(s) => Some(s),
+        };
+        HostExecutable { prog, dispatch }
     }
 }
 
@@ -1101,54 +728,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_pool_survives() {
-        let pool = PoolBackend::configured(Workers::exact(2));
-        let bomb = df(
-            2,
-            |x: &u64| {
-                assert!(*x != 3, "boom");
-                *x
-            },
-            |z: u64, y| z + y,
-            0u64,
-        );
-        let xs: Vec<u64> = (0..8).collect();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(&bomb, &xs[..])));
-        assert!(result.is_err(), "worker panic must propagate to the caller");
-        // The pool threads caught the panic and are still serviceable.
-        let fine = df(2, |x: &u64| *x, |z: u64, y| z + y, 0u64);
-        assert_eq!(pool.run(&fine, &xs[..]), xs.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn tf_worker_panic_propagates_and_pool_survives() {
-        // tf termination detection counts outstanding tasks; a panicking
-        // worker function must still count its task as done, or sibling
-        // jobs snooze forever on the persistent pool threads.
-        let pool = PoolBackend::configured(Workers::exact(2));
-        let bomb = tf(
-            2,
-            |t: u64| {
-                assert!(t != 3, "boom");
-                (Vec::new(), Some(t))
-            },
-            |z: u64, o: u64| z + o,
-            0u64,
-        );
-        let result =
-            std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(&bomb, vec![1, 2, 3, 4, 5])));
-        assert!(result.is_err(), "the worker panic must reach the caller");
-        // Every pool thread is still serviceable afterwards.
-        let fine = tf(
-            2,
-            |t: u64| (Vec::new(), Some(t * 2)),
-            |z: u64, o: u64| z + o,
-            0u64,
-        );
-        assert_eq!(pool.run(&fine, vec![1, 2, 3]), 12);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! );
 //! ```
 
+use crate::backend::Dispatch;
 use crate::{Df, Scm, Tf};
 use std::num::NonZeroUsize;
 
@@ -150,19 +151,22 @@ impl Workers {
 /// A typed skeletal program description over input `I`.
 ///
 /// Exactly as in the paper, every program has **two** semantics, and the
-/// implementor of the operational one must keep it equivalent to the
-/// declarative one (for [`Df`] and [`Tf`] this requires the accumulation
-/// function to be commutative and associative):
+/// operational one must stay equivalent to the declarative one (for
+/// [`Tf`], whose results are folded in arrival order, this requires the
+/// accumulation function to be commutative and associative; [`Df`] and
+/// [`Scm`] combine their results in unit order and need no side
+/// condition):
 ///
 /// - [`run_declarative`](Skeleton::run_declarative) — the executable
 ///   specification, a pure combination of `map`/`fold`; and
-/// - [`run_threaded`](Skeleton::run_threaded) — the crossbeam
-///   scoped-thread implementation.
+/// - [`run_on`](Skeleton::run_on) — the parallel implementation, written
+///   once against a [`Dispatch`], the host strategy that decides where
+///   the jobs of each farm round run.
 ///
 /// User code normally does not call these directly: it hands the program
-/// to a [`Backend`](crate::Backend) (`SeqBackend`, `ThreadBackend`, or
-/// `skipper_exec::SimBackend` for the full SynDEx → simulator pipeline)
-/// and calls `backend.run(&prog, input)`.
+/// to a [`Backend`](crate::Backend) (`SeqBackend`, `ThreadBackend`,
+/// `PoolBackend`, `ShardBackend`, or `skipper_exec::SimBackend` for the
+/// full SynDEx → simulator pipeline) and calls `backend.run(&prog, input)`.
 pub trait Skeleton<I> {
     /// The program's result type.
     type Output;
@@ -170,12 +174,11 @@ pub trait Skeleton<I> {
     /// Declarative semantics: the executable specification.
     fn run_declarative(&self, input: I) -> Self::Output;
 
-    /// Operational semantics on scoped threads. When `Some`, `workers`
-    /// overrides how many threads execute the program (the program's own
-    /// degree still governs its decomposition, e.g. the fragment count an
-    /// `scm` split is asked for); pass `None` to run on the degree the
-    /// program was constructed with.
-    fn run_threaded(&self, input: I, workers: Option<NonZeroUsize>) -> Self::Output;
+    /// Operational semantics: every farm round of the program runs its
+    /// jobs through `dispatch` (which may override how many jobs a round
+    /// runs, never the program's decomposition, e.g. the fragment count
+    /// an `scm` split is asked for).
+    fn run_on(&self, dispatch: &dyn Dispatch, input: I) -> Self::Output;
 }
 
 /// Sequential composition: `Then(a, b)` pipes the output of `a` into `b`.
@@ -213,9 +216,8 @@ where
             .run_declarative(self.first.run_declarative(input))
     }
 
-    fn run_threaded(&self, input: In, workers: Option<NonZeroUsize>) -> Self::Output {
-        self.second
-            .run_threaded(self.first.run_threaded(input, workers), workers)
+    fn run_on(&self, d: &dyn Dispatch, input: In) -> Self::Output {
+        self.second.run_on(d, self.first.run_on(d, input))
     }
 }
 
@@ -250,7 +252,7 @@ where
         (self.f)(input)
     }
 
-    fn run_threaded(&self, input: In, _workers: Option<NonZeroUsize>) -> Out {
+    fn run_on(&self, _d: &dyn Dispatch, input: In) -> Out {
         (self.f)(input)
     }
 }
@@ -310,13 +312,13 @@ where
         (z, ys)
     }
 
-    fn run_threaded(&self, frames: Vec<B>, workers: Option<NonZeroUsize>) -> (Z, Vec<Y>) {
+    fn run_on(&self, d: &dyn Dispatch, frames: Vec<B>) -> (Z, Vec<Y>) {
         let mut z = self.init.clone();
         let mut ys = Vec::with_capacity(frames.len());
         for (i, b) in frames.into_iter().enumerate() {
             crate::receipt::record_frame(i as u64);
             let pair = (z, b);
-            let (z2, y) = self.body.run_threaded(&pair, workers);
+            let (z2, y) = self.body.run_on(d, &pair);
             z = z2;
             ys.push(y);
         }
@@ -351,13 +353,13 @@ where
         (z, ys)
     }
 
-    fn run_threaded(&self, t: &'a (Z, Vec<B>), workers: Option<NonZeroUsize>) -> (Z, Vec<Y>) {
+    fn run_on(&self, d: &dyn Dispatch, t: &'a (Z, Vec<B>)) -> (Z, Vec<Y>) {
         let mut z = t.0.clone();
         let mut ys = Vec::with_capacity(t.1.len());
         for (i, b) in t.1.iter().enumerate() {
             crate::receipt::record_frame(i as u64);
             let pair = (z, b.clone());
-            let (z2, y) = self.body.run_threaded(&pair, workers);
+            let (z2, y) = self.body.run_on(d, &pair);
             z = z2;
             ys.push(y);
         }
@@ -492,7 +494,7 @@ mod tests {
     #[test]
     fn pure_ignores_worker_override() {
         let p = pure(|x: i32| x * 3);
-        assert_eq!(p.run_threaded(2, NonZeroUsize::new(5)), 6);
-        assert_eq!(p.run_declarative(2), 6);
+        assert_eq!(ThreadBackend::configured(Workers::exact(5)).run(&p, 2), 6);
+        assert_eq!(SeqBackend.run(&p, 2), 6);
     }
 }

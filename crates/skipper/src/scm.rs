@@ -3,14 +3,16 @@
 //! "Encompasses … patterns dedicated to regular, data-parallel processing"
 //! (paper §2): the input domain is decomposed into sub-domains, each
 //! sub-domain is processed independently with the same function, and the
-//! results are merged. Unlike [`crate::Df`], assignment of fragments to
-//! workers is **static** (fragment *i* goes to worker *i mod n*), which is
-//! exactly why the paper reserves `scm` for *regular* workloads and brings
-//! in `df` when per-item cost varies.
+//! results are merged. The paper assigns fragments to workers statically,
+//! which is why it reserves `scm` for *regular* workloads and brings in
+//! `df` when per-item cost varies. On the host, fragments go through the
+//! same self-scheduling farm round as [`crate::Df`] items, and the partial
+//! results are merged in fragment order, so the result is the same.
 
+use crate::backend::{map_units, Dispatch};
 use crate::program::{resolve_workers, Skeleton};
-use crossbeam::channel;
 use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 /// The Split/Compute/Merge skeleton.
 ///
@@ -105,10 +107,9 @@ impl<S, C, M> Scm<S, C, M> {
     }
 }
 
-/// The program-description semantics: fragments are assigned statically
-/// (cyclically by index) to worker threads; partial results are merged in
-/// fragment order, so the threaded result always equals the declarative
-/// one.
+/// The program-description semantics: fragments are farmed out like
+/// [`crate::Df`] items and the partial results are merged in fragment
+/// order, so the parallel result always equals the declarative one.
 impl<'a, I, F, P, R, S, C, M> Skeleton<&'a I> for Scm<S, C, M>
 where
     S: Fn(&I, usize) -> Vec<F>,
@@ -129,44 +130,16 @@ where
         crate::spec::scm(self.workers(), &self.split, &self.compute, &self.merge, x)
     }
 
-    fn run_threaded(&self, x: &'a I, workers: Option<NonZeroUsize>) -> R {
+    fn run_on(&self, d: &dyn Dispatch, x: &'a I) -> R {
         let frags = (self.split)(x, self.workers());
-        let count = frags.len();
-        crate::receipt::record_assigns(count);
-        if count == 0 {
-            return (self.merge)(Vec::new());
-        }
-        let n = workers.unwrap_or(self.workers).get().min(count);
-        let (tx, rx) = channel::unbounded::<(usize, P)>();
+        crate::receipt::record_assigns(frags.len());
+        // Each fragment is claimed by exactly one job, which moves it out.
+        let frags: Vec<Mutex<Option<F>>> = frags.into_iter().map(|f| Mutex::new(Some(f))).collect();
         let compute = &self.compute;
-        // Hand each worker its statically-assigned fragments.
-        let mut per_worker: Vec<Vec<(usize, F)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, f) in frags.into_iter().enumerate() {
-            per_worker[i % n].push((i, f));
-        }
-        crossbeam::thread::scope(|s| {
-            for assignment in per_worker {
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    for (i, f) in assignment {
-                        let p = compute(f);
-                        if tx.send((i, p)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-        })
-        .expect("scm worker panicked");
-        let mut slots: Vec<Option<P>> = (0..count).map(|_| None).collect();
-        for (i, p) in rx.iter() {
-            slots[i] = Some(p);
-        }
-        let partials = slots
-            .into_iter()
-            .map(|s| s.expect("every fragment produces a partial"))
-            .collect();
+        let partials = map_units(d, self.workers(), frags.len(), |i| {
+            let f = frags[i].lock().expect("fragment slot poisoned").take();
+            compute(f.expect("each fragment is claimed once"))
+        });
         (self.merge)(partials)
     }
 }

@@ -10,13 +10,9 @@
 //! accumulating master. Termination is detected when the pool is empty
 //! *and* no worker still holds a task.
 
+use crate::backend::{task_round, Dispatch};
 use crate::program::{resolve_workers, Skeleton};
-use crossbeam::channel;
-use crossbeam::utils::Backoff;
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The task-farming skeleton.
 ///
@@ -114,7 +110,7 @@ impl<W, A, Z> Tf<W, A, Z> {
 }
 
 /// The program-description semantics: shared task pool with work
-/// generation; results folded in arrival order (so the threaded result
+/// generation; results folded in arrival order (so the parallel result
 /// matches the declarative one only for commutative-associative `acc`).
 impl<T, O, W, A, Z> Skeleton<Vec<T>> for Tf<W, A, Z>
 where
@@ -137,96 +133,26 @@ where
         )
     }
 
-    fn run_threaded(&self, tasks: Vec<T>, workers: Option<NonZeroUsize>) -> Z {
-        self.fold_threaded(tasks, self.init.clone(), workers)
+    fn run_on(&self, d: &dyn Dispatch, tasks: Vec<T>) -> Z {
+        fold_on(self, d, tasks, self.init.clone())
     }
 }
 
-impl<W, A, Z> Tf<W, A, Z> {
-    /// Threaded task-farm round folding into an explicit `seed`
-    /// accumulator (the loop-body form threads the carried state through
-    /// here).
-    pub(crate) fn fold_threaded<T, O>(
-        &self,
-        tasks: Vec<T>,
-        seed: Z,
-        workers: Option<NonZeroUsize>,
-    ) -> Z
-    where
-        W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
-        A: Fn(Z, O) -> Z,
-        T: Send,
-        O: Send,
-    {
-        // The canonical trace logs the *root* tasks at dispatch (subtask
-        // elaboration happens inside a partition and is not traced).
-        crate::receipt::record_assigns(tasks.len());
-        if tasks.is_empty() {
-            return seed;
-        }
-        let n = workers.unwrap_or(self.workers).get();
-        // `outstanding` counts queued + in-process tasks; 0 means done.
-        let outstanding = AtomicUsize::new(tasks.len());
-        let queue = Mutex::new(VecDeque::from(tasks));
-        let (tx, rx) = channel::unbounded::<O>();
-        let worker = &self.worker;
-        let mut z = Some(seed);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..n {
-                let tx = tx.clone();
-                let queue = &queue;
-                let outstanding = &outstanding;
-                s.spawn(move |_| {
-                    // Counts the popped task as completed even when the
-                    // worker function unwinds: without this, a panicking
-                    // task leaves `outstanding` above zero forever and the
-                    // surviving workers (and the master's collect loop)
-                    // hang instead of propagating the panic.
-                    struct TaskDone<'a>(&'a AtomicUsize);
-                    impl Drop for TaskDone<'_> {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let backoff = Backoff::new();
-                    loop {
-                        let task = queue.lock().expect("task queue poisoned").pop_front();
-                        match task {
-                            Some(t) => {
-                                backoff.reset();
-                                let done = TaskDone(outstanding);
-                                let (new_tasks, result) = worker(t);
-                                if !new_tasks.is_empty() {
-                                    outstanding.fetch_add(new_tasks.len(), Ordering::SeqCst);
-                                    let mut q = queue.lock().expect("task queue poisoned");
-                                    q.extend(new_tasks);
-                                }
-                                if let Some(o) = result {
-                                    if tx.send(o).is_err() {
-                                        return;
-                                    }
-                                }
-                                // Completed AFTER children were registered.
-                                drop(done);
-                            }
-                            None => {
-                                if outstanding.load(Ordering::SeqCst) == 0 {
-                                    return;
-                                }
-                                backoff.snooze();
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for o in rx.iter() {
-                z = Some((self.acc)(z.take().expect("accumulator present"), o));
-            }
-        })
-        .expect("tf worker panicked");
-        z.expect("accumulator present")
-    }
+/// The host task-farm round folding into an explicit `seed` accumulator
+/// (the loop-body form threads the carried state through here).
+fn fold_on<T, O, W, A, Z>(farm: &Tf<W, A, Z>, d: &dyn Dispatch, tasks: Vec<T>, seed: Z) -> Z
+where
+    W: Fn(T) -> (Vec<T>, Option<O>) + Sync,
+    A: Fn(Z, O) -> Z,
+    T: Send,
+    O: Send,
+{
+    // The canonical trace logs the *root* tasks at dispatch (subtask
+    // elaboration happens inside a partition and is not traced).
+    crate::receipt::record_assigns(tasks.len());
+    task_round(d, farm.workers(), tasks, &farm.worker)
+        .into_iter()
+        .fold(seed, |z, o| (farm.acc)(z, o))
 }
 
 /// A task farm as an [`crate::itermem()`] loop body: the input is the loop's
@@ -259,8 +185,8 @@ where
         (z.clone(), z)
     }
 
-    fn run_threaded(&self, t: &'a (Z, Vec<T>), workers: Option<NonZeroUsize>) -> (Z, Z) {
-        let z = self.fold_threaded(t.1.clone(), t.0.clone(), workers);
+    fn run_on(&self, d: &dyn Dispatch, t: &'a (Z, Vec<T>)) -> (Z, Z) {
+        let z = fold_on(self, d, t.1.clone(), t.0.clone());
         (z.clone(), z)
     }
 }
@@ -363,24 +289,6 @@ mod tests {
         let tf = Tf::new(0, quad, |z: u64, o: u64| z + o, 0u64);
         assert_eq!(tf.workers(), crate::default_workers().get());
         assert_eq!(ThreadBackend::new().run(&tf, vec![64]), 64);
-    }
-
-    #[test]
-    fn worker_panic_propagates_instead_of_hanging() {
-        // A panicking worker function must not leave `outstanding` above
-        // zero: the siblings would snooze forever and the run would hang.
-        let bomb = Tf::new(
-            2,
-            |t: u64| {
-                assert!(t != 3, "boom");
-                (Vec::new(), Some(t))
-            },
-            |z: u64, o| z + o,
-            0u64,
-        );
-        let result =
-            std::panic::catch_unwind(|| ThreadBackend::new().run(&bomb, vec![1, 2, 3, 4, 5]));
-        assert!(result.is_err(), "the worker panic must reach the caller");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use skipper::{df, itermem, pure, scm, tf, Compose};
-use skipper::{Backend, Df, Scm, SeqBackend, Tf, ThreadBackend};
+use skipper::{
+    Backend, Df, PoolBackend, Scm, SeqBackend, ShardBackend, Tf, ThreadBackend, Workers,
+};
 use skipper_exec::SimBackend;
 use skipper_net::dtype::DataType;
 use skipper_net::graph::{NodeKind, ProcessNetwork};
@@ -34,7 +36,8 @@ proptest! {
         );
     }
 
-    /// df ordered: parallel == sequential even for non-commutative folds.
+    /// df: parallel == sequential even for non-commutative folds, because
+    /// every host backend folds the farm's results in item order.
     #[test]
     fn df_ordered_equals_seq_non_commutative(
         xs in prop::collection::vec(0u32..100, 0..64),
@@ -46,7 +49,12 @@ proptest! {
             |z: String, y: String| z + &y + ",",
             String::new(),
         );
-        prop_assert_eq!(farm.run_par_ordered(&xs), SeqBackend.run(&farm, &xs[..]));
+        let golden = SeqBackend.run(&farm, &xs[..]);
+        prop_assert_eq!(ThreadBackend::new().run(&farm, &xs[..]), golden.clone());
+        let pool = PoolBackend::configured(Workers::exact(2));
+        prop_assert_eq!(pool.run(&farm, &xs[..]), golden.clone());
+        let shards = ShardBackend::configured(2, Workers::exact(1));
+        prop_assert_eq!(shards.run(&farm, &xs[..]), golden);
     }
 
     /// scm: parallel == sequential always (merge sees fragment order).
