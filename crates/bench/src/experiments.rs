@@ -166,7 +166,7 @@ pub const INDEX: [(&str, &str, fn()); 19] = [
     ),
     (
         "e16",
-        "async frame serving: 100+ open-loop streams over one shared pool",
+        "frame serving: 100+ open-loop streams over one shared pool",
         e16,
     ),
     (
@@ -1261,7 +1261,7 @@ pub fn run_serving_experiment(
 pub fn e16() {
     header(
         "E16",
-        "async frame serving: open-loop streams over one shared pool",
+        "frame serving: open-loop streams over one shared pool",
     );
     run_serving_experiment(
         serving_streams(),

@@ -1024,16 +1024,16 @@ pub fn assert_receipts_match<A: ReceiptHarness, B: ReceiptHarness>(a: &A, b: &B)
 }
 
 /// The serving conformance axis: N streams served *concurrently* through
-/// [`crate::serve::serve`] over one shared pool must each yield the final
-/// state and per-frame outputs of a **sequential prepared run** of the
-/// same `itermem` loop — admission control, batching and multiplexing
-/// must be observably transparent.
+/// [`crate::serve::serve`] over one shared dispatcher must each yield the
+/// final state and per-frame outputs of a **sequential prepared run** of
+/// the same `itermem` loop — admission control, batching and
+/// multiplexing must be observably transparent.
 ///
 /// Uses [`AdmissionPolicy::Block`](crate::AdmissionPolicy::Block)
 /// (lossless, so the full stream is served) and eager arrivals (so the
 /// schedule is deterministic), sweeping the same worker counts and the
 /// `frame_inputs`-derived stream matrix as the rest of the kit.
-pub fn assert_serving_conforms(backend: &PoolBackend) {
+pub fn assert_serving_conforms(backend: &dyn Dispatch) {
     use crate::serve::{serve, AdmissionPolicy, ServeConfig, StreamSpec};
     let cases = frame_inputs();
     for &workers in &worker_counts() {

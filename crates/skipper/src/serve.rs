@@ -1,61 +1,65 @@
-//! The frame-serving engine: many `itermem` streams over one shared pool.
+//! The frame-serving engine: many `itermem` streams over one dispatcher.
 //!
 //! The paper's applications each own their machine — one tracking loop,
 //! one Transputer network. This module is the modern many-tenant
-//! counterpart: a single-threaded **event loop** multiplexes N concurrent
-//! stream-processing loops (each the Fig. 4 `itermem` pattern: state `Z`
-//! threaded across frames `B`) over one shared [`PoolBackend`], so a
+//! counterpart: one plain loop on the calling thread multiplexes N
+//! concurrent stream-processing loops (each the Fig. 4 `itermem` pattern:
+//! state `Z` threaded across frames `B`) over any [`Dispatch`], so a
 //! workstation-class host can serve many cameras with one set of worker
 //! threads.
 //!
-//! Architecture (one `serve` call):
+//! Architecture (one `serve` call). Each pass of the loop does four
+//! things:
 //!
-//! - Each stream is an async task on a `futures::executor::LocalPool`.
-//!   A task awaits its next admitted frame, moves its state into a
-//!   request, and awaits the result on a `futures::channel::oneshot`.
-//! - The event loop runs **admission control** at (virtual) frame-arrival
-//!   times: a global bound on admitted-but-incomplete frames
-//!   ([`ServeConfig::max_in_flight`]) plus a per-stream waiting-queue
-//!   bound ([`ServeConfig::per_stream_queue`]). When a bound is hit the
-//!   [`AdmissionPolicy`] decides: `Reject` drops the frame at the door
-//!   (counted per stream), `Block` holds it there — per-stream
-//!   head-of-line only, so a stalled stream cannot starve its neighbours.
-//! - Submitted requests are **batched across streams**: up to
-//!   [`ServeConfig::max_batch`] small frames ride one pool job, amortising
-//!   queue and wake costs exactly where per-frame work is tiny. Worker
-//!   threads run the loop body's *declarative* semantics per frame —
-//!   parallelism comes from serving frames concurrently, not from inside
-//!   a frame.
-//! - Completions flow back on a channel; the loop frees capacity, records
-//!   the frame latency (completion − arrival) and re-admits.
-//! - Frame payloads are **never cloned** inside the engine: a frame is
-//!   moved from its source into the request, through the batch, into the
-//!   pool job and back. With `Arc`-backed payloads (e.g.
-//!   `skipper_vision::Image`) even user-side fan-in clones are refcount
-//!   bumps, so submitting a 4K frame moves pointers, not pixels.
+//! 1. **Admit.** Frames whose (virtual) arrival time has come pass
+//!    **admission control**: a global bound on admitted-but-incomplete
+//!    frames ([`ServeConfig::max_in_flight`]) plus a per-stream
+//!    waiting-queue bound ([`ServeConfig::per_stream_queue`]). When a bound
+//!    is hit the [`AdmissionPolicy`] decides: `Reject` drops the frame at
+//!    the door (counted per stream), `Block` holds it there — per-stream
+//!    head-of-line only, so a stalled stream cannot starve its neighbours.
+//! 2. **Collect.** Every stream with an admitted frame contributes one
+//!    request, in stream order. A stream's state is taken out of its lane
+//!    while its frame is in the round, so a stream has at most one frame
+//!    in flight and its frames run in order.
+//! 3. **Batch.** The requests are cut **across streams** into batches of
+//!    at most [`ServeConfig::max_batch`] frames, amortising dispatch costs
+//!    exactly where per-frame work is tiny.
+//! 4. **Round and settle.** The batches run as the units of one farm
+//!    round on the dispatcher (routed to lanes like any farm unit). Each
+//!    frame runs the loop body's *declarative* semantics under
+//!    `catch_unwind` and is timestamped as it completes — parallelism
+//!    comes from serving frames concurrently, not from inside a frame.
+//!    Settling returns each state to its lane, records the outputs and
+//!    latencies (completion − arrival) and frees admission capacity.
+//!
+//! When nothing is ready the loop sleeps until the next arrival; when
+//! nothing is pending it returns. The trade-off of rounds: a round lasts
+//! as long as its slowest batch, and nothing is admitted while it runs.
+//!
+//! Frame payloads are **never cloned** inside the engine: a frame is
+//! moved from its source into the request and lent to the round by
+//! reference. With `Arc`-backed payloads (e.g. `skipper_vision::Image`)
+//! even user-side fan-in clones are refcount bumps, so submitting a 4K
+//! frame moves pointers, not pixels.
 //!
 //! Everything observable is deterministic for eager arrivals (all
-//! `at_ns = 0`): admission order, rejection counts, batch composition and
-//! per-stream outputs — the properties the unit tests and the serving
-//! conformance axis pin down. Wall-clock latencies are metrics only.
+//! `at_ns = 0`) on every dispatcher: admission order, rejection counts,
+//! the whole batch trace and per-stream outputs are pure functions of the
+//! inputs — the properties the unit tests and the serving conformance
+//! axis pin down. Wall-clock latencies are metrics only.
 //!
 //! Frame arrivals are [`TimedFrame`]s pulled from any
 //! [`FrameSource`]; [`traffic`] generates open-loop
 //! arrival processes (Poisson, bursty, skewed rate ladders) on the
 //! deterministic `rand` shim for saturation experiments (E16).
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::future::poll_fn;
-use std::rc::Rc;
-use std::task::{Poll, Waker};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use futures::channel::oneshot;
-use futures::executor::LocalPool;
-
+use crate::backend::{map_units, Dispatch};
 use crate::itermem::FrameSource;
-use crate::pool::PoolBackend;
 use crate::program::Skeleton;
 
 /// What happens to a frame that arrives while the engine is at capacity.
@@ -75,11 +79,12 @@ pub enum AdmissionPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Global bound on frames admitted but not yet completed (waiting in
-    /// a stream queue or running on the pool).
+    /// a stream queue or running in the current round).
     pub max_in_flight: usize,
     /// Bound on each stream's admitted-but-unsubmitted waiting queue.
     pub per_stream_queue: usize,
-    /// Most frames packed into one pool job (cross-stream batching).
+    /// Most frames packed into one farm unit of a round (cross-stream
+    /// batching).
     pub max_batch: usize,
     /// Reject-vs-block at the admission door.
     pub admission: AdmissionPolicy,
@@ -165,7 +170,7 @@ pub struct StreamResult<Z, Y> {
     /// Frames dropped at the admission door
     /// ([`AdmissionPolicy::Reject`] only).
     pub rejected: u64,
-    /// `Some(panic message)` when a worker panicked serving one of this
+    /// `Some(panic message)` when the body panicked serving one of this
     /// stream's frames. The stream stops at the poisoned frame — `state`
     /// is the state *before* it, `outputs` covers the frames served
     /// before it — while every other stream keeps running.
@@ -179,17 +184,19 @@ pub struct ServeReport {
     pub served: u64,
     /// Frames rejected at admission across all streams.
     pub rejected: u64,
-    /// Frames whose worker panicked (each poisons its stream; see
+    /// Frames whose body panicked (each poisons its stream; see
     /// [`StreamResult::error`]).
     pub failed: u64,
-    /// Pool jobs submitted (each carrying up to `max_batch` frames).
+    /// Batches dispatched (each carrying up to `max_batch` frames).
     pub batches: u64,
     /// Wall-clock duration of the run.
     pub elapsed_ns: u64,
-    /// Per-served-frame latency (completion − arrival), completion order.
+    /// Per-served-frame latency (completion − arrival), settle order:
+    /// round by round, stream order within a round.
     pub latencies_ns: Vec<u64>,
-    /// `(stream, seq)` composition of every batch, submission order —
-    /// the deterministic trace the batching tests assert on.
+    /// `(stream, seq)` composition of every batch, dispatch order — the
+    /// trace the batching tests assert on, deterministic under eager
+    /// arrivals.
     pub batch_trace: Vec<Vec<(usize, u64)>>,
     /// Lazily sorted copy of `latencies_ns`, built on the first
     /// percentile query and shared by all later ones.
@@ -244,15 +251,14 @@ pub struct ServeOutcome<Z, Y> {
     pub report: ServeReport,
 }
 
-/// A submitted frame: the moved loop state + frame pair, and the oneshot
-/// that carries `Ok((state', output))` — or, when the worker panicked,
-/// `Err((recovered state, panic message))` — back to the stream's task.
-struct Request<Z, B, Y> {
+/// An admitted frame taken into a round: the stream's loop state, moved
+/// out of its lane, paired with the frame. The round's jobs only borrow
+/// it, so a panicking frame still leaves its pre-frame state here.
+struct Request<Z, B> {
     stream: usize,
     seq: u64,
     at_ns: u64,
     pair: (Z, B),
-    tx: oneshot::Sender<Result<(Z, Y), (Z, String)>>,
 }
 
 /// Renders a caught panic payload as the stream's error message.
@@ -266,31 +272,37 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What a stream task sees when it asks for its next admitted frame.
-enum Pop<B> {
-    Frame(u64, u64, B),
-    Finished,
-    Pending,
-}
-
-/// Per-stream lane state shared between the event loop and the tasks.
+/// Per-stream lane state.
 struct Lane<Z, B, Y> {
     source: Box<dyn FrameSource<TimedFrame<B>>>,
     /// Peeked arrival not yet past the admission door.
     head: Option<TimedFrame<B>>,
     source_done: bool,
-    /// Admitted frames waiting for the stream task: `(seq, at_ns, frame)`.
+    /// Admitted frames waiting for a round: `(seq, at_ns, frame)`.
     queue: VecDeque<(u64, u64, B)>,
     next_seq: u64,
+    /// The loop state; `None` while the stream's frame is in a round.
+    state: Option<Z>,
     rejected: u64,
     outputs: Vec<Y>,
-    final_state: Option<Z>,
     error: Option<String>,
-    task_done: bool,
-    waker: Option<Waker>,
 }
 
 impl<Z, B, Y> Lane<Z, B, Y> {
+    fn new(spec: StreamSpec<Z, B>) -> Self {
+        Lane {
+            source: spec.source,
+            head: None,
+            source_done: false,
+            queue: VecDeque::new(),
+            next_seq: 0,
+            state: Some(spec.init),
+            rejected: 0,
+            outputs: Vec::new(),
+            error: None,
+        }
+    }
+
     /// Ensures `head` holds the next pending arrival, if any.
     fn peek(&mut self) {
         if self.head.is_none() && !self.source_done {
@@ -301,27 +313,30 @@ impl<Z, B, Y> Lane<Z, B, Y> {
         }
     }
 
-    fn wake(&mut self) {
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
+    /// Takes the lane's next admitted frame, with its state, into a round.
+    fn request(&mut self, stream: usize) -> Option<Request<Z, B>> {
+        let (seq, at_ns, frame) = self.queue.pop_front()?;
+        let z = self.state.take().expect("stream state present");
+        Some(Request {
+            stream,
+            seq,
+            at_ns,
+            pair: (z, frame),
+        })
     }
 }
 
-/// Loop-side engine state, shared with the stream tasks through
-/// `Rc<RefCell<..>>` (everything here runs on the event-loop thread).
+/// The event loop's state (everything here lives on the calling thread).
 struct Engine<Z, B, Y> {
     lanes: Vec<Lane<Z, B, Y>>,
-    /// Requests submitted by tasks, not yet flushed into batches.
-    pending: Vec<Request<Z, B, Y>>,
-    /// Frames admitted and not yet completed (queues + pool).
+    /// Frames admitted and not yet settled (queued or in the round).
     admitted_incomplete: usize,
     report: ServeReport,
 }
 
 impl<Z, B, Y> Engine<Z, B, Y> {
     /// One admission pass at virtual time `now_ns`: moves arrived frames
-    /// past the door per the policy, waking tasks that got work.
+    /// past the door per the policy.
     fn admit(&mut self, now_ns: u64, cfg: &ServeConfig) {
         for i in 0..self.lanes.len() {
             loop {
@@ -349,71 +364,36 @@ impl<Z, B, Y> Engine<Z, B, Y> {
                 let seq = lane.next_seq;
                 lane.next_seq += 1;
                 lane.queue.push_back((seq, h.at_ns, h.frame));
-                lane.wake();
                 self.admitted_incomplete += 1;
             }
         }
     }
 
-    /// Earliest pending arrival time across all lanes (heads are peeked
-    /// by [`Engine::admit`]).
-    fn next_arrival_ns(&self) -> Option<u64> {
-        self.lanes
-            .iter()
-            .filter_map(|l| l.head.as_ref().map(|h| h.at_ns))
-            .min()
-    }
-
-    fn pop_admitted(&mut self, i: usize) -> Pop<B> {
-        let lane = &mut self.lanes[i];
-        if let Some((seq, at, frame)) = lane.queue.pop_front() {
-            return Pop::Frame(seq, at, frame);
-        }
-        if lane.source_done && lane.head.is_none() {
-            Pop::Finished
-        } else {
-            Pop::Pending
-        }
-    }
-
-    /// Drains pending requests into batches of at most `max_batch`
-    /// frames, recording the batch trace.
-    fn take_batches(&mut self, max_batch: usize) -> Vec<Vec<Request<Z, B, Y>>> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let mut batches = Vec::new();
-        let mut pending = std::mem::take(&mut self.pending);
-        while !pending.is_empty() {
-            let take = pending.len().min(max_batch.max(1));
-            let batch: Vec<_> = pending.drain(..take).collect();
-            self.report
-                .batch_trace
-                .push(batch.iter().map(|r| (r.stream, r.seq)).collect());
-            self.report.batches += 1;
-            batches.push(batch);
-        }
-        // The drained Vec is empty but keeps its capacity: hand it back
-        // so steady-state flushes stop reallocating the pending buffer.
-        self.pending = pending;
-        batches
-    }
-
-    /// Settles one completion pulse: a served frame frees its slot and
-    /// records its latency; a panicked frame frees its slot and counts
-    /// as failed.
-    fn settle(&mut self, result: Result<u64, ()>) {
+    /// Settles one frame of a round: its slot frees and its state returns
+    /// to the lane — the stepped state with the output and latency of a
+    /// served frame, or the pre-frame state of a panicked one, which
+    /// poisons the stream.
+    fn settle(&mut self, req: Request<Z, B>, out: Result<(Z, Y), String>, done_ns: u64) {
         self.admitted_incomplete -= 1;
-        match result {
-            Ok(latency_ns) => {
+        let lane = &mut self.lanes[req.stream];
+        match out {
+            Ok((z, y)) => {
+                lane.state = Some(z);
+                lane.outputs.push(y);
                 self.report.served += 1;
-                self.report.latencies_ns.push(latency_ns);
+                self.report
+                    .latencies_ns
+                    .push(done_ns.saturating_sub(req.at_ns));
             }
-            Err(()) => self.report.failed += 1,
+            Err(error) => {
+                lane.state = Some(req.pair.0);
+                self.report.failed += 1;
+                self.abandon(req.stream, error);
+            }
         }
     }
 
-    /// Poisons lane `i` after a worker panic: records the error, then
+    /// Poisons lane `i` after a frame panicked: records the error, then
     /// drops the lane's admitted-but-unserved queue and pending arrivals,
     /// releasing their admission slots so neighbours regain capacity and
     /// the run still terminates.
@@ -425,24 +405,30 @@ impl<Z, B, Y> Engine<Z, B, Y> {
         lane.head = None;
         lane.source_done = true;
     }
-
-    fn all_tasks_done(&self) -> bool {
-        self.lanes.iter().all(|l| l.task_done)
-    }
 }
 
-/// Serves every stream to completion over the backend's shared pool and
-/// returns per-stream results plus aggregate metrics.
+/// Serves every stream to completion over `backend` and returns
+/// per-stream results plus aggregate metrics.
 ///
 /// `body` is the stream-loop body in the [`crate::itermem()`] shape —
 /// any skeleton program mapping `&(Z, B)` to `(Z, Y)` — and runs its
-/// declarative semantics on a pool worker per frame: the engine's
-/// parallelism is *across* concurrently-served frames.
+/// declarative semantics once per frame inside a farm round on
+/// `backend`: the engine's parallelism is *across* the frames of
+/// different streams. The loop itself runs on the calling thread, in
+/// passes of admit → collect → batch → round and settle (see the
+/// [module docs](self)); a round lasts as long as its slowest batch, and
+/// nothing is admitted while it runs.
 ///
 /// Per-stream outputs are exactly those of a sequential prepared
 /// `itermem` run over the admitted frames (the serving conformance axis);
 /// under [`AdmissionPolicy::Block`] no frame is dropped, so they equal
-/// the full sequential run.
+/// the full sequential run. Under eager arrivals the whole
+/// [`ServeReport::batch_trace`] is deterministic, on every dispatcher.
+///
+/// # Panics
+///
+/// When any [`ServeConfig`] bound is zero. A panic inside `body` does not
+/// propagate: it poisons only its stream (see [`StreamResult::error`]).
 ///
 /// # Example
 ///
@@ -471,189 +457,82 @@ impl<Z, B, Y> Engine<Z, B, Y> {
 /// assert_eq!(outcome.streams.len(), 4);
 /// ```
 pub fn serve<P, Z, B, Y>(
-    backend: &PoolBackend,
+    backend: &dyn Dispatch,
     body: &P,
     streams: Vec<StreamSpec<Z, B>>,
     config: ServeConfig,
 ) -> ServeOutcome<Z, Y>
 where
     P: for<'a> Skeleton<&'a (Z, B), Output = (Z, Y)> + Sync,
-    Z: Send + 'static,
-    B: Send + 'static,
-    Y: Send + 'static,
+    Z: Send + Sync,
+    B: Send + Sync,
+    Y: Send,
 {
     assert!(config.max_in_flight > 0, "max_in_flight must be positive");
     assert!(
         config.per_stream_queue > 0,
         "per_stream_queue must be positive"
     );
+    assert!(config.max_batch > 0, "max_batch must be positive");
     let t0 = Instant::now();
-    let engine: Rc<RefCell<Engine<Z, B, Y>>> = Rc::new(RefCell::new(Engine {
-        lanes: Vec::with_capacity(streams.len()),
-        pending: Vec::new(),
+    let now_ns = || t0.elapsed().as_nanos() as u64;
+    let mut engine = Engine {
+        lanes: streams.into_iter().map(Lane::new).collect(),
         admitted_incomplete: 0,
         report: ServeReport::default(),
-    }));
-    let mut inits = Vec::with_capacity(streams.len());
-    for spec in streams {
-        inits.push(spec.init);
-        engine.borrow_mut().lanes.push(Lane {
-            source: spec.source,
-            head: None,
-            source_done: false,
-            queue: VecDeque::new(),
-            next_seq: 0,
-            rejected: 0,
-            outputs: Vec::new(),
-            final_state: None,
-            error: None,
-            task_done: false,
-            waker: None,
-        });
-    }
-
-    let (pulse_tx, pulse_rx) = crossbeam::channel::unbounded::<(usize, Result<u64, ()>)>();
-    let mut local = LocalPool::new();
-    // One async task per stream: await admitted frame → submit → await
-    // result → record, threading the state through the oneshots.
-    for (i, init) in inits.into_iter().enumerate() {
-        let engine = Rc::clone(&engine);
-        local.spawn(async move {
-            let mut state = Some(init);
-            loop {
-                let popped = poll_fn(|cx| {
-                    let mut eng = engine.borrow_mut();
-                    match eng.pop_admitted(i) {
-                        Pop::Frame(seq, at, frame) => Poll::Ready(Some((seq, at, frame))),
-                        Pop::Finished => Poll::Ready(None),
-                        Pop::Pending => {
-                            eng.lanes[i].waker = Some(cx.waker().clone());
-                            Poll::Pending
-                        }
-                    }
-                })
-                .await;
-                let Some((seq, at_ns, frame)) = popped else {
-                    break;
-                };
-                let (tx, rx) = oneshot::channel();
-                engine.borrow_mut().pending.push(Request {
-                    stream: i,
-                    seq,
-                    at_ns,
-                    pair: (state.take().expect("stream state present"), frame),
-                    tx,
-                });
-                // Workers catch panics per request, so the oneshot always
-                // resolves — with the stepped state on success, or the
-                // recovered pre-frame state plus the panic message.
-                match rx.await.expect("serve worker dropped a frame result") {
-                    Ok((z2, y)) => {
-                        state = Some(z2);
-                        engine.borrow_mut().lanes[i].outputs.push(y);
-                    }
-                    Err((z, msg)) => {
-                        state = Some(z);
-                        engine.borrow_mut().abandon(i, msg);
-                        break;
-                    }
-                }
+    };
+    let mut round = Vec::new();
+    loop {
+        let now = now_ns();
+        engine.admit(now, &config);
+        round.extend(
+            engine
+                .lanes
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, lane)| lane.request(i)),
+        );
+        if round.is_empty() {
+            // Nothing ready: sleep until the next arrival (capped so the
+            // clock stays live), or finish when nothing is pending. Heads
+            // are peeked by the admission pass.
+            let heads = engine.lanes.iter().filter_map(|l| l.head.as_ref());
+            match heads.map(|h| h.at_ns).min() {
+                Some(at) => std::thread::sleep(Duration::from_nanos(
+                    at.saturating_sub(now).clamp(1, 1_000_000),
+                )),
+                None => break,
             }
-            let mut eng = engine.borrow_mut();
-            eng.lanes[i].final_state = state;
-            eng.lanes[i].task_done = true;
-        });
-    }
-
-    let pool = backend.pool();
-    pool.scope(|scope| {
-        let mut completed = 0u64;
-        let mut submitted = 0u64;
-        loop {
-            let now_ns = t0.elapsed().as_nanos() as u64;
-            engine.borrow_mut().admit(now_ns, &config);
-            // Tasks run until every runnable one is waiting; each pass
-            // may submit new requests, flushed as cross-stream batches.
-            loop {
-                local.run_until_stalled();
-                let batches = engine.borrow_mut().take_batches(config.max_batch);
-                if batches.is_empty() {
-                    break;
-                }
-                for batch in batches {
-                    submitted += batch.len() as u64;
-                    let pulse_tx = pulse_tx.clone();
-                    scope.spawn(move || {
-                        for req in batch {
-                            // Catch per-request panics so one poisoned
-                            // frame surfaces as that stream's error
-                            // instead of unwinding through the pool and
-                            // taking down every other stream.
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    body.run_declarative(&req.pair)
-                                }));
-                            let done_ns = t0.elapsed().as_nanos() as u64;
-                            // The task may already be gone; dropping the
-                            // result is fine then.
-                            match out {
-                                Ok(out) => {
-                                    let latency = done_ns.saturating_sub(req.at_ns);
-                                    let _ = req.tx.send(Ok(out));
-                                    let _ = pulse_tx.send((req.stream, Ok(latency)));
-                                }
-                                Err(panic) => {
-                                    let (z, _frame) = req.pair;
-                                    let _ = req.tx.send(Err((z, panic_message(panic))));
-                                    let _ = pulse_tx.send((req.stream, Err(())));
-                                }
-                            }
-                        }
-                    });
-                }
-            }
-            if engine.borrow().all_tasks_done() {
-                break;
-            }
-            // Wait for a completion pulse, or for the next arrival when
-            // nothing is on the pool (capped so the clock stays live).
-            let wait = if completed < submitted {
-                Duration::from_micros(200)
-            } else {
-                let next = engine.borrow().next_arrival_ns();
-                match next {
-                    Some(at) => Duration::from_nanos(at.saturating_sub(now_ns).clamp(1, 1_000_000)),
-                    None => Duration::from_micros(200),
-                }
+            continue;
+        }
+        let batches: Vec<&[Request<Z, B>]> = round.chunks(config.max_batch).collect();
+        for batch in &batches {
+            let trace = batch.iter().map(|r| (r.stream, r.seq)).collect();
+            engine.report.batch_trace.push(trace);
+        }
+        engine.report.batches += batches.len() as u64;
+        let done = map_units(backend, batches.len(), batches.len(), |k| {
+            let run = |req: &Request<Z, B>| {
+                // Catch per-frame panics so one poisoned frame surfaces as
+                // its stream's error instead of unwinding through the
+                // round and taking down every other stream.
+                let out = catch_unwind(AssertUnwindSafe(|| body.run_declarative(&req.pair)));
+                (out.map_err(panic_message), now_ns())
             };
-            if let Ok((_stream, result)) = pulse_rx.recv_timeout(wait) {
-                completed += 1;
-                engine.borrow_mut().settle(result);
-            }
-            while let Ok((_stream, result)) = pulse_rx.try_recv() {
-                completed += 1;
-                engine.borrow_mut().settle(result);
-            }
+            batches[k].iter().map(run).collect::<Vec<_>>()
+        });
+        for (req, (out, done_ns)) in round.drain(..).zip(done.into_iter().flatten()) {
+            engine.settle(req, out, done_ns);
         }
-        // Tasks finish as soon as their oneshot resolves; trailing pulses
-        // may still sit in the channel. Account every submitted frame.
-        while completed < submitted {
-            let (_stream, result) = pulse_rx.recv().expect("serve worker pulse channel closed");
-            completed += 1;
-            engine.borrow_mut().settle(result);
-        }
-    });
+    }
 
-    let engine = Rc::into_inner(engine)
-        .expect("stream tasks completed")
-        .into_inner();
     let mut report = engine.report;
-    report.elapsed_ns = t0.elapsed().as_nanos() as u64;
+    report.elapsed_ns = now_ns();
     let streams = engine
         .lanes
         .into_iter()
         .map(|lane| StreamResult {
-            state: lane.final_state.expect("stream task finished"),
+            state: lane.state.expect("stream state settled"),
             outputs: lane.outputs,
             rejected: lane.rejected,
             error: lane.error,
@@ -720,7 +599,7 @@ mod tests {
     use super::*;
     use crate::itermem::VecSource;
     use crate::program::{scm, Workers};
-    use crate::stream_of;
+    use crate::{stream_of, PoolBackend, ShardBackend, ThreadBackend};
 
     /// The shared test body: `(z, b) -> (z + b, z + b)` as a 2-way scm
     /// (fn pointers, so the program is `Sync` and lifetime-polymorphic).
@@ -857,25 +736,40 @@ mod tests {
 
     #[test]
     fn first_batch_composition_is_deterministic() {
-        // 5 streams × 1 eager frame, max_batch 2: the first flush packs
-        // requests in stream order as [0,1], [2,3], [4].
+        // 5 streams × 3 eager frames, max_batch 2: every pass collects one
+        // frame per stream, in stream order, so the whole trace is a pure
+        // function of the inputs — identical on every dispatcher.
         let body = running_sum();
-        let streams = (0..5u64)
-            .map(|s| StreamSpec::eager(0u64, stream_of(vec![s])))
-            .collect();
+        let streams = || {
+            (0..5u64)
+                .map(|s| StreamSpec::eager(0u64, stream_of(vec![s, s + 1, s + 2])))
+                .collect()
+        };
         let cfg = ServeConfig {
             max_batch: 2,
             ..ServeConfig::default()
         };
-        let outcome = serve(&backend(), &body, streams, cfg);
-        let first3: Vec<Vec<(usize, u64)>> =
-            outcome.report.batch_trace.iter().take(3).cloned().collect();
-        assert_eq!(
-            first3,
-            vec![vec![(0, 0), (1, 0)], vec![(2, 0), (3, 0)], vec![(4, 0)],]
-        );
-        assert_eq!(outcome.report.batches, 3);
-        assert_eq!(outcome.report.served, 5);
+        let expected: Vec<Vec<(usize, u64)>> = (0..3u64)
+            .flat_map(|seq| {
+                [
+                    vec![(0, seq), (1, seq)],
+                    vec![(2, seq), (3, seq)],
+                    vec![(4, seq)],
+                ]
+            })
+            .collect();
+        let one = Workers::exact(1);
+        let dispatchers: [(&str, Box<dyn Dispatch>); 3] = [
+            ("pool(1)", Box::new(PoolBackend::configured(one))),
+            ("pool(2)", Box::new(backend())),
+            ("2 shards", Box::new(ShardBackend::configured(2, one))),
+        ];
+        for (name, d) in &dispatchers {
+            let outcome = serve(d.as_ref(), &body, streams(), cfg);
+            assert_eq!(outcome.report.batch_trace, expected, "{name}");
+            assert_eq!(outcome.report.batches, 9, "{name}");
+            assert_eq!(outcome.report.served, 15, "{name}");
+        }
     }
 
     #[test]
@@ -971,10 +865,10 @@ mod tests {
 
     #[test]
     fn a_poisoned_frame_fails_its_stream_not_the_run() {
-        // Stream 1's second frame panics the body on a pool worker. The
-        // engine must keep serving the other streams to completion,
-        // surface the panic as stream 1's error with its pre-frame state,
-        // and still return (no hang, no engine panic).
+        // Stream 1's second frame panics the body inside a round. On every
+        // dispatcher the engine must keep serving the other streams to
+        // completion, surface the panic as stream 1's error with its
+        // pre-frame state, and still return (no hang, no engine panic).
         let body = poison_body();
         let feeds: Vec<Vec<u64>> = (0..4u64)
             .map(|s| {
@@ -985,29 +879,67 @@ mod tests {
                 }
             })
             .collect();
-        let streams = feeds
-            .iter()
-            .map(|f| StreamSpec::eager(10u64, stream_of(f.clone())))
-            .collect();
+        let dispatchers: [(&str, Box<dyn Dispatch>); 3] = [
+            ("thread", Box::new(ThreadBackend::new())),
+            ("pool", Box::new(backend())),
+            (
+                "2 shards",
+                Box::new(ShardBackend::configured(2, Workers::exact(1))),
+            ),
+        ];
         let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
-        let outcome = serve(&backend(), &body, streams, ServeConfig::default());
+        std::panic::set_hook(Box::new(|_| {})); // silence the expected panics
+        let streams = || {
+            let eager = |f: &Vec<u64>| StreamSpec::eager(10u64, stream_of(f.clone()));
+            feeds.iter().map(eager).collect()
+        };
+        let outcomes: Vec<_> = (dispatchers.iter())
+            .map(|(name, d)| {
+                (
+                    name,
+                    serve(d.as_ref(), &body, streams(), ServeConfig::default()),
+                )
+            })
+            .collect();
         std::panic::set_hook(prev_hook);
 
-        for s in [0usize, 2, 3] {
-            let (z_ref, y_ref) = sequential(&body, 10, &feeds[s]);
-            assert_eq!(outcome.streams[s].state, z_ref, "stream {s}");
-            assert_eq!(outcome.streams[s].outputs, y_ref, "stream {s}");
-            assert_eq!(outcome.streams[s].error, None, "stream {s}");
+        for (name, outcome) in outcomes {
+            for s in [0usize, 2, 3] {
+                let (z_ref, y_ref) = sequential(&body, 10, &feeds[s]);
+                assert_eq!(outcome.streams[s].state, z_ref, "{name}: stream {s}");
+                assert_eq!(outcome.streams[s].outputs, y_ref, "{name}: stream {s}");
+                assert_eq!(outcome.streams[s].error, None, "{name}: stream {s}");
+            }
+            let poisoned = &outcome.streams[1];
+            let (z_ref, y_ref) = sequential(&body, 10, &feeds[1][..1]);
+            assert_eq!(poisoned.state, z_ref, "{name}: pre-poison state");
+            assert_eq!(
+                poisoned.outputs, y_ref,
+                "{name}: outputs stop at the poison"
+            );
+            let err = poisoned.error.as_deref().expect("poisoned stream error");
+            assert!(err.contains("poison frame"), "{name}: message {err}");
+            assert_eq!(outcome.report.failed, 1, "{name}");
+            assert_eq!(outcome.report.served, 3 * 4 + 1, "{name}");
         }
-        let poisoned = &outcome.streams[1];
-        let (z_ref, y_ref) = sequential(&body, 10, &feeds[1][..1]);
-        assert_eq!(poisoned.state, z_ref, "state is from before the poison");
-        assert_eq!(poisoned.outputs, y_ref, "outputs stop at the poison");
-        let err = poisoned.error.as_deref().expect("poisoned stream error");
-        assert!(err.contains("poison frame"), "unexpected message: {err}");
-        assert_eq!(outcome.report.failed, 1);
-        assert_eq!(outcome.report.served, 3 * 4 + 1);
+    }
+
+    #[test]
+    fn every_zero_bound_is_rejected_with_its_own_message() {
+        let mut zeroed = [ServeConfig::default(); 3];
+        zeroed[0].max_in_flight = 0;
+        zeroed[1].per_stream_queue = 0;
+        zeroed[2].max_batch = 0;
+        let fields = ["max_in_flight", "per_stream_queue", "max_batch"];
+        let body = running_sum();
+        for (cfg, field) in zeroed.into_iter().zip(fields) {
+            let streams = vec![StreamSpec::eager(0u64, stream_of(vec![1u64]))];
+            let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                serve(&backend(), &body, streams, cfg)
+            }))
+            .expect_err("a zero bound must panic");
+            assert_eq!(panic_message(panic), format!("{field} must be positive"));
+        }
     }
 
     #[test]
@@ -1085,17 +1017,17 @@ mod tests {
 mod repro_hang {
     use super::*;
     use crate::program::Workers;
-    use crate::stream_of;
+    use crate::{stream_of, PoolBackend};
 
     #[test]
     fn reject_exhaustion_wakes_the_task() {
         let body = tests::running_sum();
         // Stream 0 floods 2000 eager frames into a single global slot
         // under `Reject`: the first admission pass admits exactly one and
-        // drops the rest at the door, exhausting the source while task 0
-        // is parked — the task must still be woken to finish (the hang
-        // this module reproduces), and serve() must return. Stream 1's
-        // lone frame arrives after the flood completes and is served.
+        // drops the rest at the door, exhausting the source while stream
+        // 0's only frame waits for its round — the stream must still
+        // finish once that frame settles, and serve() must return. Stream
+        // 1's lone frame arrives after the flood completes and is served.
         let streams = vec![
             StreamSpec::eager(0u64, stream_of((0..2000u64).collect::<Vec<_>>())),
             StreamSpec::timed(0u64, vec![TimedFrame::at(1_000_000, 9)]),

@@ -65,6 +65,17 @@ fn pool_backend_single_thread_serving_conforms() {
 }
 
 #[test]
+fn thread_backend_serving_conforms() {
+    assert_serving_conforms(&ThreadBackend::new());
+}
+
+#[test]
+fn shard_backend_serving_conforms() {
+    // Batches are routed over the two shards like any farm unit.
+    assert_serving_conforms(&ShardBackend::configured(2, Workers::FromEnv));
+}
+
+#[test]
 fn sim_backend_conforms() {
     assert_backend_conforms(&SimBackend::ring(4));
 }
