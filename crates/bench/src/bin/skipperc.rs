@@ -109,7 +109,7 @@ fn emit_plan(
 ) -> Result<(), skipper_exec::ExecError> {
     let sim = SimBackend::ring(nprocs);
     let exec = Backend::<_, Vec<Value>>::prepare(&sim, &prog.loop_program());
-    let schedule = exec.schedule()?;
+    let schedule = exec.statics()?.schedule();
     say!(
         "schedule on {nprocs}-processor ring: makespan {:.1} us/frame",
         schedule.makespan_ns as f64 / 1e3

@@ -282,11 +282,13 @@ pub fn e1() {
 /// E2 — Fig. 2: the full environment pipeline on one source program, with
 /// emulation-vs-execution equality.
 pub fn e2() {
+    use skipper_exec::SimBackend;
     header(
         "E2",
         "environment pipeline (Fig. 2): ML source -> executive",
     );
-    let ex = pipeline::expand_mini_tracker().expect("expansion succeeds");
+    let (_, exec) = pipeline::prepare_mini_tracker(&SimBackend::ring(3)).expect("compiles");
+    let net = exec.statics().expect("prepared").net();
     println!(
         "source     : {} bytes of Skipper-ML",
         pipeline::MINI_TRACKER_ML.len()
@@ -294,14 +296,16 @@ pub fn e2() {
     println!("type check : ok (skeleton signatures of paper section 2)");
     println!(
         "expansion  : {} processes, {} channels, {} farm instance(s)",
-        ex.net.len(),
-        ex.net.edges().len(),
-        ex.farms.len()
+        net.len(),
+        net.edges().len(),
+        net.nodes_where(|k| matches!(k, NodeKind::Master(_)))
+            .count()
     );
     let frames = 6;
     let emu = pipeline::emulate_mini_tracker(frames).expect("emulation succeeds");
     for nprocs in [1usize, 3, 5] {
-        let (out, report) = pipeline::simulate_mini_tracker(nprocs, frames).expect("runs");
+        let (out, report) =
+            pipeline::simulate_mini_tracker(&SimBackend::ring(nprocs), frames).expect("runs");
         let eq = if out == emu { "==" } else { "!=" };
         println!(
             "executive on {nprocs} proc(s): outputs {eq} emulation, makespan {:.3} ms, {} messages",
@@ -609,13 +613,15 @@ fn sim_scm_makespan(items: &[u64]) -> f64 {
 /// E7 — Fig. 4: itermem state threading across iterations on the
 /// simulator.
 pub fn e7() {
+    use skipper_exec::SimBackend;
     header(
         "E7",
         "itermem (Fig. 4): state memory across stream iterations",
     );
     let frames = 6;
     let emu = pipeline::emulate_mini_tracker(frames).expect("emulation succeeds");
-    let (out, report) = pipeline::simulate_mini_tracker(3, frames).expect("simulation succeeds");
+    let (out, report) =
+        pipeline::simulate_mini_tracker(&SimBackend::ring(3), frames).expect("simulation succeeds");
     println!("iteration   displayed value   latency (us)");
     for (k, (v, lat)) in out.iter().zip(&report.latencies_ns).enumerate() {
         println!("{k:>9}   {v:>15}   {:>12.1}", *lat as f64 / 1e3);
@@ -934,8 +940,9 @@ pub fn e14() {
         // the per-frame prediction, its report the simulated latency.
         let sim_exec = Backend::<_, Vec<Vec<u64>>>::prepare(&sim, &tracker);
         let plan_us = sim_exec
-            .schedule()
+            .statics()
             .expect("tracking loop schedules on the ring")
+            .schedule()
             .makespan_ns as f64
             / 1e3;
         let (out, report) = sim_exec

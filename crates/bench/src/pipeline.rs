@@ -3,27 +3,18 @@
 //!
 //! A miniature integer-valued tracker written in Skipper-ML is taken
 //! through every stage of the environment — parse, Hindley–Milner type
-//! check, skeleton expansion, AAA scheduling, macro-code generation,
-//! deadlock verification, simulated execution — and its outputs are
-//! compared bit-for-bit against the sequential emulation of the very same
-//! source by the Caml-subset interpreter.
+//! check, compilation against a [`KernelRegistry`], skeleton expansion,
+//! AAA scheduling, macro-code generation, simulated execution — and its
+//! outputs are compared bit-for-bit against the sequential emulation of
+//! the very same source by the Caml-subset interpreter.
 
-use skipper_exec::{run_simulated, ExecConfig, ExecError, Registry, Value};
-use skipper_lang::ast::Program;
+use skipper::Backend;
+use skipper_exec::{ExecReport, SimBackend, SimLoopExecutable, Value};
 use skipper_lang::eval::{Evaluator, MlValue, NativeError};
-use skipper_lang::expand::{expand_program, Expansion};
 use skipper_lang::parser::parse_program;
-use skipper_lang::types::TypeEnv;
-use skipper_net::pnt::FarmShape;
-use skipper_syndex::analysis::check_deadlock_free;
-use skipper_syndex::macrocode::generate;
-use skipper_syndex::schedule::{schedule_with, Strategy};
-use skipper_syndex::Architecture;
+use skipper_lang::{compile_source, CompiledProgram, KernelRegistry};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use transvision::topology::ProcId;
 
 /// The miniature tracker specification (integer-valued; same shape as the
 /// paper's §4 program).
@@ -36,34 +27,74 @@ pub const MINI_TRACKER_ML: &str = r#"
     let main = itermem read_img loop display_marks s0 dims;;
 "#;
 
-/// Declares the miniature tracker's external signatures.
-pub fn mini_tracker_env() -> TypeEnv {
-    let mut env = TypeEnv::with_skeletons();
-    for (name, sig) in [
-        ("read_img", "dims -> frame"),
-        ("get_windows", "int -> state -> frame -> window list"),
-        ("detect_mark", "window -> mark"),
-        ("accum_marks", "mark list -> mark -> mark list"),
-        ("empty_list", "mark list"),
-        ("predict", "state -> mark list -> state * display"),
-        ("display_marks", "display -> unit"),
-        ("s0", "state"),
-        ("dims", "dims"),
-    ] {
-        env.declare(name, sig).expect("signature parses");
-    }
-    env
-}
-
-const NPROC: i64 = 4;
-
-fn windows_for(state: i64, im: i64) -> Vec<i64> {
-    (0..NPROC).map(|i| im + state % 7 + i).collect()
+fn windows_for(nproc: i64, state: i64, im: i64) -> Vec<i64> {
+    (0..nproc).map(|i| im + state % 7 + i).collect()
 }
 
 fn predict_fn(state: i64, marks: &[i64]) -> (i64, i64) {
     let total: i64 = marks.iter().sum();
     (state + total, total)
+}
+
+fn int(v: &Value) -> i64 {
+    v.as_int().expect("mini tracker value is an int")
+}
+
+/// The miniature tracker's kernels, each registered once with its DSL
+/// signature and its body over executive values. Frame `k` (0-based) is
+/// the integer `k + 1`; the initial state `s0` is 0.
+pub fn mini_tracker_registry() -> KernelRegistry {
+    let mut r = KernelRegistry::new();
+    let sig = "mini tracker signature parses";
+    r.register_source("read_img", "dims -> frame", |_, k| {
+        Some(Value::Int(k as i64 + 1))
+    })
+    .expect(sig);
+    r.register_costed(
+        "get_windows",
+        "int -> state -> frame -> window list",
+        10_000,
+        |a| {
+            let ws = windows_for(int(&a[0]), int(&a[1]), int(&a[2]));
+            Value::list(ws.into_iter().map(Value::Int).collect())
+        },
+    )
+    .expect(sig);
+    r.register_costed("detect_mark", "window -> mark", 5_000, |a| {
+        Value::Int(int(&a[0]).pow(2))
+    })
+    .expect(sig);
+    r.register("accum_marks", "mark list -> mark -> mark list", |a| {
+        let mut list = a[0].as_list().expect("marks list").to_vec();
+        list.push(a[1].clone());
+        Value::list(list)
+    })
+    .expect(sig);
+    r.register_costed(
+        "predict",
+        "state -> mark list -> state * display",
+        5_000,
+        |a| {
+            let marks: Vec<i64> = a[1]
+                .as_list()
+                .expect("marks list")
+                .iter()
+                .map(int)
+                .collect();
+            let (s2, y) = predict_fn(int(&a[0]), &marks);
+            Value::tuple(vec![Value::Int(s2), Value::Int(y)])
+        },
+    )
+    .expect(sig);
+    r.register("display_marks", "display -> unit", |_| Value::Unit)
+        .expect(sig);
+    r.register_constant("empty_list", "mark list", Value::list(Vec::new()))
+        .expect(sig);
+    r.register_constant("s0", "state", Value::Int(0))
+        .expect(sig);
+    r.register_constant("dims", "dims", Value::Int(512))
+        .expect(sig);
+    r
 }
 
 /// Sequentially emulates the miniature tracker for `frames` frames,
@@ -73,7 +104,7 @@ fn predict_fn(state: i64, marks: &[i64]) -> (i64, i64) {
 ///
 /// Propagates parse/type/evaluation diagnostics (as strings).
 pub fn emulate_mini_tracker(frames: usize) -> Result<Vec<i64>, String> {
-    let prog: Program = parse_program(MINI_TRACKER_ML).map_err(|e| e.to_string())?;
+    let prog = parse_program(MINI_TRACKER_ML).map_err(|e| e.to_string())?;
     let mut ev = Evaluator::new();
     let counter = RefCell::new(0i64);
     let max = frames as i64;
@@ -86,10 +117,11 @@ pub fn emulate_mini_tracker(frames: usize) -> Result<Vec<i64>, String> {
         Ok(MlValue::Int(*c))
     });
     ev.register_native("get_windows", 3, |a| {
+        let nproc = a[0].as_int().expect("nproc int");
         let state = a[1].as_int().expect("state int");
         let im = a[2].as_int().expect("frame int");
         Ok(MlValue::List(Rc::new(
-            windows_for(state, im)
+            windows_for(nproc, state, im)
                 .into_iter()
                 .map(MlValue::Int)
                 .collect(),
@@ -133,132 +165,47 @@ pub fn emulate_mini_tracker(frames: usize) -> Result<Vec<i64>, String> {
     Ok(out)
 }
 
-/// Expands the miniature tracker to a process network.
+/// Parses, type-checks and compiles the miniature tracker against
+/// [`mini_tracker_registry`].
 ///
 /// # Errors
 ///
-/// Propagates compiler diagnostics as strings.
-pub fn expand_mini_tracker() -> Result<Expansion, String> {
-    let prog = parse_program(MINI_TRACKER_ML).map_err(|e| e.to_string())?;
-    expand_program(&mini_tracker_env(), &prog, FarmShape::Star).map_err(|e| e.to_string())
+/// The rendered compiler diagnostic.
+pub fn compile_mini_tracker() -> Result<CompiledProgram, String> {
+    compile_source(&mini_tracker_registry(), MINI_TRACKER_ML).map_err(|d| d.render(MINI_TRACKER_ML))
 }
 
-/// Runs the expanded miniature tracker on a simulated ring of `nprocs`
-/// processors for `frames` frames; returns the displayed values and the
-/// executive report.
+/// Compiles the miniature tracker and prepares it on `sim`: lowering,
+/// SynDEx scheduling and macro-code generation happen here, once. The
+/// executable's `statics()` carry the network, schedule and macro-code.
 ///
 /// # Errors
 ///
-/// Propagates scheduling/executive failures as strings.
+/// Compiler diagnostics and preparation failures, as strings.
+pub fn prepare_mini_tracker(
+    sim: &SimBackend,
+) -> Result<(CompiledProgram, SimLoopExecutable<Value, Value, Value>), String> {
+    let prog = compile_mini_tracker()?;
+    let exec = Backend::<_, Vec<Value>>::prepare(sim, &prog.loop_program());
+    exec.statics().map_err(|e| e.to_string())?;
+    Ok((prog, exec))
+}
+
+/// Runs the compiled miniature tracker on `sim` for `frames` frames;
+/// returns the displayed values and the executive report.
+///
+/// # Errors
+///
+/// Propagates compilation, scheduling and executive failures as strings.
 pub fn simulate_mini_tracker(
-    nprocs: usize,
+    sim: &SimBackend,
     frames: usize,
-) -> Result<(Vec<i64>, skipper_exec::ExecReport), String> {
-    let ex = expand_mini_tracker()?;
-    let arch = if nprocs == 1 {
-        Architecture::single_t9000()
-    } else {
-        Architecture::ring_t9000(nprocs)
-    };
-    let mut pins = HashMap::new();
-    for node in ex.net.nodes() {
-        let on_worker = matches!(node.kind, skipper_net::graph::NodeKind::Worker(_));
-        if !on_worker {
-            pins.insert(node.id, ProcId(0));
-        }
-    }
-    if nprocs > 1 {
-        for f in &ex.farms {
-            for (i, &w) in f.handles.workers.iter().enumerate() {
-                pins.insert(w, ProcId(1 + i % (nprocs - 1)));
-            }
-        }
-    }
-    let sched =
-        schedule_with(&ex.net, &arch, &pins, Strategy::MinFinish).map_err(|e| e.to_string())?;
-    let progs = generate(&ex.net, &sched, &arch);
-    check_deadlock_free(&progs, 3).map_err(|e| e.to_string())?;
-
-    let shown = Arc::new(Mutex::new(Vec::new()));
-    let shown2 = Arc::clone(&shown);
-    let mut reg = Registry::new();
-    reg.register_with_cost(
-        "read_img",
-        |args| vec![Value::Int(args[0].as_int().expect("iter") + 1)],
-        |_| 20_000,
-    );
-    reg.register_with_cost(
-        "get_windows",
-        |args| {
-            let state = args[0].as_int().expect("state");
-            let im = args[1].as_int().expect("frame");
-            vec![Value::list(
-                windows_for(state, im).into_iter().map(Value::Int).collect(),
-            )]
-        },
-        |_| 10_000,
-    );
-    reg.register_with_cost(
-        "detect_mark",
-        |args| vec![Value::Int(args[0].as_int().expect("window").pow(2))],
-        |args| 5_000 + args[0].as_int().unwrap_or(0).unsigned_abs() * 40,
-    );
-    reg.register_with_cost(
-        "accum_marks",
-        |args| {
-            let mut list = args[0].as_list().expect("list").to_vec();
-            list.push(args[1].clone());
-            vec![Value::list(list)]
-        },
-        |_| 200,
-    );
-    reg.register_with_cost(
-        "predict",
-        |args| {
-            let state = args[0].as_int().expect("state");
-            let marks: Vec<i64> = args[1]
-                .as_list()
-                .expect("marks")
-                .iter()
-                .map(|m| m.as_int().expect("mark"))
-                .collect();
-            let (s2, y) = predict_fn(state, &marks);
-            vec![Value::Int(s2), Value::Int(y)]
-        },
-        |_| 5_000,
-    );
-    reg.register("display_marks", move |args| {
-        shown2
-            .lock()
-            .expect("display lock")
-            .push(args[0].as_int().expect("display"));
-        vec![]
-    });
-
-    let mut mem_init = HashMap::new();
-    mem_init.insert(ex.mem, Value::Int(0)); // s0 = 0
-    let mut farm_init = HashMap::new();
-    for f in &ex.farms {
-        farm_init.insert(f.instance, Value::list(Vec::new())); // empty_list
-    }
-    let config = ExecConfig {
-        iterations: frames,
-        frame_clock: None,
-        sim: transvision::SimConfig::default(),
-    };
-    let report = run_simulated(
-        &ex.net,
-        &sched,
-        &progs,
-        arch.topology().clone(),
-        Arc::new(reg),
-        &mem_init,
-        &farm_init,
-        &config,
-    )
-    .map_err(|e: ExecError| e.to_string())?;
-    let out = shown.lock().expect("display lock").clone();
-    Ok((out, report))
+) -> Result<(Vec<i64>, ExecReport), String> {
+    let (prog, exec) = prepare_mini_tracker(sim)?;
+    let ((_, shown), report) = exec
+        .run_with_report(prog.frames(frames))
+        .map_err(|e| e.to_string())?;
+    Ok((shown.iter().map(int).collect(), report))
 }
 
 #[cfg(test)]
@@ -268,26 +215,17 @@ mod tests {
     #[test]
     fn emulation_and_simulation_agree_bit_for_bit() {
         let emu = emulate_mini_tracker(5).unwrap();
-        let (sim1, _) = simulate_mini_tracker(1, 5).unwrap();
-        let (sim5, _) = simulate_mini_tracker(5, 5).unwrap();
+        let (sim1, _) = simulate_mini_tracker(&SimBackend::ring(1), 5).unwrap();
+        let (sim5, _) = simulate_mini_tracker(&SimBackend::ring(5), 5).unwrap();
         assert_eq!(emu.len(), 5);
         assert_eq!(emu, sim1, "sequential emulation == single-proc executive");
         assert_eq!(emu, sim5, "sequential emulation == 5-proc executive");
     }
 
     #[test]
-    fn expansion_matches_paper_shape() {
-        let ex = expand_mini_tracker().unwrap();
-        // input + output + mem + get_windows + master + 4 workers + predict.
-        assert_eq!(ex.net.len(), 10);
-        assert_eq!(ex.farms.len(), 1);
-        assert_eq!(ex.state_init_name, "s0");
-    }
-
-    #[test]
     fn parallel_run_is_faster_than_sequential_run() {
-        let (_, r1) = simulate_mini_tracker(1, 4).unwrap();
-        let (_, r5) = simulate_mini_tracker(5, 4).unwrap();
+        let (_, r1) = simulate_mini_tracker(&SimBackend::ring(1), 4).unwrap();
+        let (_, r5) = simulate_mini_tracker(&SimBackend::ring(5), 4).unwrap();
         assert!(r5.sim.end_ns < r1.sim.end_ns);
     }
 }

@@ -1060,13 +1060,13 @@ impl<Shape, Out> SimExecutable<Shape, Out> {
         }
     }
 
-    /// The SynDEx schedule every run of this executable follows (the
-    /// compiled counterpart of [`SimBackend::plan`]), or the preparation
-    /// error. Useful to assert plan identity across runs: the schedule is
-    /// computed once, at prepare time.
-    pub fn schedule(&self) -> Result<&Schedule, ExecError> {
+    /// The prepared statics every run of this executable follows — the
+    /// network, its SynDEx schedule (the compiled counterpart of
+    /// [`SimBackend::plan`]) and the macro-code — or the preparation
+    /// error. All of it is computed once, at prepare time.
+    pub fn statics(&self) -> Result<&SimStatics, ExecError> {
         match &self.inner {
-            Ok(c) => Ok(c.stat.schedule()),
+            Ok(c) => Ok(&c.stat),
             Err(e) => Err(e.clone()),
         }
     }
@@ -1466,11 +1466,11 @@ impl<Z, B, Y> SimLoopExecutable<Z, B, Y> {
         }
     }
 
-    /// The SynDEx schedule every run of this executable follows, or the
-    /// preparation error.
-    pub fn schedule(&self) -> Result<&Schedule, ExecError> {
+    /// The prepared statics every run of this executable follows
+    /// (network, schedule, macro-code), or the preparation error.
+    pub fn statics(&self) -> Result<&SimStatics, ExecError> {
         match &self.inner {
-            Ok(c) => Ok(c.base.stat.schedule()),
+            Ok(c) => Ok(&c.base.stat),
             Err(e) => Err(e.clone()),
         }
     }
@@ -2060,7 +2060,7 @@ mod tests {
         let exec = Backend::<_, Vec<i64>>::prepare(&SimBackend::ring(3), &prog);
         let err = exec.run(vec![1i64]).unwrap_err();
         assert!(matches!(err, ExecError::PureLoopBody));
-        let err = exec.schedule().unwrap_err();
+        let err = exec.statics().unwrap_err();
         assert!(matches!(err, ExecError::PureLoopBody));
         // An empty stream is still short-circuited before lowering is
         // consulted on `run` — but the prepared error wins.
@@ -2133,7 +2133,7 @@ mod tests {
         // The executable's schedule is the plan, computed once at prepare
         // time; runs of different inputs share it.
         assert_eq!(
-            exec.schedule().expect("prepared").makespan_ns,
+            exec.statics().expect("prepared").schedule().makespan_ns,
             plan.makespan_ns
         );
         for len in [0i64, 1, 7, 20] {
@@ -2145,7 +2145,7 @@ mod tests {
             );
         }
         assert_eq!(
-            exec.schedule().expect("prepared").makespan_ns,
+            exec.statics().expect("prepared").schedule().makespan_ns,
             plan.makespan_ns
         );
     }

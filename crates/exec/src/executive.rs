@@ -256,9 +256,19 @@ pub struct SimStatics {
 }
 
 impl SimStatics {
+    /// The process network every run of this prepared program executes.
+    pub fn net(&self) -> &ProcessNetwork {
+        &self.net
+    }
+
     /// The SynDEx schedule every run of this prepared program follows.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// The generated per-processor macro-code, indexed by processor.
+    pub fn programs(&self) -> &[MacroProgram] {
+        &self.programs
     }
 }
 

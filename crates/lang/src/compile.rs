@@ -1647,6 +1647,23 @@ let main = itermem lists loop show 0 ();;
     }
 
     #[test]
+    fn nested_skeleton_rejected() {
+        // Well-typed, but SKiPPER-I forbids nesting: a skeleton argument
+        // must be a registered kernel.
+        let d = expect_diag(
+            "let loop (z, xs) = (df 2 (scm 2 (nsplit 2) double sum_list) add z xs, z);;\n\
+             let main = itermem lists loop show 0 ();;\n",
+        );
+        assert_eq!(d.stage, Stage::Expand);
+        assert!(
+            d.message
+                .contains("skeletons must be fully applied in compiled programs"),
+            "{}",
+            d.message
+        );
+    }
+
+    #[test]
     fn missing_main_is_reported() {
         let d = expect_diag("let x = 1;;\n");
         assert!(d.message.contains("no `main`"), "{}", d.message);
@@ -1684,5 +1701,12 @@ let main = itermem lists loop show 0 ();;
         assert_eq!(parse.stage, Stage::Parse);
         let ty = expect_diag("let main = itermem ints show show 0 ();;\n");
         assert_eq!(ty.stage, Stage::Type);
+        // Fig. 4's loop returns (next state, output); the swapped
+        // (output, state) pair fails against itermem's signature.
+        let swapped = expect_diag(
+            "let loop (z, xs) = (xs, add z (sum_list xs));;\n\
+             let main = itermem lists loop show 0 ();;\n",
+        );
+        assert_eq!(swapped.stage, Stage::Type);
     }
 }

@@ -53,7 +53,7 @@ pub enum Stage {
     Parse,
     /// Type inference.
     Type,
-    /// Skeleton expansion.
+    /// Skeleton expansion: compiling the typed program to skeletons.
     Expand,
     /// Evaluation (sequential emulation).
     Eval,

@@ -1,796 +1,195 @@
-//! Skeleton expansion: typed Skipper-ML → process network.
-//!
-//! "The resulting annotated abstract syntax tree is then expanded into a
-//! (target-independent) parallel process network by instantiating each
-//! skeleton PNT" (paper §3). The supported program shape is the one the
-//! paper uses (and SKiPPER-I enforces): a top-level
-//!
-//! ```text
-//! let main = itermem <inp> <loop> <out> <z0> <x>;;
-//! ```
-//!
-//! whose loop function takes a `(state, input)` tuple and whose body is a
-//! sequence of `let` bindings, each applying an external sequential
-//! function or a skeleton (`df`, `tf`, `scm`) to previously bound
-//! variables and configuration constants. Skeleton nesting is rejected
-//! with a diagnostic, as in SKiPPER-I ("their skeletons can be freely
-//! nested, ours not" — §5).
+//! Skeleton expansion of compiled programs (Fig. 2's "skeleton expansion"
+//! stage): a program compiled against a [`KernelRegistry`] is prepared
+//! on `skipper-exec`'s `SimBackend`, which lowers it into the process
+//! network that is then scheduled and run. These tests pin the shape of
+//! that network and the diagnostics raised before it is built.
 
-use crate::ast::{Expr, ExprKind, Pattern, Program, TopLet};
-use crate::diag::{Diagnostic, Stage};
-use crate::types::{check_program, Type, TypeEnv};
-use skipper_net::dtype::DataType;
-use skipper_net::graph::{NodeId, NodeKind, ProcessNetwork};
-use skipper_net::pnt::{expand_df, expand_scm, DfTypes, FarmHandles, FarmShape, ScmTypes};
-use std::collections::HashMap;
-
-/// A farm created during expansion.
-#[derive(Debug, Clone)]
-pub struct FarmInfo {
-    /// Skeleton instance id in the network.
-    pub instance: usize,
-    /// Expanded node handles.
-    pub handles: FarmHandles,
-    /// Name of the top-level binding supplying the initial accumulator
-    /// (the paper's `empty_list`).
-    pub init_name: String,
-}
-
-/// The result of expanding a program.
-#[derive(Debug, Clone)]
-pub struct Expansion {
-    /// The process network (validated, acyclic modulo the memory edge).
-    pub net: ProcessNetwork,
-    /// The stream input node (wraps the paper's `read_img`).
-    pub input: NodeId,
-    /// The stream output node (wraps `display_marks`).
-    pub output: NodeId,
-    /// The `MEM` node holding the tracker state.
-    pub mem: NodeId,
-    /// Name of the binding supplying the initial state (the paper's `s0`).
-    pub state_init_name: String,
-    /// Farms instantiated inside the loop.
-    pub farms: Vec<FarmInfo>,
-}
-
-/// Converts an inferred type to a network edge type.
-pub fn to_dtype(t: &Type) -> DataType {
-    match t {
-        Type::Con(c) => match c.as_str() {
-            "int" => DataType::Int,
-            "float" => DataType::Float,
-            "bool" => DataType::Bool,
-            "string" => DataType::Str,
-            "unit" => DataType::Unit,
-            "image" => DataType::Image,
-            other => DataType::named(other),
-        },
-        Type::List(x) => DataType::list(to_dtype(x)),
-        Type::Tuple(xs) => DataType::Tuple(xs.iter().map(to_dtype).collect()),
-        Type::Var(_) => DataType::named("'poly"),
-        Type::Fun(_, _) => DataType::named("<fun>"),
-    }
-}
-
-/// A dataflow source: node, output port and value type.
-#[derive(Debug, Clone)]
-struct Source {
-    node: NodeId,
-    port: usize,
-    ty: Type,
-}
-
-const SKELETON_NAMES: [&str; 4] = ["df", "tf", "scm", "itermem"];
-
-/// Expands `program` (already parseable; types are checked here) into a
-/// process network, instantiating farms with `shape`.
-///
-/// # Errors
-///
-/// Returns a located diagnostic for type errors, unsupported program
-/// shapes, or skeleton nesting.
-pub fn expand_program(
-    env: &TypeEnv,
-    program: &Program,
-    shape: FarmShape,
-) -> Result<Expansion, Diagnostic> {
-    // 1. Type check (also gives us the loop's concrete state type).
-    let types = check_program(env, program)?;
-
-    // 2. Integer configuration constants from top-level bindings.
-    let mut consts: HashMap<String, i64> = HashMap::new();
-    for item in &program.items {
-        if item.params.is_empty() {
-            if let ExprKind::Int(i) = item.body.kind {
-                consts.insert(item.name.clone(), i);
-            }
-        }
-    }
-
-    // 3. Locate `main = itermem inp loop out z0 x`.
-    let main = program
-        .item("main")
-        .ok_or_else(|| Diagnostic::global(Stage::Expand, "program has no `main` binding"))?;
-    let (head, args) = main.body.uncurry_app();
-    let head_name = var_name(head)
-        .ok_or_else(|| Diagnostic::new(Stage::Expand, "main must apply itermem", main.body.span))?;
-    if head_name != "itermem" || args.len() != 5 {
-        return Err(Diagnostic::new(
-            Stage::Expand,
-            "main must be `itermem inp loop out z x`",
-            main.body.span,
-        ));
-    }
-    let inp_name = var_name(args[0]).ok_or_else(|| {
-        Diagnostic::new(
-            Stage::Expand,
-            "itermem input must be a function name",
-            args[0].span,
-        )
-    })?;
-    let loop_name = var_name(args[1]).ok_or_else(|| {
-        Diagnostic::new(
-            Stage::Expand,
-            "itermem loop must be a top-level function",
-            args[1].span,
-        )
-    })?;
-    let out_name = var_name(args[2]).ok_or_else(|| {
-        Diagnostic::new(
-            Stage::Expand,
-            "itermem output must be a function name",
-            args[2].span,
-        )
-    })?;
-    let state_init_name = var_name(args[3]).unwrap_or("state0").to_string();
-    let loop_item = program.item(loop_name).ok_or_else(|| {
-        Diagnostic::new(
-            Stage::Expand,
-            format!("loop function `{loop_name}` is not a top-level binding"),
-            args[1].span,
-        )
-    })?;
-
-    // 4. The loop's inferred type fixes the state/input/output types.
-    let loop_ty = &types
-        .scheme_of(loop_name)
-        .ok_or_else(|| Diagnostic::global(Stage::Expand, "loop has no inferred type"))?
-        .ty;
-    let (state_ty, input_ty, ret_ty) = match loop_ty {
-        Type::Fun(arg, ret) => match arg.as_ref() {
-            Type::Tuple(parts) if parts.len() == 2 => {
-                (parts[0].clone(), parts[1].clone(), (**ret).clone())
-            }
-            _ => {
-                return Err(Diagnostic::new(
-                    Stage::Expand,
-                    format!("loop must take a (state, input) pair, has type {loop_ty}"),
-                    loop_item.span,
-                ))
-            }
-        },
-        _ => {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                format!("loop must be a function, has type {loop_ty}"),
-                loop_item.span,
-            ))
-        }
-    };
-    let (ret0, ret1) = match &ret_ty {
-        Type::Tuple(parts) if parts.len() == 2 => (parts[0].clone(), parts[1].clone()),
-        _ => {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                format!("loop must return a (state', output) pair, returns {ret_ty}"),
-                loop_item.span,
-            ))
-        }
-    };
-    // Which component of the result is the next state?
-    let (state_port, out_port) = if ret0 == state_ty {
-        (0usize, 1usize)
-    } else if ret1 == state_ty {
-        (1, 0)
-    } else {
-        return Err(Diagnostic::new(
-            Stage::Expand,
-            format!("neither component of {ret_ty} matches the state type {state_ty}"),
-            loop_item.span,
-        ));
-    };
-    let y_ty = if out_port == 0 {
-        ret0.clone()
-    } else {
-        ret1.clone()
-    };
-
-    // 5. Build the network skeleton: input, mem, output nodes.
-    let mut ex = ExpandCtx {
-        env,
-        consts,
-        net: ProcessNetwork::new(program.item("main").map_or("main", |m| &m.name)),
-        farms: Vec::new(),
-        shape,
-        sources: HashMap::new(),
-    };
-    let inst = ex.net.fresh_instance();
-    let input = ex.net.add_instance_node(
-        NodeKind::Input(inp_name.to_string()),
-        format!("inp[{inp_name}]"),
-        inst,
-    );
-    let output = ex.net.add_instance_node(
-        NodeKind::Output(out_name.to_string()),
-        format!("out[{out_name}]"),
-        inst,
-    );
-    let mem = ex.net.add_instance_node(NodeKind::Mem, "mem[state]", inst);
-
-    // 6. Bind the loop's (state, input) pattern.
-    let (state_var, input_var) = loop_params(loop_item)?;
-    ex.sources.insert(
-        state_var.to_string(),
-        Source {
-            node: mem,
-            port: 0,
-            ty: state_ty.clone(),
-        },
-    );
-    ex.sources.insert(
-        input_var.to_string(),
-        Source {
-            node: input,
-            port: 0,
-            ty: input_ty.clone(),
-        },
-    );
-    // Mem and Input feed the loop body through ordinary data edges created
-    // lazily when their variables are used.
-
-    // 7. Walk the loop body.
-    let exit = ex.walk(&loop_item.body)?;
-    if exit.port != 0 {
-        return Err(Diagnostic::new(
-            Stage::Expand,
-            "loop result must be the whole value of its final application",
-            loop_item.body.span,
-        ));
-    }
-    // 8. Close the loop: output edge + memory edge.
-    ex.net
-        .add_data_edge(exit.node, out_port, output, 0, to_dtype(&y_ty))
-        .expect("nodes exist");
-    ex.net
-        .add_memory_edge(exit.node, state_port, mem, 0, to_dtype(&state_ty))
-        .expect("nodes exist");
-
-    Ok(Expansion {
-        net: ex.net,
-        input,
-        output,
-        mem,
-        state_init_name,
-        farms: ex.farms,
-    })
-}
-
-fn var_name(e: &Expr) -> Option<&str> {
-    match &e.kind {
-        ExprKind::Var(v) => Some(v),
-        _ => None,
-    }
-}
-
-/// Extracts the `(state, input)` variable names of the loop function.
-fn loop_params(item: &TopLet) -> Result<(&str, &str), Diagnostic> {
-    let bad = || {
-        Diagnostic::new(
-            Stage::Expand,
-            "loop must be declared as `let loop (state, input) = …`",
-            item.span,
-        )
-    };
-    if item.params.len() != 1 {
-        return Err(bad());
-    }
-    match &item.params[0] {
-        Pattern::Tuple(ps, _) if ps.len() == 2 => match (&ps[0], &ps[1]) {
-            (Pattern::Var(a, _), Pattern::Var(b, _)) => Ok((a, b)),
-            _ => Err(bad()),
-        },
-        _ => Err(bad()),
-    }
-}
-
-struct ExpandCtx<'a> {
-    env: &'a TypeEnv,
-    consts: HashMap<String, i64>,
-    net: ProcessNetwork,
-    farms: Vec<FarmInfo>,
-    shape: FarmShape,
-    sources: HashMap<String, Source>,
-}
-
-impl ExpandCtx<'_> {
-    /// Walks a let-chain, returning the source of the final expression.
-    fn walk(&mut self, body: &Expr) -> Result<Source, Diagnostic> {
-        match &body.kind {
-            ExprKind::Let { pat, value, body } => {
-                let src = self.emit_binding(value)?;
-                self.bind_pattern(pat, src)?;
-                self.walk(body)
-            }
-            ExprKind::Var(v) => self.sources.get(v.as_str()).cloned().ok_or_else(|| {
-                Diagnostic::new(
-                    Stage::Expand,
-                    format!("`{v}` is not a dataflow value"),
-                    body.span,
-                )
-            }),
-            ExprKind::App(_, _) => self.emit_binding(body),
-            _ => Err(Diagnostic::new(
-                Stage::Expand,
-                "loop body must be a chain of lets ending in an application",
-                body.span,
-            )),
-        }
-    }
-
-    fn bind_pattern(&mut self, pat: &Pattern, src: Source) -> Result<(), Diagnostic> {
-        match pat {
-            Pattern::Var(v, _) => {
-                self.sources.insert(v.clone(), src);
-                Ok(())
-            }
-            Pattern::Tuple(ps, span) => {
-                let parts = match &src.ty {
-                    Type::Tuple(parts) if parts.len() == ps.len() => parts.clone(),
-                    other => {
-                        return Err(Diagnostic::new(
-                            Stage::Expand,
-                            format!("tuple pattern cannot destructure {other}"),
-                            *span,
-                        ))
-                    }
-                };
-                for (i, (p, t)) in ps.iter().zip(parts).enumerate() {
-                    if let Pattern::Var(v, _) = p {
-                        self.sources.insert(
-                            v.clone(),
-                            Source {
-                                node: src.node,
-                                port: src.port + i,
-                                ty: t,
-                            },
-                        );
-                    }
-                }
-                Ok(())
-            }
-            Pattern::Wildcard(_) | Pattern::Unit(_) => Ok(()),
-        }
-    }
-
-    /// Emits the node(s) for one binding value (an application spine).
-    fn emit_binding(&mut self, value: &Expr) -> Result<Source, Diagnostic> {
-        let (head, args) = value.uncurry_app();
-        let name = var_name(head).ok_or_else(|| {
-            Diagnostic::new(
-                Stage::Expand,
-                "bindings must apply a named function or skeleton",
-                value.span,
-            )
-        })?;
-        match name {
-            "df" | "tf" => self.emit_farm(name, &args, value),
-            "scm" => self.emit_scm(&args, value),
-            "itermem" => Err(Diagnostic::new(
-                Stage::Expand,
-                "itermem cannot appear inside the loop (SKiPPER-I skeletons do not nest)",
-                value.span,
-            )),
-            _ => self.emit_user_fn(name, &args, value),
-        }
-    }
-
-    /// Looks up a function's declared signature as a vector of curried
-    /// argument types plus the result.
-    fn signature_of(&self, name: &str, at: &Expr) -> Result<(Vec<Type>, Type), Diagnostic> {
-        let scheme = self.env.lookup(name).ok_or_else(|| {
-            Diagnostic::new(
-                Stage::Expand,
-                format!("`{name}` is not a declared sequential function"),
-                at.span,
-            )
-        })?;
-        let mut args = Vec::new();
-        let mut t = scheme.ty.clone();
-        while let Type::Fun(a, b) = t {
-            args.push(*a);
-            t = *b;
-        }
-        Ok((args, t))
-    }
-
-    /// Requires that `name` is not itself a skeleton (nesting check).
-    fn reject_skeleton_arg<'e>(&self, e: &'e Expr) -> Result<&'e str, Diagnostic> {
-        let n = var_name(e).ok_or_else(|| {
-            Diagnostic::new(
-                Stage::Expand,
-                "skeleton function arguments must be named sequential functions",
-                e.span,
-            )
-        })?;
-        if SKELETON_NAMES.contains(&n) {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                "SKiPPER-I skeletons cannot be nested",
-                e.span,
-            ));
-        }
-        Ok(n)
-    }
-
-    fn const_int(&self, e: &Expr) -> Result<usize, Diagnostic> {
-        match &e.kind {
-            ExprKind::Int(i) if *i > 0 => Ok(*i as usize),
-            ExprKind::Var(v) => match self.consts.get(v.as_str()) {
-                Some(&i) if i > 0 => Ok(i as usize),
-                _ => Err(Diagnostic::new(
-                    Stage::Expand,
-                    format!("`{v}` must be a positive integer constant (degree of parallelism)"),
-                    e.span,
-                )),
-            },
-            _ => Err(Diagnostic::new(
-                Stage::Expand,
-                "degree of parallelism must be a positive integer constant",
-                e.span,
-            )),
-        }
-    }
-
-    fn data_edge(&mut self, src: &Source, dst: NodeId, port: usize) {
-        self.net
-            .add_data_edge(src.node, src.port, dst, port, to_dtype(&src.ty))
-            .expect("nodes exist");
-    }
-
-    fn emit_user_fn(
-        &mut self,
-        name: &str,
-        args: &[&Expr],
-        at: &Expr,
-    ) -> Result<Source, Diagnostic> {
-        let (arg_tys, ret) = self.signature_of(name, at)?;
-        if args.len() != arg_tys.len() {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                format!(
-                    "`{name}` expects {} argument(s), got {}",
-                    arg_tys.len(),
-                    args.len()
-                ),
-                at.span,
-            ));
-        }
-        let node = self.net.add_node(NodeKind::UserFn(name.to_string()), name);
-        let mut port = 0usize;
-        for arg in args.iter() {
-            match &arg.kind {
-                // Configuration constants are baked into the registered
-                // native function, not wired as dataflow.
-                ExprKind::Int(_)
-                | ExprKind::Float(_)
-                | ExprKind::Bool(_)
-                | ExprKind::Str(_)
-                | ExprKind::Unit
-                | ExprKind::Tuple(_) => {}
-                ExprKind::Var(v) => {
-                    if let Some(c) = self.consts.get(v.as_str()) {
-                        let _ = c; // constant: baked, no edge
-                    } else {
-                        let src = self.sources.get(v.as_str()).cloned().ok_or_else(|| {
-                            Diagnostic::new(
-                                Stage::Expand,
-                                format!("`{v}` is not a dataflow value"),
-                                arg.span,
-                            )
-                        })?;
-                        self.data_edge(&src, node, port);
-                        port += 1;
-                    }
-                }
-                _ => {
-                    return Err(Diagnostic::new(
-                        Stage::Expand,
-                        "arguments must be variables or constants (A-normal form)",
-                        arg.span,
-                    ))
-                }
-            }
-        }
-        Ok(Source {
-            node,
-            port: 0,
-            ty: ret,
-        })
-    }
-
-    fn emit_farm(&mut self, which: &str, args: &[&Expr], at: &Expr) -> Result<Source, Diagnostic> {
-        if args.len() != 5 {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                format!("`{which}` takes 5 arguments"),
-                at.span,
-            ));
-        }
-        let n = self.const_int(args[0])?;
-        let comp = self.reject_skeleton_arg(args[1])?.to_string();
-        let acc = self.reject_skeleton_arg(args[2])?.to_string();
-        let init_name = var_name(args[3]).unwrap_or("farm_init").to_string();
-        let xs_name = var_name(args[4]).ok_or_else(|| {
-            Diagnostic::new(Stage::Expand, "farm input must be a variable", args[4].span)
-        })?;
-        let xs = self.sources.get(xs_name).cloned().ok_or_else(|| {
-            Diagnostic::new(
-                Stage::Expand,
-                format!("`{xs_name}` is not a dataflow value"),
-                args[4].span,
-            )
-        })?;
-        let (comp_args, comp_ret) = self.signature_of(&comp, args[1])?;
-        let (_, acc_ret) = self.signature_of(&acc, args[2])?;
-        let item_ty = comp_args.first().cloned().unwrap_or(Type::con("item"));
-        let types = DfTypes {
-            item: to_dtype(&item_ty),
-            result: to_dtype(&comp_ret),
-            acc: to_dtype(&acc_ret),
-        };
-        let handles = if which == "tf" {
-            skipper_net::pnt::expand_tf(&mut self.net, n, &comp, &acc, types, self.shape)
-        } else {
-            expand_df(&mut self.net, n, &comp, &acc, types, self.shape)
-        };
-        self.data_edge(&xs, handles.master, 0);
-        self.farms.push(FarmInfo {
-            instance: handles.instance,
-            handles: handles.clone(),
-            init_name,
-        });
-        Ok(Source {
-            node: handles.master,
-            port: 0,
-            ty: acc_ret,
-        })
-    }
-
-    fn emit_scm(&mut self, args: &[&Expr], at: &Expr) -> Result<Source, Diagnostic> {
-        if args.len() != 5 {
-            return Err(Diagnostic::new(
-                Stage::Expand,
-                "`scm` takes 5 arguments",
-                at.span,
-            ));
-        }
-        let n = self.const_int(args[0])?;
-        let split = self.reject_skeleton_arg(args[1])?.to_string();
-        let comp = self.reject_skeleton_arg(args[2])?.to_string();
-        let merge = self.reject_skeleton_arg(args[3])?.to_string();
-        let x_name = var_name(args[4]).ok_or_else(|| {
-            Diagnostic::new(Stage::Expand, "scm input must be a variable", args[4].span)
-        })?;
-        let x = self.sources.get(x_name).cloned().ok_or_else(|| {
-            Diagnostic::new(
-                Stage::Expand,
-                format!("`{x_name}` is not a dataflow value"),
-                args[4].span,
-            )
-        })?;
-        let (split_args, split_ret) = self.signature_of(&split, args[1])?;
-        let (_, comp_ret) = self.signature_of(&comp, args[2])?;
-        let (_, merge_ret) = self.signature_of(&merge, args[3])?;
-        let frag_ty = match &split_ret {
-            Type::List(t) => (**t).clone(),
-            other => other.clone(),
-        };
-        let types = ScmTypes {
-            input: to_dtype(split_args.first().unwrap_or(&Type::con("input"))),
-            fragment: to_dtype(&frag_ty),
-            partial: to_dtype(&comp_ret),
-            output: to_dtype(&merge_ret),
-        };
-        let handles = expand_scm(&mut self.net, n, &split, &comp, &merge, types);
-        self.data_edge(&x, handles.split, 0);
-        Ok(Source {
-            node: handles.merge,
-            port: 0,
-            ty: merge_ret,
-        })
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parser::parse_program;
+    use crate::compile::{compile_source, CompiledProgram, KernelRegistry};
+    use crate::diag::Stage;
+    use skipper::{Backend, Skeleton};
+    use skipper_exec::{SimBackend, Value};
+    use skipper_net::graph::{EdgeKind, NodeKind, ProcessNetwork};
     use skipper_net::validate::is_well_formed;
+    use skipper_net::FarmShape;
 
-    fn tracker_env() -> TypeEnv {
-        let mut env = TypeEnv::with_skeletons();
-        for (name, sig) in [
-            ("s0", "state"),
-            ("read_img", "dims -> image"),
-            ("get_windows", "int -> state -> image -> window list"),
-            ("detect_mark", "window -> mark"),
-            ("accum_marks", "mark list -> mark -> mark list"),
-            ("empty_list", "mark list"),
-            ("predict", "mark list -> state * marks_out"),
-            ("display_marks", "marks_out -> unit"),
-            ("dims512", "dims"),
-        ] {
-            env.declare(name, sig).unwrap();
-        }
-        env
+    fn int(v: &Value) -> i64 {
+        v.as_int().expect("int value")
     }
 
-    fn tracker_src() -> &'static str {
-        r#"
-            let nproc = 8;;
-            let loop (state, im) =
-              let ws = get_windows nproc state im in
-              let marks = df nproc detect_mark accum_marks empty_list ws in
-              predict marks;;
-            let main = itermem read_img loop display_marks s0 dims512;;
-        "#
+    /// The paper's tracker kernels (§4), integer-valued.
+    fn tracker_registry() -> KernelRegistry {
+        let mut r = KernelRegistry::new();
+        let sig = "tracker signature parses";
+        r.register_source("read_img", "dims -> image", |_, k| {
+            (k < 3).then(|| Value::Int(k as i64 + 1))
+        })
+        .expect(sig);
+        r.register("get_windows", "int -> state -> image -> window list", |a| {
+            let (n, s, im) = (int(&a[0]), int(&a[1]), int(&a[2]));
+            Value::list((0..n).map(|i| Value::Int(im + s % 5 + i)).collect())
+        })
+        .expect(sig);
+        r.register("detect_mark", "window -> mark", |a| {
+            Value::Int(int(&a[0]) * 3)
+        })
+        .expect(sig);
+        r.register("accum_marks", "mark list -> mark -> mark list", |a| {
+            let mut list = a[0].as_list().expect("marks list").to_vec();
+            list.push(a[1].clone());
+            Value::list(list)
+        })
+        .expect(sig);
+        r.register("predict", "mark list -> state * marks_out", |a| {
+            let total: i64 = a[0].as_list().expect("marks list").iter().map(int).sum();
+            Value::tuple(vec![Value::Int(total % 11), Value::Int(total)])
+        })
+        .expect(sig);
+        r.register("display_marks", "marks_out -> unit", |_| Value::Unit)
+            .expect(sig);
+        r.register_constant("empty_list", "mark list", Value::list(Vec::new()))
+            .expect(sig);
+        r.register_constant("s0", "state", Value::Int(0))
+            .expect(sig);
+        r.register_constant("dims512", "dims", Value::Int(512))
+            .expect(sig);
+        r
+    }
+
+    const TRACKER_SRC: &str = r#"
+        let nproc = 8;;
+        let loop (state, im) =
+          let ws = get_windows nproc state im in
+          let marks = df nproc detect_mark accum_marks empty_list ws in
+          predict marks;;
+        let main = itermem read_img loop display_marks s0 dims512;;
+    "#;
+
+    fn compile(registry: &KernelRegistry, src: &str) -> CompiledProgram {
+        compile_source(registry, src).unwrap_or_else(|d| panic!("compiles: {}", d.render(src)))
+    }
+
+    /// Expands `prog` on `sim`, checks the simulated run against the
+    /// declarative one, and returns the expanded network.
+    fn expand(prog: &CompiledProgram, sim: &SimBackend) -> ProcessNetwork {
+        let exec = Backend::<_, Vec<Value>>::prepare(sim, &prog.loop_program());
+        let net = exec.statics().expect("expands").net().clone();
+        let frames = prog.frames(10);
+        let want = prog.loop_program().run_declarative(frames.clone());
+        assert_eq!(
+            sim.run(&prog.loop_program(), frames).expect("simulates"),
+            want
+        );
+        net
+    }
+
+    fn count(net: &ProcessNetwork, pred: impl Fn(&NodeKind) -> bool) -> usize {
+        net.nodes_where(pred).count()
     }
 
     #[test]
     fn paper_tracker_expands_to_expected_network() {
-        let prog = parse_program(tracker_src()).unwrap();
-        let ex = expand_program(&tracker_env(), &prog, FarmShape::Star).unwrap();
-        // Nodes: input + output + mem + get_windows + master + 8 workers +
-        // predict = 14.
-        assert_eq!(ex.net.len(), 14);
-        assert_eq!(ex.farms.len(), 1);
-        assert_eq!(ex.farms[0].handles.workers.len(), 8);
-        assert_eq!(ex.farms[0].init_name, "empty_list");
-        assert_eq!(ex.state_init_name, "s0");
+        let prog = compile(&tracker_registry(), TRACKER_SRC);
+        let net = expand(&prog, &SimBackend::ring(4));
+        // The itermem frame: input + output + mem + state/frame pair +
+        // unpair = 5. The loop body: env + get_windows + df feed + master +
+        // 8 workers + state pair + df store + predict + result = 16.
+        assert_eq!(net.len(), 21);
+        for kernel in ["get_windows", "predict"] {
+            let calls = count(&net, |k| {
+                k.function_name().is_some_and(|f| f.ends_with(kernel))
+            });
+            assert_eq!(calls, 1, "{kernel}");
+        }
+        assert_eq!(count(&net, |k| matches!(k, NodeKind::Master(_))), 1);
+        assert_eq!(count(&net, |k| matches!(k, NodeKind::Worker(_))), 8);
+        assert_eq!(count(&net, |k| matches!(k, NodeKind::Mem)), 1);
         assert!(
-            is_well_formed(&ex.net),
+            is_well_formed(&net),
             "{:?}",
-            skipper_net::validate::validate(&ex.net)
+            skipper_net::validate::validate(&net)
         );
-        // The itermem loop is closed by a *memory* edge (invisible to
+        // The itermem loop is closed by one *memory* edge (invisible to
         // topo_order), but the embedded df farm is cyclic by design:
         // master <-> worker data edges both ways.
-        assert!(ex.net.topo_order().is_err());
-    }
-
-    #[test]
-    fn tracker_network_wiring() {
-        let prog = parse_program(tracker_src()).unwrap();
-        let ex = expand_program(&tracker_env(), &prog, FarmShape::Star).unwrap();
-        let gw = ex
-            .net
-            .nodes_where(|k| k.function_name() == Some("get_windows"))
-            .next()
-            .unwrap();
-        let master = ex
-            .net
-            .nodes_where(|k| matches!(k, NodeKind::Master(_)))
-            .next()
-            .unwrap();
-        let predict = ex
-            .net
-            .nodes_where(|k| k.function_name() == Some("predict"))
-            .next()
-            .unwrap();
-        // input + mem feed get_windows (nproc is a baked constant).
-        assert_eq!(ex.net.predecessors(gw).len(), 2);
-        assert!(ex.net.successors(gw).contains(&master));
-        assert!(ex.net.successors(master).contains(&predict));
-        // predict feeds the output AND the memory node.
-        assert!(ex.net.successors(predict).contains(&ex.output));
-        let mem_edges: Vec<_> = ex
-            .net
+        let mem_edges = net
             .edges()
             .iter()
-            .filter(|e| e.kind == skipper_net::graph::EdgeKind::Memory)
-            .collect();
-        assert_eq!(mem_edges.len(), 1);
-        assert_eq!(mem_edges[0].from, predict);
-        assert_eq!(mem_edges[0].to, ex.mem);
-        // predict's state component (port 0 per the declared signature
-        // `mark list -> state * marks_out`) goes to memory.
-        assert_eq!(mem_edges[0].from_port, 0);
+            .filter(|e| e.kind == EdgeKind::Memory)
+            .count();
+        assert_eq!(mem_edges, 1);
+        assert!(net.topo_order().is_err());
     }
 
     #[test]
     fn ring_shape_adds_routers() {
-        let prog = parse_program(tracker_src()).unwrap();
-        let ex = expand_program(&tracker_env(), &prog, FarmShape::Ring).unwrap();
-        let routers = ex
-            .net
-            .nodes_where(|k| matches!(k, NodeKind::RouterMw | NodeKind::RouterWm))
-            .count();
-        assert_eq!(routers, 16, "8 M->W + 8 W->M routers");
-    }
-
-    #[test]
-    fn nested_skeleton_rejected() {
-        let src = r#"
-            let loop (state, im) =
-              let r = df 4 (df 2 f g h) acc z im in
-              done r;;
-            let main = itermem read loop show s0 cfg;;
-        "#;
-        // Declarations irrelevant: nesting is detected syntactically before
-        // signature lookup of the offending argument.
-        let mut env = TypeEnv::with_skeletons();
-        for (n, s) in [
-            ("read", "cfg -> image"),
-            ("show", "out -> unit"),
-            ("s0", "st"),
-            ("cfg", "cfg"),
-            ("f", "a -> b"),
-            ("g", "b -> c"),
-            ("h", "c -> d"),
-            ("acc", "z -> r -> z"),
-            ("z", "z"),
-            ("done", "z -> st * out"),
-        ] {
-            env.declare(n, s).unwrap();
-        }
-        let prog = parse_program(src).unwrap();
-        let err = expand_program(&env, &prog, FarmShape::Star).unwrap_err();
-        assert!(
-            err.message.contains("nest") || err.message.contains("mismatch"),
-            "{}",
-            err.message
-        );
-    }
-
-    #[test]
-    fn missing_main_reported() {
-        let prog = parse_program("let x = 1;;").unwrap();
-        let err = expand_program(&TypeEnv::with_skeletons(), &prog, FarmShape::Star).unwrap_err();
-        assert!(err.message.contains("no `main`"));
+        let prog = compile(&tracker_registry(), TRACKER_SRC);
+        let routers = |shape| {
+            let net = expand(&prog, &SimBackend::ring(4).with_farm_shape(shape));
+            assert!(is_well_formed(&net));
+            count(&net, |k| {
+                matches!(k, NodeKind::RouterMw | NodeKind::RouterWm)
+            })
+        };
+        assert_eq!(routers(FarmShape::Star), 0);
+        assert_eq!(routers(FarmShape::Ring), 16, "8 M->W + 8 W->M routers");
     }
 
     #[test]
     fn scm_inside_loop_expands() {
-        let src = r#"
+        let mut r = KernelRegistry::new();
+        let sig = "scm signature parses";
+        r.register_source("grab", "cfg -> image", |_, k| {
+            (k < 3).then(|| Value::Int(k as i64))
+        })
+        .expect(sig);
+        r.register("split_rows", "image -> band list", |a| {
+            Value::list((0..4).map(|j| Value::Int(int(&a[0]) + j)).collect())
+        })
+        .expect(sig);
+        r.register("sobel", "band -> band", |a| Value::Int(2 * int(&a[0])))
+            .expect(sig);
+        r.register("merge_rows", "band list -> image", |a| {
+            Value::Int(a[0].as_list().expect("bands").iter().map(int).sum())
+        })
+        .expect(sig);
+        r.register("finish", "st -> image -> st * out", |a| {
+            let s = int(&a[0]) + int(&a[1]);
+            Value::tuple(vec![Value::Int(s), Value::Int(s)])
+        })
+        .expect(sig);
+        r.register("show", "out -> unit", |_| Value::Unit)
+            .expect(sig);
+        r.register_constant("s0", "st", Value::Int(0)).expect(sig);
+        r.register_constant("cfg", "cfg", Value::Unit).expect(sig);
+        let prog = compile(
+            &r,
+            r#"
             let nproc = 4;;
             let loop (state, im) =
               let bands = scm nproc split_rows sobel merge_rows im in
               finish state bands;;
             let main = itermem grab loop show s0 cfg;;
-        "#;
-        let mut env = TypeEnv::with_skeletons();
-        for (n, s) in [
-            ("grab", "cfg -> image"),
-            ("show", "out -> unit"),
-            ("s0", "st"),
-            ("cfg", "cfg"),
-            ("split_rows", "image -> band list"),
-            ("sobel", "band -> band"),
-            ("merge_rows", "band list -> image"),
-            ("finish", "st -> image -> st * out"),
-        ] {
-            env.declare(n, s).unwrap();
-        }
-        let prog = parse_program(src).unwrap();
-        let ex = expand_program(&env, &prog, FarmShape::Star).unwrap();
-        let splits = ex
-            .net
-            .nodes_where(|k| matches!(k, NodeKind::Split(_)))
-            .count();
-        assert_eq!(splits, 1);
-        // input + output + mem + split + 4 comps + merge + finish = 10.
-        assert_eq!(ex.net.len(), 10);
-        assert!(is_well_formed(&ex.net));
+            "#,
+        );
+        let net = expand(&prog, &SimBackend::ring(3));
+        assert_eq!(count(&net, |k| matches!(k, NodeKind::Split(_))), 1);
+        assert_eq!(count(&net, |k| matches!(k, NodeKind::Merge(_))), 1);
+        let comps = count(&net, |k| {
+            k.function_name().is_some_and(|f| f.ends_with("scm_comp"))
+        });
+        assert_eq!(comps, 4);
+        // The itermem frame (input + output + mem + pair + unpair = 5) and
+        // the loop body: env + scm feed + split + 4 comps + merge + scm
+        // store + finish + result = 11.
+        assert_eq!(net.len(), 16);
+        assert!(is_well_formed(&net));
+    }
+
+    #[test]
+    fn missing_main_reported() {
+        let err = compile_source(&tracker_registry(), "let x = 1;;").unwrap_err();
+        assert!(err.message.contains("no `main`"), "{}", err.message);
     }
 
     #[test]
@@ -798,38 +197,22 @@ mod tests {
         // Fig. 4's contract is loop : 'c * 'b -> 'c * 'd — the next state
         // comes FIRST in the result pair. A loop returning (output, state)
         // must be rejected by type checking against itermem's signature.
-        let src = r#"
+        let mut r = tracker_registry();
+        r.register("work", "state -> image -> marks_out * state", |a| {
+            Value::tuple(vec![a[1].clone(), a[0].clone()])
+        })
+        .expect("work signature parses");
+        let err = compile_source(
+            &r,
+            r#"
             let loop (state, im) =
               let r = work state im in
               r;;
-            let main = itermem grab loop show s0 cfg;;
-        "#;
-        let mut env = TypeEnv::with_skeletons();
-        for (n, s) in [
-            ("grab", "cfg -> image"),
-            ("show", "out -> unit"),
-            ("s0", "st"),
-            ("cfg", "cfg"),
-            ("work", "st -> image -> out * st"),
-        ] {
-            env.declare(n, s).unwrap();
-        }
-        let prog = parse_program(src).unwrap();
-        let err = expand_program(&env, &prog, FarmShape::Star).unwrap_err();
+            let main = itermem read_img loop display_marks s0 dims512;;
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(err.stage, Stage::Type);
         assert!(err.message.contains("mismatch"), "{}", err.message);
-    }
-
-    #[test]
-    fn dtype_conversion() {
-        assert_eq!(to_dtype(&Type::int()), DataType::Int);
-        assert_eq!(to_dtype(&Type::con("image")), DataType::Image);
-        assert_eq!(
-            to_dtype(&Type::list(Type::con("mark"))),
-            DataType::list(DataType::named("mark"))
-        );
-        assert_eq!(
-            to_dtype(&Type::Tuple(vec![Type::int(), Type::bool()])),
-            DataType::Tuple(vec![DataType::Int, DataType::Bool])
-        );
     }
 }

@@ -12,12 +12,14 @@
 //!   signatures of §2 pre-installed, plus a signature parser for declaring
 //!   the application's sequential ("C") functions;
 //! - [`eval`]: a call-by-value interpreter — the *sequential emulation*
-//!   path that lets users debug the algorithm on a workstation;
-//! - [`expand`]: skeleton expansion of a typed program into a
-//!   [`skipper_net::ProcessNetwork`] for the SynDEx-like back-end;
-//! - [`compile`]: lowering of a typed program to a runnable
+//!   path that lets users debug the algorithm on a workstation, and the
+//!   independent reference every compiled run is checked against;
+//! - [`compile`]: the one lowering of a typed program, to a runnable
 //!   [`skipper`] skeleton value (`skipperc`'s core) against a
-//!   [`compile::KernelRegistry`] of named sequential functions;
+//!   [`compile::KernelRegistry`] of named sequential functions. The
+//!   same value runs on the host backends and, through `skipper-exec`'s
+//!   `SimBackend`, expands into the process network that is scheduled
+//!   and executed on the simulated machine;
 //! - [`diag`]: source-located diagnostics shared by every pass.
 //!
 //! # Example
@@ -34,7 +36,8 @@ pub mod ast;
 pub mod compile;
 pub mod diag;
 pub mod eval;
-pub mod expand;
+#[cfg(test)]
+mod expand;
 pub mod parser;
 pub mod token;
 pub mod types;

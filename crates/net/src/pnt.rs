@@ -7,8 +7,6 @@
 //!   `M->W` / `W->M` router chains of the ring-connected Transvision
 //!   configuration;
 //! - [`expand_scm`] — the Split/Compute/Merge geometric template;
-//! - [`expand_tf`] — the task-farm generalisation of `df` in which workers
-//!   can send freshly generated packets back to the master;
 //! - [`expand_itermem`] — Fig. 4: the stream loop with a `MEM` process
 //!   delaying the state by one iteration.
 
@@ -214,53 +212,6 @@ pub fn expand_scm(
     }
 }
 
-/// Expands a `tf` (task-farming) template: like `df`, but every worker has
-/// an additional edge returning freshly generated task packets to the
-/// master.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn expand_tf(
-    net: &mut ProcessNetwork,
-    n: usize,
-    worker_fn: &str,
-    acc: &str,
-    types: DfTypes,
-    shape: FarmShape,
-) -> FarmHandles {
-    let handles = expand_df(net, n, worker_fn, acc, types.clone(), shape);
-    // Task feedback: workers emit new packets of the *item* type back to
-    // the master (port 0 carries results, port 1 carries new tasks).
-    for (i, &w) in handles.workers.iter().enumerate() {
-        match shape {
-            FarmShape::Star => {
-                net.add_data_edge(
-                    w,
-                    1,
-                    handles.master,
-                    100 + i,
-                    DataType::list(types.item.clone()),
-                )
-                .expect("nodes exist");
-            }
-            FarmShape::Ring => {
-                // New tasks travel the same W->M router chain, on their
-                // own port (port 2 carries the chain's result traffic).
-                net.add_data_edge(
-                    w,
-                    1,
-                    handles.routers_wm[i],
-                    3,
-                    DataType::list(types.item.clone()),
-                )
-                .expect("nodes exist");
-            }
-        }
-    }
-    handles
-}
-
 /// Concrete edge types of an `itermem` instance (Fig. 4):
 /// `itermem : ('a -> 'b) -> ('c * 'b -> 'c * 'd) -> ('d -> unit) -> 'c -> 'a -> unit`.
 #[derive(Debug, Clone, PartialEq)]
@@ -424,25 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn tf_adds_task_feedback_edges() {
-        let mut star = ProcessNetwork::new("s");
-        let h = expand_tf(&mut star, 2, "process", "acc", int_types(), FarmShape::Star);
-        // Each worker has 2 outgoing edges: result + new tasks.
-        for &w in &h.workers {
-            assert_eq!(star.out_edges(w).count(), 2);
-        }
-        let mut ring = ProcessNetwork::new("r");
-        let h = expand_tf(&mut ring, 2, "process", "acc", int_types(), FarmShape::Ring);
-        for (i, &w) in h.workers.iter().enumerate() {
-            let to_router = ring
-                .out_edges(w)
-                .filter(|e| e.to == h.routers_wm[i])
-                .count();
-            assert_eq!(to_router, 2);
-        }
-    }
-
-    #[test]
     fn itermem_memory_edge_closes_loop() {
         let mut net = ProcessNetwork::new("t");
         let body = net.add_node(NodeKind::UserFn("loop".into()), "loop");
@@ -512,20 +444,6 @@ mod tests {
         let mut net = ProcessNetwork::new("t");
         let inp = net.add_node(NodeKind::Input("cam".into()), "cam");
         let h = expand_df(&mut net, 3, "comp", "acc", int_types(), FarmShape::Ring);
-        let out = net.add_node(NodeKind::Output("disp".into()), "disp");
-        net.add_data_edge(inp, 0, h.master, 0, DataType::list(DataType::Int))
-            .unwrap();
-        net.add_data_edge(h.master, 0, out, 0, DataType::Int)
-            .unwrap();
-        let issues = crate::validate::validate(&net);
-        assert!(issues.is_empty(), "{issues:?}");
-    }
-
-    #[test]
-    fn ring_tf_farm_is_well_formed_too() {
-        let mut net = ProcessNetwork::new("t");
-        let inp = net.add_node(NodeKind::Input("tasks".into()), "tasks");
-        let h = expand_tf(&mut net, 2, "work", "acc", int_types(), FarmShape::Ring);
         let out = net.add_node(NodeKind::Output("disp".into()), "disp");
         net.add_data_edge(inp, 0, h.master, 0, DataType::list(DataType::Int))
             .unwrap();

@@ -14,8 +14,9 @@
 //! `SKIPPER_WORKERS` when set). Golden results always come from
 //! [`SeqBackend`].
 //!
-//! A backend plugs in by implementing [`ConformanceHarness`] — nine
-//! one-line methods, because a `Backend` impl is per program type and a
+//! A backend plugs in by implementing [`ConformanceHarness`] — `name`
+//! plus one short method per program case, run fresh and prepared
+//! (nineteen in all), because a `Backend` impl is per program type and a
 //! generic suite cannot quantify over all of them. Implementations for
 //! [`SeqBackend`] (self-check), [`ThreadBackend`] and
 //! [`crate::PoolBackend`] live here; `skipper_exec` provides one for its

@@ -1,89 +1,54 @@
-//! The full environment pipeline of Fig. 2: a Skipper-ML source program is
-//! parsed, type-checked, expanded into a process network, scheduled onto a
-//! ring, and emitted as per-processor m4 macro-code.
+//! The full environment pipeline of Fig. 2 on the paper's §4 vehicle
+//! tracker (`examples/dsl/tracking.skp`): the Skipper-ML source is parsed,
+//! type-checked against the application kernels, compiled, expanded into
+//! a process network on a ring of 9 processors, scheduled, verified
+//! dead-lock free and emitted as per-processor m4 macro-code.
 //!
 //! ```text
 //! cargo run --example ml_pipeline
 //! ```
 
-use skipper_lang::expand::expand_program;
-use skipper_lang::parser::parse_program;
-use skipper_lang::types::{check_program, TypeEnv};
-use skipper_net::pnt::FarmShape;
+use skipper::Backend;
+use skipper_apps::kernels::app_registry;
+use skipper_exec::{SimBackend, Value};
+use skipper_lang::{check_program, compile_program, parse_program};
 use skipper_syndex::analysis::check_deadlock_free;
-use skipper_syndex::macrocode::generate;
-use skipper_syndex::schedule::{schedule_with, Strategy};
-use skipper_syndex::Architecture;
-use std::collections::HashMap;
-use transvision::topology::ProcId;
 
-const SOURCE: &str = r#"
-    (* The paper's vehicle tracker, section 4. *)
-    let nproc = 8;;
-    let loop (state, im) =
-      let ws = get_windows nproc state im in
-      let marks = df nproc detect_mark accum_marks empty_list ws in
-      predict state marks;;
-    let main = itermem read_img loop display_marks s0 dims;;
-"#;
+const SOURCE: &str = include_str!("dsl/tracking.skp");
 
 fn main() {
-    // 1. Declare the application's sequential C functions.
-    let mut env = TypeEnv::with_skeletons();
-    for (name, sig) in [
-        ("read_img", "dims -> image"),
-        ("get_windows", "int -> state -> image -> window list"),
-        ("detect_mark", "window -> mark list"),
-        ("accum_marks", "mark list -> mark list -> mark list"),
-        ("empty_list", "mark list"),
-        ("predict", "state -> mark list -> state * mark list"),
-        ("display_marks", "mark list -> unit"),
-        ("s0", "state"),
-        ("dims", "dims"),
-    ] {
-        env.declare(name, sig).expect("signature parses");
-    }
+    // 1. The application's sequential C functions, with their signatures.
+    let registry = app_registry();
 
     // 2. Parse + polymorphic type check.
     let prog = parse_program(SOURCE).expect("parses");
+    let env = registry.type_env().expect("signatures parse");
     let types = check_program(&env, &prog).expect("type checks");
     println!("— type checking —");
     for (name, scheme) in &types.items {
         println!("val {name} : {}", scheme.ty);
     }
 
-    // 3. Skeleton expansion into a process network.
-    let ex = expand_program(&env, &prog, FarmShape::Star).expect("expands");
+    // 3. Compilation, skeleton expansion, AAA mapping/scheduling onto a
+    //    ring of 9 (master + 8 worker processors) and macro-code
+    //    generation: all done once, by `prepare`.
+    let compiled = compile_program(&registry, &prog).expect("compiles");
+    let sim = SimBackend::ring(9);
+    let exec = Backend::<_, Vec<Value>>::prepare(&sim, &compiled.loop_program());
+    let stat = exec.statics().expect("prepares");
     println!(
         "\n— skeleton expansion — {} processes, {} channels",
-        ex.net.len(),
-        ex.net.edges().len()
+        stat.net().len(),
+        stat.net().edges().len()
     );
-
-    // 4. AAA mapping/scheduling onto a ring of 9 (master + 8 workers).
-    let arch = Architecture::ring_t9000(9);
-    let mut pins = HashMap::new();
-    for node in ex.net.nodes() {
-        if !matches!(node.kind, skipper_net::graph::NodeKind::Worker(_)) {
-            pins.insert(node.id, ProcId(0));
-        }
-    }
-    for farm in &ex.farms {
-        for (i, &w) in farm.handles.workers.iter().enumerate() {
-            pins.insert(w, ProcId(1 + i % 8));
-        }
-    }
-    let sched = schedule_with(&ex.net, &arch, &pins, Strategy::MinFinish).expect("schedules");
     println!(
-        "\n— adequation — predicted makespan {:.2} ms on {}",
-        sched.makespan_ns as f64 / 1e6,
-        arch.topology().name()
+        "\n— adequation — predicted makespan {:.2} ms on a 9-processor ring",
+        stat.schedule().makespan_ns as f64 / 1e6
     );
 
-    // 5. Macro-code generation + deadlock verification.
-    let progs = generate(&ex.net, &sched, &arch);
-    check_deadlock_free(&progs, 3).expect("dead-lock free executive");
+    // 4. Deadlock verification of the generated executive.
+    check_deadlock_free(stat.programs(), 3).expect("dead-lock free executive");
     println!("\n— generated executive (P0 macro-code) —");
-    print!("{}", progs[0].emit_m4(&ex.net));
+    print!("{}", stat.programs()[0].emit_m4(stat.net()));
     println!("\n(executive verified dead-lock free over 3 iterations)");
 }

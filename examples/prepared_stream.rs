@@ -50,7 +50,7 @@ fn main() {
     );
     println!(
         "sim schedule: predicted makespan {:.1} us/frame",
-        sim_exec.schedule().expect("prepared").makespan_ns as f64 / 1e3
+        sim_exec.statics().expect("prepared").schedule().makespan_ns as f64 / 1e3
     );
 
     // The frame loop: every frame is one `Executable::run` — no thread
