@@ -6,7 +6,7 @@
 //! band boundaries with a union-find pass — a textbook Split/Compute/Merge
 //! decomposition.
 
-use skipper::{Backend, Executable, FrameSource, Scm, SeqBackend, ThreadBackend};
+use skipper::{Backend, Executable, FrameSource, Scm, SeqBackend};
 use skipper_vision::label::{
     label_components, label_components_reference, Connectivity, DisjointSets,
 };
@@ -147,11 +147,6 @@ pub fn ccl_program_copying(n: usize) -> CclProgram {
     Scm::new(n, split_bands_copying, label_band_copying, merge_bands)
 }
 
-/// Parallel component count via the `scm` skeleton on `n` worker threads.
-pub fn count_components_scm(img: &Image<u8>, n: usize) -> u32 {
-    ThreadBackend::new().run(&ccl_program(n), img)
-}
-
 /// The same count through the declarative semantics (sequential emulation).
 pub fn count_components_scm_seq(img: &Image<u8>, n: usize) -> u32 {
     SeqBackend.run(&ccl_program(n), img)
@@ -205,37 +200,45 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skipper::PoolBackend;
     use skipper_vision::synth::random_blobs;
 
     #[test]
     fn merge_counts_single_blob_across_seam() {
+        let pool = PoolBackend::new();
         // A vertical bar crossing all band boundaries.
         let mut img = Image::<u8>::new(16, 16);
         img.fill_rect(7, 0, 2, 16, 255);
         assert_eq!(count_components_seq(&img), 1);
         for n in [2, 3, 4, 8] {
-            assert_eq!(count_components_scm(&img, n), 1, "n={n}");
+            assert_eq!(count_components_on(&pool, &img, n), 1, "n={n}");
         }
     }
 
     #[test]
     fn diagonal_contact_across_seam_merges() {
+        let pool = PoolBackend::new();
         // Two pixels touching only diagonally across the seam of 2 bands
         // over a 4-row image (seam between rows 1 and 2).
         let mut img = Image::<u8>::new(4, 4);
         img.set(1, 1, 255);
         img.set(2, 2, 255);
         assert_eq!(count_components_seq(&img), 1);
-        assert_eq!(count_components_scm(&img, 2), 1);
+        assert_eq!(count_components_on(&pool, &img, 2), 1);
     }
 
     #[test]
     fn parallel_equals_sequential_on_random_blobs() {
+        let pool = PoolBackend::new();
         for seed in 0..6 {
             let img = random_blobs(96, 96, 14, seed);
             let expected = count_components_seq(&img);
             for n in [1, 2, 3, 5, 8] {
-                assert_eq!(count_components_scm(&img, n), expected, "seed={seed} n={n}");
+                assert_eq!(
+                    count_components_on(&pool, &img, n),
+                    expected,
+                    "seed={seed} n={n}"
+                );
                 assert_eq!(count_components_scm_seq(&img, n), expected);
             }
         }
@@ -243,22 +246,24 @@ mod tests {
 
     #[test]
     fn empty_image_has_zero_components() {
+        let pool = PoolBackend::new();
         let img = Image::<u8>::new(32, 32);
-        assert_eq!(count_components_scm(&img, 4), 0);
+        assert_eq!(count_components_on(&pool, &img, 4), 0);
     }
 
     #[test]
     fn separate_blobs_stay_separate() {
+        let pool = PoolBackend::new();
         let mut img = Image::<u8>::new(32, 32);
         img.fill_rect(2, 2, 4, 4, 255);
         img.fill_rect(20, 20, 4, 4, 255);
         img.fill_rect(10, 28, 4, 2, 255);
-        assert_eq!(count_components_scm(&img, 4), 3);
+        assert_eq!(count_components_on(&pool, &img, 4), 3);
     }
 
     #[test]
     fn source_helper_matches_prepared_slice_helper() {
-        use skipper::{PoolBackend, VecSource, Workers};
+        use skipper::{VecSource, Workers};
         let frames: Vec<Image<u8>> = (0..4).map(|s| random_blobs(48, 48, 6, s)).collect();
         let backend = PoolBackend::configured(Workers::exact(2));
         let expected = count_components_stream_on(&backend, &frames, 3);
@@ -270,7 +275,6 @@ mod tests {
 
     #[test]
     fn copying_baseline_matches_the_arena_pipeline() {
-        use skipper::PoolBackend;
         let backend = PoolBackend::new();
         for seed in 0..4 {
             let img = random_blobs(80, 64, 10, seed);
@@ -295,7 +299,11 @@ mod tests {
 
     #[test]
     fn more_bands_than_rows_still_correct() {
+        let pool = PoolBackend::new();
         let img = random_blobs(64, 6, 5, 9);
-        assert_eq!(count_components_scm(&img, 16), count_components_seq(&img));
+        assert_eq!(
+            count_components_on(&pool, &img, 16),
+            count_components_seq(&img)
+        );
     }
 }

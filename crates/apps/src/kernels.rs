@@ -741,8 +741,9 @@ mod tests {
     fn handwritten_road_matches_native_sequential() {
         let frames = value_frames(road_frame, 3);
         let (_, lines) = road_loop(4).run_declarative(frames);
+        let pool = skipper::PoolBackend::new();
         let expected: Vec<Value> = (0..3)
-            .map(|i| line_value(&crate::road::detect_line_scm(&road_frame(i), 4)))
+            .map(|i| line_value(&crate::road::detect_line_on(&pool, &road_frame(i), 4)))
             .collect();
         assert_eq!(lines, expected);
     }

@@ -5,7 +5,7 @@
 //! lane-marking run centres; the merge step fits one line through all the
 //! samples and reads the lane offset at the bottom of the image.
 
-use skipper::{Backend, Executable, FrameSource, Scm, ThreadBackend};
+use skipper::{Backend, Executable, FrameSource, Scm};
 use skipper_vision::line::{fit_line, scan_line_points, FittedLine, LinePoint};
 use skipper_vision::split::{split_rows, RowBand};
 use skipper_vision::Image;
@@ -82,11 +82,6 @@ pub fn line_program_copying(n: usize) -> LineProgram {
     Scm::new(n, split_line_bands_copying, scan_band, merge_scans)
 }
 
-/// Parallel detection via `scm` over `n` bands.
-pub fn detect_line_scm(img: &Image<u8>, n: usize) -> Option<FittedLine> {
-    ThreadBackend::new().run(&line_program(n), img)
-}
-
 /// Detection on a caller-chosen backend (e.g. `skipper::HostBackend`
 /// parsed from a `--backend` flag).
 pub fn detect_line_on<B>(backend: &B, img: &Image<u8>, n: usize) -> Option<FittedLine>
@@ -142,11 +137,12 @@ pub fn lane_offset(line: &FittedLine, width: usize, height: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skipper::PoolBackend;
     use skipper_vision::synth::render_road_frame;
 
     #[test]
     fn source_helper_matches_prepared_slice_helper() {
-        use skipper::{PoolBackend, VecSource, Workers};
+        use skipper::{VecSource, Workers};
         let frames: Vec<Image<u8>> = (0..4)
             .map(|k| render_road_frame(128, 96, k as f64 * 10.0, 0.05, k).0)
             .collect();
@@ -160,10 +156,11 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_fit() {
+        let pool = PoolBackend::new();
         let (img, _) = render_road_frame(256, 192, 30.0, 0.1, 7);
         let seq = detect_line_seq(&img).unwrap();
         for n in [2, 4, 8] {
-            let par = detect_line_scm(&img, n).unwrap();
+            let par = detect_line_on(&pool, &img, n).unwrap();
             assert_eq!(par.samples, seq.samples, "n={n}");
             assert!((par.a - seq.a).abs() < 1e-9);
             assert!((par.b - seq.b).abs() < 1e-9);
@@ -172,9 +169,10 @@ mod tests {
 
     #[test]
     fn offset_tracks_ground_truth() {
+        let pool = PoolBackend::new();
         for (off, curv) in [(0.0, 0.0), (40.0, 0.0), (-30.0, 0.15), (20.0, -0.1)] {
             let (img, true_bottom_x) = render_road_frame(256, 192, off, curv, 3);
-            let line = detect_line_scm(&img, 4).unwrap();
+            let line = detect_line_on(&pool, &img, 4).unwrap();
             let est_bottom_x = line.x_at(191.0);
             assert!(
                 (est_bottom_x - true_bottom_x).abs() < 8.0,
@@ -185,7 +183,6 @@ mod tests {
 
     #[test]
     fn copying_baseline_matches_the_zero_copy_fit() {
-        use skipper::PoolBackend;
         let backend = PoolBackend::new();
         let (img, _) = render_road_frame(256, 192, 25.0, 0.08, 5);
         for n in [1, 2, 4] {
@@ -197,20 +194,22 @@ mod tests {
 
     #[test]
     fn dark_frame_gives_no_line() {
+        let pool = PoolBackend::new();
         let img = Image::<u8>::new(64, 64);
-        assert!(detect_line_scm(&img, 4).is_none());
+        assert!(detect_line_on(&pool, &img, 4).is_none());
     }
 
     #[test]
     fn lane_offset_sign_convention() {
+        let pool = PoolBackend::new();
         let (img, _) = render_road_frame(256, 192, 50.0, 0.0, 1);
-        let line = detect_line_scm(&img, 4).unwrap();
+        let line = detect_line_on(&pool, &img, 4).unwrap();
         assert!(
             lane_offset(&line, 256, 192) > 0.0,
             "marking right of centre"
         );
         let (img2, _) = render_road_frame(256, 192, -50.0, 0.0, 1);
-        let line2 = detect_line_scm(&img2, 4).unwrap();
+        let line2 = detect_line_on(&pool, &img2, 4).unwrap();
         assert!(lane_offset(&line2, 256, 192) < 0.0);
     }
 }

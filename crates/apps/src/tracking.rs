@@ -508,16 +508,6 @@ pub fn loop_step_seq(state: &TrackState, frame: &Image<u8>) -> (TrackState, Vec<
     predict(state, marks)
 }
 
-/// The same iteration with the detection farm run on real threads via
-/// [`skipper::Df`] on the [`skipper::ThreadBackend`].
-pub fn loop_step_threads(state: &TrackState, frame: &Image<u8>) -> (TrackState, Vec<Mark>) {
-    use skipper::{Backend, ThreadBackend};
-    let windows = get_windows(state, frame);
-    let farm = detection_farm(state.cfg.nproc);
-    let marks = ThreadBackend::new().run(&farm, &windows[..]);
-    predict(state, marks)
-}
-
 /// The mark-detection farm program type, shared by every backend.
 pub type DetectFarm =
     skipper::Df<fn(&Window) -> Vec<Mark>, fn(Vec<Mark>, Vec<Mark>) -> Vec<Mark>, Vec<Mark>>;
@@ -671,23 +661,6 @@ mod tests {
         let d0 = states[9].vehicles[0].distance;
         let d1 = states[9].vehicles[1].distance;
         assert!((d0 - d1).abs() > 2.0);
-    }
-
-    #[test]
-    fn thread_loop_matches_sequential_loop() {
-        let scene = Scene::with_vehicles(scene_cfg(256), 1);
-        let cfg = tracker_cfg(256, 1);
-        let mut s_seq = init_state(cfg);
-        let mut s_par = init_state(cfg);
-        for k in 0..10 {
-            let img = scene.render(k as f64 / 25.0);
-            let (n1, m1) = loop_step_seq(&s_seq, &img);
-            let (n2, m2) = loop_step_threads(&s_par, &img);
-            assert_eq!(m1, m2, "frame {k}: display marks differ");
-            assert_eq!(n1, n2, "frame {k}: states differ");
-            s_seq = n1;
-            s_par = n2;
-        }
     }
 
     #[test]

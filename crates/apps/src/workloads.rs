@@ -15,6 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use skipper::{run_with, Dispatch};
 use skipper_vision::Image;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,32 +72,19 @@ pub fn spin(units: u64) -> u64 {
     acc
 }
 
-/// Wall-clock of processing `items` with a dynamic `df` farm on `workers`
-/// threads.
-pub fn time_df(items: &[u64], workers: usize) -> Duration {
-    use skipper::{Backend, ThreadBackend};
+/// Wall-clock of processing `items` with a dynamic `df` farm of degree
+/// `workers` on `backend` (a persistent pool or shards, created by the
+/// caller outside the timed region).
+pub fn time_df(backend: &dyn Dispatch, items: &[u64], workers: usize) -> Duration {
     let farm = skipper::df(workers, |&u: &u64| spin(u), |z: u64, y: u64| z ^ y, 0u64);
     let t0 = Instant::now();
-    std::hint::black_box(ThreadBackend::new().run(&farm, items));
+    std::hint::black_box(run_with(&farm, Some(backend), items));
     t0.elapsed()
 }
 
-/// Wall-clock of processing `items` with a dynamic `df` farm on a
-/// caller-supplied **persistent** pool backend — pass the same backend
-/// across calls to measure spawn-amortised repeated runs (the pool is
-/// created once, outside the timed region).
-pub fn time_df_pooled(backend: &skipper::PoolBackend, items: &[u64], workers: usize) -> Duration {
-    use skipper::Backend;
-    let farm = skipper::df(workers, |&u: &u64| spin(u), |z: u64, y: u64| z ^ y, 0u64);
-    let t0 = Instant::now();
-    std::hint::black_box(backend.run(&farm, items));
-    t0.elapsed()
-}
-
-/// Wall-clock of processing `items` with a static `scm` decomposition into
-/// `workers` contiguous chunks.
-pub fn time_scm(items: &[u64], workers: usize) -> Duration {
-    use skipper::{Backend, ThreadBackend};
+/// Wall-clock of processing `items` on `backend` with a static `scm`
+/// decomposition into `workers` contiguous chunks.
+pub fn time_scm(backend: &dyn Dispatch, items: &[u64], workers: usize) -> Duration {
     let scm = skipper::scm(
         workers,
         |v: &Vec<u64>, n| {
@@ -110,7 +98,7 @@ pub fn time_scm(items: &[u64], workers: usize) -> Duration {
     );
     let owned = items.to_vec();
     let t0 = Instant::now();
-    std::hint::black_box(ThreadBackend::new().run(&scm, &owned));
+    std::hint::black_box(run_with(&scm, Some(backend), &owned));
     t0.elapsed()
 }
 
@@ -251,10 +239,10 @@ mod tests {
     #[test]
     fn df_and_scm_compute_identical_results() {
         // Both runners fold with XOR, so results must agree exactly.
-        use skipper::{Backend, ThreadBackend};
+        use skipper::{Backend, PoolBackend};
         let items = skewed_units(40, 2000.0, 1.5, 3);
         let farm = skipper::df(4, |&u: &u64| spin(u), |z: u64, y: u64| z ^ y, 0u64);
-        let df_result = ThreadBackend::new().run(&farm, &items[..]);
+        let df_result = PoolBackend::new().run(&farm, &items[..]);
         let seq_result = items.iter().map(|&u| spin(u)).fold(0u64, |z, y| z ^ y);
         assert_eq!(df_result, seq_result);
     }
@@ -265,8 +253,9 @@ mod tests {
         // the big chunk on one worker.
         let mut items = vec![20_000u64; 4];
         items.extend(vec![200u64; 60]);
-        let df = time_df(&items, 4);
-        let scm = time_scm(&items, 4);
+        let pool = skipper::PoolBackend::new();
+        let df = time_df(&pool, &items, 4);
+        let scm = time_scm(&pool, &items, 4);
         // df should not be slower by more than a small factor; typically it
         // is faster. Use a lenient bound to stay robust on loaded CI boxes.
         assert!(

@@ -1,8 +1,8 @@
 //! E6 micro-benchmark: dynamic farming vs static splitting under skew,
-//! plus the same dynamic farm on the persistent pool backend.
+//! both on one persistent pool backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skipper_apps::workloads::{skewed_units, time_df, time_df_pooled, time_scm};
+use skipper_apps::workloads::{skewed_units, time_df, time_scm};
 
 fn bench_balance(c: &mut Criterion) {
     let mut g = c.benchmark_group("df_vs_scm");
@@ -13,17 +13,12 @@ fn bench_balance(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("df", format!("cv{cv}")),
             &items,
-            |b, it| b.iter(|| time_df(it, 4)),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("df_pool", format!("cv{cv}")),
-            &items,
-            |b, it| b.iter(|| time_df_pooled(&pool, it, 4)),
+            |b, it| b.iter(|| time_df(&pool, it, 4)),
         );
         g.bench_with_input(
             BenchmarkId::new("scm", format!("cv{cv}")),
             &items,
-            |b, it| b.iter(|| time_scm(it, 4)),
+            |b, it| b.iter(|| time_scm(&pool, it, 4)),
         );
     }
     g.finish();

@@ -1,16 +1,12 @@
 //! Skeleton-overhead micro-benchmarks: the same program values timed on
-//! the sequential and thread backends.
+//! the sequential and pool backends.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use skipper::{
-    df, itermem, pure, scm, tf, Backend, Executable, IterMem, PoolBackend, SeqBackend,
-    ThreadBackend,
-};
+use skipper::{df, itermem, pure, scm, tf, Backend, Executable, IterMem, PoolBackend, SeqBackend};
 
 fn bench_skeletons(c: &mut Criterion) {
     let xs: Vec<u64> = (0..512).collect();
     let seq = SeqBackend;
-    let threads = ThreadBackend::new();
     let pool = PoolBackend::new();
     let mut g = c.benchmark_group("skeletons");
     // Repeated runs of one program are the prepared regime: each bench
@@ -18,10 +14,6 @@ fn bench_skeletons(c: &mut Criterion) {
     let farm = df(4, |x: &u64| x * x, |z: u64, y| z + y, 0u64);
     g.bench_function("df_seq_512", |b| {
         let exec = Backend::<_, &[u64]>::prepare(&seq, &farm);
-        b.iter(|| exec.run(&xs[..]))
-    });
-    g.bench_function("df_par_512", |b| {
-        let exec = Backend::<_, &[u64]>::prepare(&threads, &farm);
         b.iter(|| exec.run(&xs[..]))
     });
     g.bench_function("df_pool_512", |b| {
@@ -35,7 +27,7 @@ fn bench_skeletons(c: &mut Criterion) {
             |c: Vec<u64>| c.iter().map(|x| x * x).sum::<u64>(),
             |ps: Vec<u64>| ps.into_iter().sum::<u64>(),
         );
-        let exec = threads.prepare(&prog);
+        let exec = pool.prepare(&prog);
         b.iter(|| exec.run(&xs))
     });
     g.bench_function("tf_par_tree", |b| {
@@ -51,7 +43,7 @@ fn bench_skeletons(c: &mut Criterion) {
             |z: u64, o| z + o,
             0u64,
         );
-        b.iter(|| threads.run(&prog, vec![8]))
+        b.iter(|| pool.run(&prog, vec![8]))
     });
     g.bench_function("itermem_prog_1000_steps", |b| {
         // Zero-sized frames: the per-iteration `frames.clone()` copies no

@@ -4,12 +4,12 @@
 //! experiments                   # run everything
 //! experiments e3 e4             # run selected experiments
 //! experiments --backend pool e9 # host-side experiments on the pool backend
-//! experiments --list            # print the e1–e19 index
+//! experiments --list            # print the experiment index
 //! experiments --streams 256 e16 # serving experiment at a chosen scale
 //! experiments --smoke e19       # small-geometry CI rung, floors off
 //! ```
 //!
-//! `--backend {seq,thread,pool,shard,dist,sim}` selects the execution
+//! `--backend {seq,pool,shard,dist,sim}` selects the execution
 //! strategy for the host-side experiments (E9/E10/E11); the simulator
 //! experiments (E1–E8, E12) always run the paper pipeline, and the
 //! distributed ladder (E17) always compares pool, shard and worker
@@ -29,7 +29,7 @@ fn print_index() {
     println!("  all  run every experiment in order");
     println!("options:");
     println!(
-        "  --backend {{seq,thread,pool,shard,dist,sim}}  host-side execution strategy (default thread)"
+        "  --backend {{seq,pool,shard,dist,sim}}  host-side execution strategy (default pool)"
     );
     println!(
         "  --streams N                      stream count for the serving experiment (default 128)"
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
             match it.next() {
                 Some(v) => Some(v),
                 None => {
-                    eprintln!("--backend needs a value (seq, thread, pool, shard, dist or sim)");
+                    eprintln!("--backend needs a value (seq, pool, shard, dist or sim)");
                     return ExitCode::FAILURE;
                 }
             }

@@ -11,7 +11,7 @@
 //! skipperc examples/dsl/ccl.skp --plan --workers 4    # SynDEx schedule
 //! ```
 //!
-//! `--backend {seq,thread,pool,shard,sim}` picks the strategy (default
+//! `--backend {seq,pool,shard,sim}` picks the strategy (default
 //! `seq`), `--workers N` the degree (host strategies and the simulated
 //! ring's processor count), `--frames N` the stream length (default 4).
 //!
@@ -40,7 +40,7 @@ use skipper_lang::compile_source;
 
 fn usage() {
     say!("usage: skipperc FILE.skp [options]");
-    say!("  --backend {{seq,thread,pool,shard,sim}}  execution strategy (default seq)");
+    say!("  --backend {{seq,pool,shard,sim}}  execution strategy (default seq)");
     say!("  --workers N                            worker count / simulated processors");
     say!("  --frames N                             stream length (default 4)");
     say!("  --plan                                 print the SynDEx schedule and exit");

@@ -35,10 +35,9 @@ fn header(id: &str, title: &str) {
 pub enum BackendChoice {
     /// `SeqBackend`: declarative emulation.
     Seq,
-    /// `ThreadBackend`: scoped threads per run (the default).
+    /// `PoolBackend`: one persistent work-stealing pool for all runs
+    /// (the default).
     #[default]
-    Thread,
-    /// `PoolBackend`: one persistent work-stealing pool for all runs.
     Pool,
     /// `ShardBackend`: two partition-routed worker pools.
     Shard,
@@ -61,13 +60,12 @@ impl std::str::FromStr for BackendChoice {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "seq" => Ok(BackendChoice::Seq),
-            "thread" | "threads" => Ok(BackendChoice::Thread),
             "pool" => Ok(BackendChoice::Pool),
             "shard" => Ok(BackendChoice::Shard),
             "dist" => Ok(BackendChoice::Dist),
             "sim" => Ok(BackendChoice::Sim),
             other => Err(format!(
-                "unknown backend `{other}` (expected seq, thread, pool, shard, dist or sim)"
+                "unknown backend `{other}` (expected seq, pool, shard, dist or sim)"
             )),
         }
     }
@@ -81,7 +79,7 @@ pub fn set_backend(choice: BackendChoice) {
     let _ = CHOICE.set(choice);
 }
 
-/// The selected backend ([`BackendChoice::Thread`] when none was given).
+/// The selected backend ([`BackendChoice::Pool`] when none was given).
 pub fn backend() -> BackendChoice {
     CHOICE.get().copied().unwrap_or_default()
 }
@@ -120,7 +118,6 @@ pub fn smoke() -> bool {
 fn host_backend() -> skipper::HostBackend {
     match backend() {
         BackendChoice::Seq | BackendChoice::Sim => skipper::HostBackend::Seq,
-        BackendChoice::Thread => skipper::HostBackend::Thread(skipper::ThreadBackend::new()),
         BackendChoice::Pool => skipper::HostBackend::Pool(skipper::PoolBackend::new()),
         // `dist` maps to the sharded stand-in here: host-side payloads
         // (images, tracker state) are not wire-encodable, and E17 owns
@@ -132,7 +129,7 @@ fn host_backend() -> skipper::HostBackend {
 }
 
 /// The experiment index: id, one-line title, runner.
-pub const INDEX: [(&str, &str, fn()); 19] = [
+pub const INDEX: [(&str, &str, fn()); 18] = [
     ("e1", "df process network template (Fig. 1)", e1),
     (
         "e2",
@@ -149,11 +146,6 @@ pub const INDEX: [(&str, &str, fn()); 19] = [
     ("e10", "road following: white-line detection (scm)", e10),
     ("e11", "tf (task farming): quadtree region splitting", e11),
     ("e12", "AAA mapper: makespan and deadlock freedom", e12),
-    (
-        "e13",
-        "pool vs thread: spawn amortisation on repeated fine-grained runs",
-        e13,
-    ),
     (
         "e14",
         "tracking loop on a ring farm: predicted vs simulated vs host wall-clock",
@@ -838,55 +830,6 @@ pub fn e12() {
         total_ratio / cases as f64
     );
     println!("executives deadlock-free : {checked}/{checked}");
-}
-
-/// E13 — the pool backend's reason to exist: repeated fine-grained runs
-/// (the real-time loop regime) on per-run spawned threads vs the
-/// persistent work-stealing pool.
-pub fn e13() {
-    use skipper::{df, Backend, Executable, PoolBackend, ThreadBackend};
-    header(
-        "E13",
-        "pool vs thread: spawn amortisation on repeated fine-grained runs",
-    );
-    let farm = df(
-        4,
-        |&u: &u64| workloads::spin(u),
-        |z: u64, y: u64| z ^ y,
-        0u64,
-    );
-    let threads = ThreadBackend::new();
-    let pool = PoolBackend::new();
-    // The repeated-run regime is exactly what `prepare` is for: both
-    // inner loops below drive one prepared executable per backend.
-    let thread_exec = Backend::<_, &[u64]>::prepare(&threads, &farm);
-    let pool_exec = Backend::<_, &[u64]>::prepare(&pool, &farm);
-    println!(
-        "pool: {} persistent worker(s) (SKIPPER_WORKERS overrides)",
-        pool.threads()
-    );
-    println!("per-item units   runs   thread (us/run)   pool (us/run)   thread/pool");
-    for units in [50u64, 500, 5_000, 50_000] {
-        let items = vec![units; 64];
-        let runs = 100;
-        // Warm-up: fault in both paths, and pin result agreement.
-        assert_eq!(thread_exec.run(&items[..]), pool_exec.run(&items[..]));
-        let t0 = Instant::now();
-        for _ in 0..runs {
-            std::hint::black_box(thread_exec.run(&items[..]));
-        }
-        let spawned = t0.elapsed().as_secs_f64() * 1e6 / runs as f64;
-        let t0 = Instant::now();
-        for _ in 0..runs {
-            std::hint::black_box(pool_exec.run(&items[..]));
-        }
-        let pooled = t0.elapsed().as_secs_f64() * 1e6 / runs as f64;
-        println!(
-            "{units:>14}   {runs:>4}   {spawned:>15.1}   {pooled:>13.1}   {:>11.2}",
-            spawned / pooled
-        );
-    }
-    println!("(thread/pool > 1 means the persistent pool wins)");
 }
 
 /// E14 — the paper's flagship regime end-to-end: the real-time tracking
@@ -1673,7 +1616,7 @@ pub fn arena_json(
 /// ([`ccl::ccl_program_copying`], [`road::line_program_copying`] — the
 /// whole pipeline exactly as it ran before the refactor). Asserts the
 /// outputs agree frame by frame, and that [`skipper::RunReceipt`]s for
-/// the arena program are identical across seq/thread/pool/shard *and*
+/// the arena program are identical across seq/pool/shard *and*
 /// unchanged from the copying baseline's receipt. Returns the
 /// `(ccl, road)` pool speedups, each asserted against its floor when
 /// given.
@@ -1686,9 +1629,7 @@ pub fn run_arena_experiment(
     min_road_speedup: Option<f64>,
     json_path: Option<&std::path::Path>,
 ) -> (f64, f64) {
-    use skipper::{
-        receipted, Backend, Executable, PoolBackend, SeqBackend, ShardBackend, ThreadBackend,
-    };
+    use skipper::{receipted, Backend, Executable, PoolBackend, SeqBackend, ShardBackend};
     use skipper_vision::Image;
     // A small rotation of distinct frames, rendered once (outside every
     // timed region); rotating defeats single-frame cache residency.
@@ -1766,11 +1707,9 @@ pub fn run_arena_experiment(
     // hashes a frame id; trace and output hashes carry the run.)
     let frame0 = &distinct_blobs[0];
     let (_, r_seq) = receipted(&0u64, || SeqBackend.run(&ccl_arena, frame0));
-    let (_, r_thread) = receipted(&0u64, || ThreadBackend::new().run(&ccl_arena, frame0));
     let (_, r_pool) = receipted(&0u64, || pool.run(&ccl_arena, frame0));
     let (_, r_shard) = receipted(&0u64, || ShardBackend::new(2).run(&ccl_arena, frame0));
     let (_, r_baseline) = receipted(&0u64, || SeqBackend.run(&ccl_copy, frame0));
-    assert_eq!(r_seq, r_thread, "seq/thread receipts must match");
     assert_eq!(r_seq, r_pool, "seq/pool receipts must match");
     assert_eq!(r_seq, r_shard, "seq/shard receipts must match");
     assert_eq!(

@@ -22,7 +22,7 @@ fn skipperc(args: &[&str]) -> Output {
 #[test]
 fn every_example_runs_on_every_backend() {
     for src in ["ccl.skp", "road.skp", "tracking.skp"] {
-        for backend in ["seq", "thread", "pool", "shard", "sim"] {
+        for backend in ["seq", "pool", "shard", "sim"] {
             let path = example(src);
             let out = skipperc(&[
                 path.to_str().unwrap(),

@@ -1,12 +1,13 @@
 //! The simulator backend: running [`Skeleton`] programs through the full
 //! paper pipeline.
 //!
-//! [`SimBackend`] is the third execution strategy for a skeleton program
-//! (after `skipper::SeqBackend` and `skipper::ThreadBackend`): it lowers
+//! [`SimBackend`] is the execution strategy that runs a skeleton program
+//! on the modelled machine (next to `skipper::SeqBackend`'s emulation
+//! and the host dispatchers such as `skipper::PoolBackend`): it lowers
 //! the program through [`skipper_net::pnt`] template expansion, SynDEx
 //! scheduling and macro-code generation, then interprets the generated
 //! executive on the simulated Transputer machine with real application
-//! values — so the one-line program that runs on host threads also runs,
+//! values — so the one-line program that runs on a host pool also runs,
 //! unmodified, on the modelled parallel machine.
 //!
 //! ```
@@ -37,7 +38,10 @@
 //!
 //! let farm = df(3, |x: &i64| x + 1, |z: i64, y| z + y, 0i64);
 //! let backend = SimBackend::ring(4);
-//! let exec = backend.prepare(&farm); // lower + schedule + codegen once
+//! // Lower + schedule + codegen once. The input type is spelled out
+//! // because a farm is a program over two input shapes (an item slice,
+//! // or an `itermem` loop's `(state, frame)` pair).
+//! let exec = Backend::<_, &[i64]>::prepare(&backend, &farm);
 //! for frame in 1..=3i64 {
 //!     let items: Vec<i64> = (0..frame).collect();
 //!     let simulated = exec.run(&items[..]).expect("prepared farm runs");
@@ -1156,97 +1160,24 @@ where
 
 use skipper::{Backend, Executable};
 
-impl<'a, I, C, A, Z> Backend<Df<C, A, Z>, &'a [I]> for SimBackend
+/// Every lowerable one-shot program ([`Df`], [`Scm`], [`Tf`], [`Pure`]
+/// and [`Then`] pipelines of them) prepares into a [`SimExecutable`]
+/// typed by its input's shape.
+impl<P, In> Backend<P, In> for SimBackend
 where
-    Df<C, A, Z>: SimLower<&'a [I]> + Skeleton<&'a [I], Output = Z>,
-    I: SimValue,
-    Z: SimValue,
-{
-    type Output = Result<Z, ExecError>;
-
-    type Prepared<'p>
-        = SimExecutable<SliceInput<I>, Z>
-    where
-        Self: 'p,
-        Df<C, A, Z>: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p Df<C, A, Z>) -> SimExecutable<SliceInput<I>, Z> {
-        SimExecutable::new(self.compile::<&'a [I], _>(prog))
-    }
-}
-
-impl<'a, I, R, S, C, M> Backend<Scm<S, C, M>, &'a I> for SimBackend
-where
-    Scm<S, C, M>: SimLower<&'a I> + Skeleton<&'a I, Output = R>,
-    I: SimValue,
-    R: SimValue,
-{
-    type Output = Result<R, ExecError>;
-
-    type Prepared<'p>
-        = SimExecutable<RefInput<I>, R>
-    where
-        Self: 'p,
-        Scm<S, C, M>: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p Scm<S, C, M>) -> SimExecutable<RefInput<I>, R> {
-        SimExecutable::new(self.compile::<&'a I, _>(prog))
-    }
-}
-
-impl<T, W, A, Z> Backend<Tf<W, A, Z>, Vec<T>> for SimBackend
-where
-    Tf<W, A, Z>: SimLower<Vec<T>> + Skeleton<Vec<T>, Output = Z>,
-    T: SimValue,
-    Z: SimValue,
-{
-    type Output = Result<Z, ExecError>;
-
-    type Prepared<'p>
-        = SimExecutable<Vec<T>, Z>
-    where
-        Self: 'p,
-        Tf<W, A, Z>: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p Tf<W, A, Z>) -> SimExecutable<Vec<T>, Z> {
-        SimExecutable::new(self.compile::<Vec<T>, _>(prog))
-    }
-}
-
-impl<In, Out, F> Backend<Pure<F>, In> for SimBackend
-where
-    Pure<F>: SimLower<In> + Skeleton<In, Output = Out>,
-    In: SimValue + SimInput,
-    Out: SimValue,
-{
-    type Output = Result<Out, ExecError>;
-
-    type Prepared<'p>
-        = SimExecutable<In::Shape, Out>
-    where
-        Self: 'p,
-        Pure<F>: 'p;
-
-    fn prepare<'p>(&'p self, prog: &'p Pure<F>) -> SimExecutable<In::Shape, Out> {
-        SimExecutable::new(self.compile::<In, _>(prog))
-    }
-}
-
-impl<In, Out, A, B> Backend<Then<A, B>, In> for SimBackend
-where
-    Then<A, B>: SimLower<In> + Skeleton<In, Output = Out>,
+    P: SimLower<In>,
     In: SimInput,
-    Out: SimValue,
+    P::Output: SimValue,
 {
-    type Output = Result<Out, ExecError>;
+    type Output = Result<P::Output, ExecError>;
 
     type Prepared<'p>
-        = SimExecutable<In::Shape, Out>
+        = SimExecutable<In::Shape, P::Output>
     where
         Self: 'p,
-        Then<A, B>: 'p;
+        P: 'p;
 
-    fn prepare<'p>(&'p self, prog: &'p Then<A, B>) -> SimExecutable<In::Shape, Out> {
+    fn prepare<'p>(&'p self, prog: &'p P) -> SimExecutable<In::Shape, P::Output> {
         SimExecutable::new(self.compile::<In, _>(prog))
     }
 }

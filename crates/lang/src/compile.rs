@@ -4,8 +4,8 @@
 //! the single source of truth": a DSL program — the paper's §3 Caml
 //! subset, parsed by [`crate::parser`] and typed by [`crate::types`] —
 //! is lowered to a real [`skipper`] program value that runs unmodified
-//! on every backend (`SeqBackend`, `ThreadBackend`, `PoolBackend`,
-//! `ShardBackend`, and `skipper-exec`'s `SimBackend`).
+//! on every backend (`SeqBackend`, `PoolBackend`, `ShardBackend`, and
+//! `skipper-exec`'s `SimBackend`).
 //!
 //! # Shape of a compilable program
 //!
@@ -1460,7 +1460,7 @@ pub fn compile_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper::{Backend, PoolBackend, ShardBackend, ThreadBackend, Workers};
+    use skipper::{Backend, PoolBackend, ShardBackend, Workers};
     use skipper_exec::SimBackend;
 
     fn int(v: &Value) -> i64 {
@@ -1540,9 +1540,7 @@ let main = itermem lists loop show 0 ();;
         assert_eq!(ys.iter().map(int).collect::<Vec<_>>(), want_ys);
         let w = Workers::exact(2);
         let pool = PoolBackend::configured(w);
-        let threads = ThreadBackend::configured(w);
         let shards = ShardBackend::configured(2, w);
-        assert_eq!(threads.run(&lp, frames.clone()), (z.clone(), ys.clone()));
         assert_eq!(pool.run(&lp, frames.clone()), (z.clone(), ys.clone()));
         assert_eq!(shards.run(&lp, frames.clone()), (z.clone(), ys.clone()));
         let mut zs = prog.init().clone();

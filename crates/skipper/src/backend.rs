@@ -13,10 +13,9 @@
 //! farm round, the `tf` task round and the `itermem` frame loop live in
 //! this module and in the skeleton types, and a dispatcher only answers
 //! how many lanes a round's units are routed over and where a lane's jobs
-//! run. [`ThreadBackend`], [`crate::PoolBackend`] and
-//! [`crate::ShardBackend`] are the three dispatchers; every one of them is
-//! a [`Backend`] for every program, and they share one prepared form,
-//! [`HostExecutable`].
+//! run. [`crate::PoolBackend`] and [`crate::ShardBackend`] are the two
+//! dispatchers; each of them is a [`Backend`] for every program, and they
+//! share one prepared form, [`HostExecutable`].
 //!
 //! # The prepare/run lifecycle
 //!
@@ -64,27 +63,15 @@
 //! | Backend | Crate | Dispatch | Use it for |
 //! |---|---|---|---|
 //! | [`SeqBackend`] | `skipper` | — | debugging, golden results, reference semantics |
-//! | [`ThreadBackend`] | `skipper` | 1 lane, fresh scoped threads | one-shot coarse-grained parallel runs on the host CPU |
-//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller helps | repeated fine-grained runs: a persistent work-stealing pool amortises thread spawn cost |
+//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller helps | parallel runs on the host CPU: a persistent work-stealing pool, no thread spawn per run |
 //! | [`crate::ShardBackend`] | `skipper` | N lanes, one pool each | partition-routed runs over independent pools, the rehearsal of distribution |
 //! | `SimBackend` | `skipper-exec` | — (lowers the program) | the paper pipeline: latency/scaling studies on a modelled machine |
 //!
 //! Every backend is held to the same contract by the reusable suite in
 //! [`crate::conformance`], including a prepared-equivalence axis: one
 //! executable, run repeatedly, must keep matching the golden results.
-//!
-//! ```
-//! use skipper::{df, Backend, SeqBackend, ThreadBackend};
-//!
-//! let farm = df(4, |x: &u64| x * x, |z: u64, y| z + y, 0u64);
-//! let xs: Vec<u64> = (1..=100).collect();
-//! assert_eq!(
-//!     ThreadBackend::new().run(&farm, &xs[..]),
-//!     SeqBackend.run(&farm, &xs[..]),
-//! );
-//! ```
 
-use crate::program::{Skeleton, Workers};
+use crate::program::Skeleton;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -157,7 +144,6 @@ where
 ///
 /// | Dispatcher | lanes | a lane's jobs run on |
 /// |---|---|---|
-/// | [`ThreadBackend`] | 1 | fresh crossbeam scoped threads |
 /// | [`crate::PoolBackend`] | 1 | the persistent pool; the caller helps |
 /// | [`crate::ShardBackend`] | N | shard `lane`'s pool; the coordinator parks |
 ///
@@ -170,13 +156,6 @@ pub trait Dispatch: Sync + std::fmt::Debug {
     /// Runs `job(0)`, …, `job(jobs - 1)` on lane `lane`, returning once
     /// all of them have finished; a panicking job is re-raised here.
     fn run_jobs(&self, lane: usize, jobs: usize, job: &(dyn Fn(usize) + Sync));
-
-    /// How many jobs a farm round of a program built with degree
-    /// `prog_degree` runs per lane. Only a [`ThreadBackend`] worker
-    /// override changes it.
-    fn degree(&self, prog_degree: usize) -> usize {
-        prog_degree
-    }
 }
 
 /// Runs `prog` on `input` through `dispatch`, or declaratively when
@@ -231,7 +210,7 @@ fn chunk_size(len: usize, jobs: usize) -> usize {
 
 /// One `df`/`scm` farm round on `d`: `unit(i)` for every `i < units`,
 /// results returned **in unit order**. Units are routed to lanes by
-/// [`lane_of`]; on each lane, `d.degree(degree)` jobs claim chunks of
+/// [`lane_of`]; on each lane, `degree` jobs claim chunks of
 /// the lane's units from an atomic cursor (the self-scheduling workers
 /// of paper Fig. 1, batched), keep their results, and store them into
 /// the units' slots once, when the lane's units run out.
@@ -247,13 +226,12 @@ pub(crate) fn map_units<O: Send>(
         routes[lane_of(i, lanes)].push(i);
     }
     let slots = Mutex::new((0..units).map(|_| None).collect::<Vec<Option<O>>>());
-    let jobs = d.degree(degree);
     each_lane(d, &|lane| {
         let ids = &routes[lane];
         if ids.is_empty() {
             return;
         }
-        let jobs = jobs.min(ids.len());
+        let jobs = degree.min(ids.len());
         let chunk = chunk_size(ids.len(), jobs);
         let next = AtomicUsize::new(0);
         d.run_jobs(lane, jobs, &|_| {
@@ -284,7 +262,7 @@ pub(crate) fn map_units<O: Send>(
 }
 
 /// One `tf` round on `d`: root tasks are routed to lanes by [`lane_of`];
-/// each lane keeps one task queue that `d.degree(degree)` jobs pop
+/// each lane keeps one task queue that `degree` jobs pop
 /// from and push generated subtasks onto (subtasks stay on their root's
 /// lane), until the lane's outstanding count reaches zero. Results are
 /// returned in arrival order.
@@ -305,13 +283,12 @@ pub(crate) fn task_round<T: Send, O: Send>(
         .map(|q| (AtomicUsize::new(q.len()), Mutex::new(q)))
         .collect();
     let out = Mutex::new(Vec::new());
-    let jobs = d.degree(degree);
     each_lane(d, &|lane| {
         let (outstanding, queue) = &lanes[lane];
         if outstanding.load(Ordering::SeqCst) == 0 {
             return;
         }
-        d.run_jobs(lane, jobs, &|_| {
+        d.run_jobs(lane, degree, &|_| {
             // Counts the popped task as completed even when `work`
             // unwinds: without this, a panicking task leaves
             // `outstanding` above zero forever and the sibling jobs
@@ -322,17 +299,25 @@ pub(crate) fn task_round<T: Send, O: Send>(
                     self.0.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            let backoff = crossbeam::utils::Backoff::new();
+            // Idle backoff: 2^k spin hints for k <= 6, then yields.
+            let mut idle = 0u32;
             loop {
                 let task = queue.lock().expect("task queue poisoned").pop_front();
                 let Some(t) = task else {
                     if outstanding.load(Ordering::SeqCst) == 0 {
                         return;
                     }
-                    backoff.snooze();
+                    if idle <= 6 {
+                        for _ in 0..1u32 << idle {
+                            std::hint::spin_loop();
+                        }
+                        idle += 1;
+                    } else {
+                        std::thread::yield_now();
+                    }
                     continue;
                 };
-                backoff.reset();
+                idle = 0;
                 let done = TaskDone(outstanding);
                 let (new_tasks, result) = work(t);
                 if !new_tasks.is_empty() {
@@ -419,70 +404,10 @@ where
     }
 }
 
-/// The thread backend: runs the operational semantics on crossbeam scoped
-/// threads, spawned afresh for every farm round.
-///
-/// By default each program runs with its own degree of parallelism (which
-/// itself defaults to [`crate::default_workers`] when the program was
-/// built with a worker count of 0); [`ThreadBackend::configured`] with
-/// [`Workers::Exact`] overrides it for every program run through this
-/// backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadBackend {
-    workers: Workers,
-}
-
-impl ThreadBackend {
-    /// A thread backend using each program's own degree of parallelism
-    /// (equivalent to `ThreadBackend::configured(Workers::Default)`).
-    pub fn new() -> Self {
-        ThreadBackend::default()
-    }
-
-    /// A thread backend with the given worker configuration.
-    /// [`Workers::Default`] runs each program with its own degree;
-    /// [`Workers::Exact`] / [`Workers::FromEnv`] override it for every
-    /// program run through this backend ([`Workers::FromEnv`] reads the
-    /// environment when a farm round asks for its degree).
-    ///
-    /// The override controls how many threads a farm round runs, not the
-    /// program's decomposition: an `scm` split still produces fragments
-    /// according to the degree the program was built with, so its
-    /// effective parallelism is capped by that fragment count.
-    pub fn configured(workers: Workers) -> Self {
-        ThreadBackend { workers }
-    }
-
-    /// The worker configuration this backend was built with.
-    pub fn worker_config(&self) -> Workers {
-        self.workers
-    }
-}
-
-impl Dispatch for ThreadBackend {
-    fn lanes(&self) -> usize {
-        1
-    }
-
-    fn run_jobs(&self, _lane: usize, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
-        crossbeam::thread::scope(|s| {
-            for j in 0..jobs {
-                s.spawn(move |_| job(j));
-            }
-        })
-        .expect("worker thread panicked");
-    }
-
-    fn degree(&self, prog_degree: usize) -> usize {
-        self.workers.resolve().map_or(prog_degree, |n| n.get())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{df, scm, tf, PoolBackend, ShardBackend};
-    use std::num::NonZeroUsize;
+    use crate::{df, scm, tf, PoolBackend, ShardBackend, Workers};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
@@ -535,8 +460,7 @@ mod tests {
         // of stalling the suite.
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let dispatchers: [Box<dyn Dispatch>; 3] = [
-                Box::new(ThreadBackend::new()),
+            let dispatchers: [Box<dyn Dispatch>; 2] = [
                 Box::new(PoolBackend::configured(Workers::exact(2))),
                 Box::new(ShardBackend::configured(2, Workers::exact(2))),
             ];
@@ -563,51 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn seq_and_thread_agree_on_a_farm() {
-        let farm = df(4, |x: &u64| x * 3, |z: u64, y| z + y, 0u64);
-        let xs: Vec<u64> = (0..200).collect();
-        assert_eq!(
-            SeqBackend.run(&farm, &xs[..]),
-            ThreadBackend::new().run(&farm, &xs[..])
-        );
-    }
-
-    #[test]
-    fn worker_override_still_computes_the_same_result() {
-        let farm = df(2, |x: &u64| x + 1, |z: u64, y| z + y, 0u64);
-        let xs: Vec<u64> = (0..50).collect();
-        let narrow = ThreadBackend::configured(Workers::exact(1));
-        let wide = ThreadBackend::configured(Workers::exact(8));
-        assert_eq!(narrow.run(&farm, &xs[..]), wide.run(&farm, &xs[..]));
-        assert_eq!(narrow.worker_config().resolve(), NonZeroUsize::new(1));
-        assert_eq!(ThreadBackend::new().worker_config(), Workers::Default);
-    }
-
-    #[test]
     fn prepared_executables_match_fresh_runs() {
         let farm = df(3, |x: &u64| x * 7 + 1, |z: u64, y| z + y, 5u64);
         // The input type annotation picks the slice-input `Skeleton` impl
         // (farms also run as `itermem` loop bodies over `&(Z, Vec<_>)`).
         let seq = Backend::<_, &[u64]>::prepare(&SeqBackend, &farm);
-        let threads = ThreadBackend::new();
-        let thr = Backend::<_, &[u64]>::prepare(&threads, &farm);
+        let pool = PoolBackend::configured(Workers::exact(3));
+        let pooled = Backend::<_, &[u64]>::prepare(&pool, &farm);
         for len in [0usize, 1, 17, 64] {
             let xs: Vec<u64> = (0..len as u64).collect();
             let golden = SeqBackend.run(&farm, &xs[..]);
             // Re-running one executable must keep matching fresh runs.
             assert_eq!(seq.run(&xs[..]), golden);
             assert_eq!(seq.run(&xs[..]), golden);
-            assert_eq!(thr.run(&xs[..]), golden);
-            assert_eq!(thr.run(&xs[..]), golden);
+            assert_eq!(pooled.run(&xs[..]), golden);
+            assert_eq!(pooled.run(&xs[..]), golden);
         }
-    }
-
-    #[test]
-    fn prepared_thread_executable_pins_the_override() {
-        let farm = df(2, |x: &u64| x + 2, |z: u64, y| z + y, 0u64);
-        let narrow = ThreadBackend::configured(Workers::exact(1));
-        let exec = Backend::<_, &[u64]>::prepare(&narrow, &farm);
-        let xs: Vec<u64> = (0..30).collect();
-        assert_eq!(exec.run(&xs[..]), SeqBackend.run(&farm, &xs[..]));
     }
 }

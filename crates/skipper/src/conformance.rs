@@ -18,25 +18,25 @@
 //! plus one short method per program case, run fresh and prepared
 //! (nineteen in all), because a `Backend` impl is per program type and a
 //! generic suite cannot quantify over all of them. Implementations for
-//! [`SeqBackend`] (self-check), [`ThreadBackend`] and
-//! [`crate::PoolBackend`] live here; `skipper_exec` provides one for its
-//! `SimBackend`. The program cases are deliberately built from plain `fn`
+//! [`SeqBackend`] (self-check), [`crate::PoolBackend`],
+//! [`crate::ShardBackend`] and [`crate::HostBackend`] live here;
+//! `skipper_exec` provides one for its `SimBackend`. The program cases are deliberately built from plain `fn`
 //! pointers so their types are nameable and lowerable by every backend,
 //! and the farm accumulators are commutative-associative (the paper's
 //! stated side condition for farm equivalence).
 //!
 //! ```
 //! use skipper::conformance::assert_backend_conforms;
-//! use skipper::ThreadBackend;
+//! use skipper::PoolBackend;
 //!
-//! assert_backend_conforms(&ThreadBackend::new());
+//! assert_backend_conforms(&PoolBackend::new());
 //! ```
 
 use crate::backend::{Backend, Dispatch, Executable};
 use crate::pool::PoolBackend;
 use crate::program::{default_workers, Workers};
 use crate::receipt::{receipted, RunReceipt};
-use crate::{Df, IterLoop, Pure, Scm, SeqBackend, Tf, Then, ThreadBackend};
+use crate::{Df, IterLoop, Pure, Scm, SeqBackend, Tf, Then};
 
 /// The `df` conformance program type.
 pub type DfProg = Df<fn(&i64) -> i64, fn(i64, i64) -> i64, i64>;
@@ -425,7 +425,6 @@ macro_rules! host_harness {
 }
 
 host_harness!(SeqBackend, "SeqBackend");
-host_harness!(ThreadBackend, "ThreadBackend");
 host_harness!(PoolBackend, "PoolBackend");
 host_harness!(crate::HostBackend, "HostBackend");
 host_harness!(crate::dist::ShardBackend, "ShardBackend");
@@ -897,7 +896,6 @@ pub trait ReceiptHarness: ConformanceHarness {
 }
 
 impl ReceiptHarness for SeqBackend {}
-impl ReceiptHarness for ThreadBackend {}
 impl ReceiptHarness for PoolBackend {}
 impl ReceiptHarness for crate::HostBackend {}
 impl ReceiptHarness for crate::dist::ShardBackend {}
@@ -1091,7 +1089,7 @@ pub fn assert_serving_conforms(backend: &dyn Dispatch) {
 /// standard [`worker_counts`] sweep.
 ///
 /// Strategies exercised: declarative, then every [`Dispatch`] host
-/// backend — threads, a pool, and two shards — sized to each worker count.
+/// backend — a pool and two shards — sized to each worker count.
 pub fn assert_programs_equivalent<P, Q, I, O>(label: &str, p: &P, q: &Q, inputs: &[I])
 where
     P: crate::Skeleton<I, Output = O>,
@@ -1103,11 +1101,10 @@ where
 
     for &workers in &worker_counts() {
         let w = Workers::exact(workers);
-        let (thread, pool) = (ThreadBackend::configured(w), PoolBackend::configured(w));
+        let pool = PoolBackend::configured(w);
         let shard = ShardBackend::configured(2, w);
-        let strategies: [(&str, Option<&dyn Dispatch>); 4] = [
+        let strategies: [(&str, Option<&dyn Dispatch>); 3] = [
             ("declarative", None),
-            ("threaded", Some(&thread)),
             ("pooled", Some(&pool)),
             ("sharded", Some(&shard)),
         ];

@@ -27,10 +27,10 @@ use std::num::NonZeroUsize;
 /// # Example
 ///
 /// ```
-/// use skipper::{df, Backend, ThreadBackend};
+/// use skipper::{df, Backend, PoolBackend};
 /// let farm = df(3, |s: &String| s.len(), |z, l| z + l, 0usize);
 /// let words = vec!["skeleton".to_string(), "farm".to_string()];
-/// assert_eq!(ThreadBackend::new().run(&farm, &words[..]), 12);
+/// assert_eq!(PoolBackend::new().run(&farm, &words[..]), 12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Df<C, A, Z> {
@@ -191,7 +191,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, PoolBackend, SeqBackend, ShardBackend, ThreadBackend, Workers};
+    use crate::{Backend, PoolBackend, SeqBackend, ShardBackend, Workers};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -210,7 +210,7 @@ mod tests {
         let farm = Df::new(4, |x: &u64| x * x, |z, y| z + y, 0u64);
         let xs: Vec<u64> = (0..500).collect();
         assert_eq!(
-            ThreadBackend::new().run(&farm, &xs[..]),
+            PoolBackend::new().run(&farm, &xs[..]),
             SeqBackend.run(&farm, &xs[..])
         );
     }
@@ -224,8 +224,7 @@ mod tests {
             |z: String, y: String| z + &y,
             String::new(),
         );
-        let dispatchers: [Box<dyn Dispatch>; 4] = [
-            Box::new(ThreadBackend::new()),
+        let dispatchers: [Box<dyn Dispatch>; 3] = [
             Box::new(PoolBackend::configured(Workers::exact(1))),
             Box::new(PoolBackend::configured(Workers::exact(4))),
             Box::new(ShardBackend::configured(2, Workers::exact(2))),
@@ -242,27 +241,27 @@ mod tests {
     #[test]
     fn empty_input_returns_initial() {
         let farm = Df::new(2, |x: &i32| *x, |z: i32, y| z + y, 7);
-        assert_eq!(ThreadBackend::new().run(&farm, &[][..]), 7);
+        assert_eq!(PoolBackend::new().run(&farm, &[][..]), 7);
         assert_eq!(SeqBackend.run(&farm, &[][..]), 7);
     }
 
     #[test]
     fn single_item_single_worker() {
         let farm = Df::new(1, |x: &i32| x + 1, |z: i32, y| z + y, 0);
-        assert_eq!(ThreadBackend::new().run(&farm, &[41][..]), 42);
+        assert_eq!(PoolBackend::new().run(&farm, &[41][..]), 42);
     }
 
     #[test]
     fn more_workers_than_items_is_fine() {
         let farm = Df::new(16, |x: &i32| *x, |z: i32, y| z + y, 0);
-        assert_eq!(ThreadBackend::new().run(&farm, &[1, 2, 3][..]), 6);
+        assert_eq!(PoolBackend::new().run(&farm, &[1, 2, 3][..]), 6);
     }
 
     #[test]
-    fn backend_override_wins_over_program_degree() {
+    fn pool_wider_than_program_degree_is_fine() {
         let farm = Df::new(1, |x: &u64| *x, |z: u64, y| z + y, 0u64);
         let xs: Vec<u64> = (0..100).collect();
-        let wide = ThreadBackend::configured(crate::Workers::exact(8));
+        let wide = PoolBackend::configured(Workers::exact(8));
         assert_eq!(wide.run(&farm, &xs[..]), SeqBackend.run(&farm, &xs[..]));
     }
 
@@ -279,7 +278,7 @@ mod tests {
             0u64,
         );
         let xs: Vec<u64> = (0..1000).collect();
-        let total = ThreadBackend::new().run(&farm, &xs[..]);
+        let total = PoolBackend::new().run(&farm, &xs[..]);
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(total, xs.iter().sum::<u64>());
     }
@@ -301,8 +300,11 @@ mod tests {
             |z, y| z + y,
             0u64,
         );
+        // Four pool threads, so the sleeping jobs overlap however many
+        // cores the host has.
+        let pool = PoolBackend::configured(Workers::exact(4));
         let t0 = std::time::Instant::now();
-        let total = ThreadBackend::new().run(&farm, &xs[..]);
+        let total = pool.run(&farm, &xs[..]);
         let elapsed = t0.elapsed();
         assert_eq!(total, 40 + 40 * 2);
         let serial = Duration::from_millis(total);
@@ -316,24 +318,25 @@ mod tests {
     fn nesting_a_farm_inside_a_farm_works() {
         // The paper's SKiPPER-I cannot nest skeletons; the Rust library can.
         let inner_sums: Vec<Vec<u64>> = (0..8).map(|i| (0..=i).collect()).collect();
+        let inner_pool = PoolBackend::configured(Workers::exact(2));
         let outer = Df::new(
             2,
             |v: &Vec<u64>| {
                 let inner = Df::new(2, |x: &u64| *x, |z, y| z + y, 0u64);
-                ThreadBackend::new().run(&inner, &v[..])
+                inner_pool.run(&inner, &v[..])
             },
             |z, y| z + y,
             0u64,
         );
         let expected: u64 = inner_sums.iter().flatten().sum();
-        assert_eq!(ThreadBackend::new().run(&outer, &inner_sums[..]), expected);
+        assert_eq!(PoolBackend::new().run(&outer, &inner_sums[..]), expected);
     }
 
     #[test]
     fn zero_workers_selects_the_default() {
         let farm = Df::new(0, |x: &i32| *x, |z: i32, y: i32| z + y, 0);
         assert_eq!(farm.workers(), crate::default_workers().get());
-        assert_eq!(ThreadBackend::new().run(&farm, &[1, 2, 3][..]), 6);
+        assert_eq!(PoolBackend::new().run(&farm, &[1, 2, 3][..]), 6);
     }
 
     #[test]
@@ -345,7 +348,7 @@ mod tests {
         // The hint is advisory on host backends: results are unchanged.
         let xs: Vec<u64> = (0..32).collect();
         assert_eq!(
-            ThreadBackend::new().run(&hinted, &xs[..]),
+            PoolBackend::new().run(&hinted, &xs[..]),
             SeqBackend.run(&hinted, &xs[..])
         );
     }

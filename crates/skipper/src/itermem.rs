@@ -363,14 +363,15 @@ mod tests {
     #[test]
     fn loop_body_may_use_a_farm() {
         // The paper's tracker: a df farm inside the itermem loop.
-        use crate::{Backend, ThreadBackend};
+        use crate::{Backend, PoolBackend};
         let farm = crate::Df::new(4, |x: &u64| x * x, |z: u64, y| z + y, 0u64);
         let frames: Vec<Vec<u64>> = (1..=3).map(|k| (0..k * 4).collect()).collect();
+        let pool = PoolBackend::new();
         let mut totals = Vec::new();
         let mut im = IterMem::new(
             stream_of(frames.clone()),
             |z: u64, frame: Vec<u64>| {
-                let s = ThreadBackend::new().run(&farm, &frame[..]);
+                let s = pool.run(&farm, &frame[..]);
                 (z + s, s)
             },
             |y| totals.push(y),

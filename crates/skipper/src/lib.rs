@@ -25,13 +25,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use skipper::{df, Backend, SeqBackend, ThreadBackend};
+//! use skipper::{df, Backend, PoolBackend, SeqBackend};
 //!
 //! // df 4 (·²) (+) 0 [1..=100] — irregular work, dynamic balancing.
 //! let farm = df(4, |x: &u64| x * x, |z: u64, y: u64| z + y, 0u64);
 //! let xs: Vec<u64> = (1..=100).collect();
 //! assert_eq!(
-//!     ThreadBackend::new().run(&farm, &xs[..]),
+//!     PoolBackend::new().run(&farm, &xs[..]),
 //!     SeqBackend.run(&farm, &xs[..]),
 //! );
 //! ```
@@ -44,16 +44,13 @@
 //! - Every other host backend is a [`Dispatch`]: the *operational*
 //!   semantics ([`Skeleton::run_on`]) is written once, and a dispatcher
 //!   only says where the jobs of each farm round run.
-//! - [`ThreadBackend`] runs them on crossbeam scoped threads (the modern
-//!   stand-in for the paper's Transputer process networks). Worker
-//!   counts default to [`std::thread::available_parallelism`] when a
-//!   program is built with a degree of 0, and can be overridden per
-//!   backend with [`ThreadBackend::configured`] and a [`Workers`] value.
 //! - [`PoolBackend`] runs them on a **persistent work-stealing thread
-//!   pool** created once per backend. Prefer it when programs run
-//!   repeatedly on small inputs (the real-time `itermem` loop, per-frame
-//!   farms): it amortises the thread spawn cost [`ThreadBackend`] pays on
-//!   every farm round.
+//!   pool** created once per backend (the modern stand-in for the
+//!   paper's Transputer process networks), so a frame loop pays no
+//!   thread spawn per farm round. The pool is sized by a [`Workers`]
+//!   value ([`PoolBackend::configured`]; `SKIPPER_WORKERS`, else
+//!   [`std::thread::available_parallelism`], by default), while each
+//!   program's own degree governs how many jobs a round runs.
 //! - `SimBackend` (in the `skipper-exec` crate) lowers the same program
 //!   through process-network expansion, SynDEx scheduling and macro-code
 //!   generation, and executes it on the simulated Transputer machine —
@@ -113,9 +110,7 @@ pub mod spec;
 pub mod tf;
 pub mod wire;
 
-pub use backend::{
-    run_with, Backend, Dispatch, Executable, HostExecutable, SeqBackend, ThreadBackend,
-};
+pub use backend::{run_with, Backend, Dispatch, Executable, HostExecutable, SeqBackend};
 pub use df::Df;
 pub use dist::{DistBackend, DistError, ShardBackend};
 pub use itermem::{frames_from_fn, stream_of, BoundedSource, FrameSource, IterMem, VecSource};

@@ -1,12 +1,11 @@
 //! The pool backend: a persistent work-stealing thread pool.
 //!
-//! [`crate::ThreadBackend`] spawns fresh scoped threads on **every** `run`
-//! call — faithful to the paper's process networks, but a real-time image
-//! loop (`itermem` at 25 Hz, or the repeated-run harness in
-//! `skipper-bench`) pays thread-creation cost per frame. [`PoolBackend`]
-//! removes that overhead: a [`WorkerPool`] of OS threads is created once
-//! (when the backend is built) and reused across `run` calls, so
-//! fine-grained workloads amortise spawn cost to (almost) zero.
+//! A real-time image loop (`itermem` at 25 Hz, or the repeated-run
+//! harness in `skipper-bench`) runs a farm round per frame; spawning
+//! threads for each round would cost more than the round's work.
+//! [`PoolBackend`] creates a [`WorkerPool`] of OS threads once (when the
+//! backend is built) and reuses it across `run` calls, so fine-grained
+//! workloads pay no thread creation per frame.
 //!
 //! # Design
 //!
@@ -26,15 +25,15 @@
 //! - **Scoped, borrowing jobs.** Skeleton runs borrow their input
 //!   (`&[I]`) and user functions (`&C`), so jobs must be non-`'static`.
 //!   [`WorkerPool::scope`] provides the same guarantee as
-//!   `crossbeam::thread::scope`: it does not return until every job
+//!   [`std::thread::scope`]: it does not return until every job
 //!   spawned in it has finished, which makes handing borrowed closures to
 //!   the pool sound (see the `SAFETY` notes inline).
 //!
 //! # Semantics
 //!
-//! [`PoolBackend`] runs the same operational semantics
-//! ([`Skeleton::run_on`]) as [`crate::ThreadBackend`] and is subject to
-//! the same paper side condition: `tf` accumulation must be commutative
+//! [`PoolBackend`] runs the operational semantics ([`Skeleton::run_on`])
+//! shared by every [`Dispatch`] and is subject to the paper's side
+//! condition: `tf` accumulation must be commutative
 //! and associative, because task results are folded in arrival order.
 //! The backend-conformance kit ([`crate::conformance`]) pins the
 //! agreement with [`crate::SeqBackend`] golden results for every
@@ -214,8 +213,8 @@ impl WorkerPool {
     /// While waiting, the calling thread *helps*: it steals queued jobs
     /// (of any scope) and runs them, so a pool is never idle while its
     /// owner blocks. If a job panics, the panic is re-raised here once
-    /// all jobs of the scope have completed (matching
-    /// `crossbeam::thread::scope`'s propagation in the shim).
+    /// all jobs of the scope have completed (as [`std::thread::scope`]
+    /// does).
     pub fn scope<'pool, 'scope, F, R>(&'pool self, f: F) -> R
     where
         F: FnOnce(&PoolScope<'pool, 'scope>) -> R,
@@ -393,17 +392,14 @@ impl<'scope> PoolScope<'_, 'scope> {
 /// The pool execution strategy: persistent work-stealing threads, created
 /// once per backend and shared by clones.
 ///
-/// Prefer it over [`crate::ThreadBackend`] when the same (or successive)
-/// programs run **repeatedly on small inputs** — the real-time `itermem`
-/// loop, per-frame farms, benchmark harnesses — where per-run thread
-/// spawning dominates. For one-shot coarse-grained runs the two backends
-/// perform alike.
+/// It is the one-lane host [`Dispatch`]: the real-time `itermem` loop,
+/// per-frame farms and benchmark harnesses run **repeatedly on small
+/// inputs** without spawning a thread per run.
 ///
 /// The pool size defaults to [`Workers::FromEnv`] (the `SKIPPER_WORKERS`
 /// environment variable, else [`std::thread::available_parallelism`]); it
 /// bounds *physical* parallelism, while each program's own degree still
-/// governs its decomposition, exactly as with a
-/// [`crate::ThreadBackend::configured`] worker override.
+/// governs its decomposition and the number of jobs a round runs.
 #[derive(Debug, Clone)]
 pub struct PoolBackend {
     pool: Arc<WorkerPool>,
@@ -421,8 +417,7 @@ impl PoolBackend {
 
     /// A pool backend with the given worker configuration. A pool always
     /// has a concrete size, so the configuration is resolved **here**
-    /// (including any `SKIPPER_WORKERS` read for [`Workers::FromEnv`]):
-    /// [`Workers::Default`] spawns [`crate::default_workers`] threads.
+    /// (including any `SKIPPER_WORKERS` read for [`Workers::FromEnv`]).
     pub fn configured(workers: Workers) -> Self {
         PoolBackend {
             pool: Arc::new(WorkerPool::new(workers.resolve_or_default())),
@@ -471,7 +466,7 @@ impl Dispatch for PoolBackend {
 }
 
 /// A backend selected at runtime among the host execution strategies
-/// ([`crate::SeqBackend`], [`crate::ThreadBackend`], [`PoolBackend`]) —
+/// ([`crate::SeqBackend`], [`PoolBackend`], [`crate::ShardBackend`]) —
 /// the CLI-friendly form used by `skipper-bench`'s `--backend` flag and
 /// the examples.
 ///
@@ -486,8 +481,6 @@ impl Dispatch for PoolBackend {
 pub enum HostBackend {
     /// Declarative emulation ([`crate::SeqBackend`]).
     Seq,
-    /// Scoped threads per run ([`crate::ThreadBackend`]).
-    Thread(crate::ThreadBackend),
     /// Persistent work-stealing pool ([`PoolBackend`]).
     Pool(PoolBackend),
     /// Hash-partitioned shards over independent pools
@@ -497,32 +490,27 @@ pub enum HostBackend {
 
 impl HostBackend {
     /// Selects a host strategy by CLI name with an explicit worker
-    /// configuration: `seq` ignores it, `thread` and `pool` apply it as
-    /// [`crate::ThreadBackend::configured`] /
-    /// [`PoolBackend::configured`] do. (`FromStr` keeps each backend's
-    /// own default: no override for threads, `SKIPPER_WORKERS` for the
-    /// pool.)
+    /// configuration: `seq` ignores it, `pool` and `shard` size their
+    /// pools with it as [`PoolBackend::configured`] and
+    /// [`crate::ShardBackend::configured`] do. (`FromStr` is this with
+    /// [`Workers::FromEnv`].)
     pub fn configured(kind: &str, workers: Workers) -> Result<Self, String> {
         match kind {
             "seq" => Ok(HostBackend::Seq),
-            "thread" | "threads" => Ok(HostBackend::Thread(crate::ThreadBackend::configured(
-                workers,
-            ))),
             "pool" => Ok(HostBackend::Pool(PoolBackend::configured(workers))),
             "shard" => Ok(HostBackend::Shard(crate::dist::ShardBackend::configured(
                 2, workers,
             ))),
             other => Err(format!(
-                "unknown host backend `{other}` (expected seq, thread, pool or shard)"
+                "unknown host backend `{other}` (expected seq, pool or shard)"
             )),
         }
     }
 
-    /// The strategy's CLI name (`seq`, `thread`, `pool` or `shard`).
+    /// The strategy's CLI name (`seq`, `pool` or `shard`).
     pub fn name(&self) -> &'static str {
         match self {
             HostBackend::Seq => "seq",
-            HostBackend::Thread(_) => "thread",
             HostBackend::Pool(_) => "pool",
             HostBackend::Shard(_) => "shard",
         }
@@ -533,15 +521,7 @@ impl std::str::FromStr for HostBackend {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "seq" => Ok(HostBackend::Seq),
-            "thread" | "threads" => Ok(HostBackend::Thread(crate::ThreadBackend::new())),
-            "pool" => Ok(HostBackend::Pool(PoolBackend::new())),
-            "shard" => Ok(HostBackend::Shard(crate::dist::ShardBackend::new(2))),
-            other => Err(format!(
-                "unknown host backend `{other}` (expected seq, thread, pool or shard)"
-            )),
-        }
+        HostBackend::configured(s, Workers::FromEnv)
     }
 }
 
@@ -560,7 +540,6 @@ where
     fn prepare<'p>(&'p self, prog: &'p P) -> HostExecutable<'p, P> {
         let dispatch: Option<&dyn Dispatch> = match self {
             HostBackend::Seq => None,
-            HostBackend::Thread(t) => Some(t),
             HostBackend::Pool(p) => Some(p),
             HostBackend::Shard(s) => Some(s),
         };
@@ -573,7 +552,6 @@ mod tests {
     use super::*;
     use crate::{df, itermem, pure, scm, tf, Compose, SeqBackend};
     use std::sync::atomic::AtomicU64;
-    use std::time::Instant;
 
     #[test]
     fn df_on_pool_matches_seq() {
@@ -731,45 +709,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_beats_thread_spawn_on_repeated_fine_grained_runs() {
-        // The tentpole claim: repeated runs over small inputs are faster on
-        // the persistent pool than on per-run spawned threads. Generous
-        // margin (pool must merely not lose) keeps this stable on loaded CI.
-        let farm = df(4, |x: &u64| x.wrapping_mul(31) ^ x, |z: u64, y| z ^ y, 0u64);
-        let xs: Vec<u64> = (0..128).collect();
-        let runs = 100;
-        let threads = crate::ThreadBackend::new();
-        let pool = PoolBackend::new();
-        // Warm both paths.
-        let a = threads.run(&farm, &xs[..]);
-        let b = pool.run(&farm, &xs[..]);
-        assert_eq!(a, b);
-        let t0 = Instant::now();
-        for _ in 0..runs {
-            std::hint::black_box(threads.run(&farm, &xs[..]));
-        }
-        let spawned = t0.elapsed();
-        let t0 = Instant::now();
-        for _ in 0..runs {
-            std::hint::black_box(pool.run(&farm, &xs[..]));
-        }
-        let pooled = t0.elapsed();
-        assert!(
-            pooled <= spawned * 2,
-            "pool lost badly on fine-grained repeated runs: pool {pooled:?} vs thread {spawned:?}"
-        );
-    }
-
-    #[test]
     fn host_backend_parses_and_runs() {
         let farm = df(2, |x: &u64| x + 1, |z: u64, y| z + y, 0u64);
         let xs = [1u64, 2, 3];
         let golden = SeqBackend.run(&farm, &xs[..]);
-        for name in ["seq", "thread", "pool", "shard"] {
+        for name in ["seq", "pool", "shard"] {
             let backend: HostBackend = name.parse().expect("parses");
             assert_eq!(backend.run(&farm, &xs[..]), golden, "backend {name}");
             assert!(!backend.name().is_empty());
         }
         assert!("simd".parse::<HostBackend>().is_err());
+        assert!("thread".parse::<HostBackend>().is_err());
     }
 }

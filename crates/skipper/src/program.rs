@@ -14,12 +14,13 @@
 //! mirror the paper's Caml one-liners:
 //!
 //! ```
-//! use skipper::{df, itermem, scm, Backend, SeqBackend, ThreadBackend};
+//! use skipper::{df, itermem, scm, Backend, PoolBackend, SeqBackend};
 //!
 //! // df n comp acc z — a data farm, as a value.
 //! let farm = df(4, |x: &u64| x * x, |z: u64, y| z + y, 0u64);
 //! let xs: Vec<u64> = (1..=10).collect();
-//! assert_eq!(SeqBackend.run(&farm, &xs[..]), ThreadBackend::new().run(&farm, &xs[..]));
+//! let pool = PoolBackend::new();
+//! assert_eq!(SeqBackend.run(&farm, &xs[..]), pool.run(&farm, &xs[..]));
 //!
 //! // itermem (scm ...) z0 — the paper's tracking-loop shape: a
 //! // Split/Compute/Merge body nested in a stream loop with state memory.
@@ -33,7 +34,7 @@
 //! let frames = vec![1i64, 2, 3];
 //! assert_eq!(
 //!     SeqBackend.run(&tracker, frames.clone()),
-//!     ThreadBackend::new().run(&tracker, frames),
+//!     pool.run(&tracker, frames),
 //! );
 //! ```
 
@@ -80,43 +81,36 @@ fn env_workers() -> Option<NonZeroUsize> {
         .and_then(NonZeroUsize::new)
 }
 
-/// The unified worker-count configuration accepted by every host backend
-/// ([`crate::ThreadBackend::configured`], [`crate::PoolBackend::configured`],
+/// The worker-count configuration of a host pool
+/// ([`crate::PoolBackend::configured`], [`crate::ShardBackend::configured`],
 /// [`crate::HostBackend::configured`]) and the [`crate::conformance`]
-/// harness — one type replacing the pre-0.3 per-backend constructor zoo
-/// (`with_workers`, `Option<NonZeroUsize>` vs `usize` accessors, scattered
-/// `SKIPPER_WORKERS` reads).
+/// harness: how many persistent threads a pool runs. A program's own
+/// degree still sets how many jobs each of its farm rounds runs.
 ///
-/// The three policies:
+/// The two policies:
 ///
-/// - [`Workers::Default`] — the backend's natural default: no override on
-///   [`crate::ThreadBackend`] (each program runs with its own degree),
-///   [`default_workers`] threads on [`crate::PoolBackend`];
 /// - [`Workers::Exact`] — exactly this many workers;
-/// - [`Workers::FromEnv`] — the `SKIPPER_WORKERS` environment variable
-///   when it holds a positive integer, else the `Default` behaviour.
+/// - [`Workers::FromEnv`] (the default) — the `SKIPPER_WORKERS`
+///   environment variable when it holds a positive integer, else
+///   [`default_workers`].
 ///
 /// ```
-/// use skipper::{PoolBackend, ThreadBackend, Workers};
+/// use skipper::{PoolBackend, Workers};
 /// use std::num::NonZeroUsize;
 ///
 /// let exact = Workers::Exact(NonZeroUsize::new(2).unwrap());
 /// let pool = PoolBackend::configured(exact);
 /// assert_eq!(pool.threads(), 2);
-/// let threads = ThreadBackend::configured(exact);
-/// assert_eq!(threads.worker_config(), exact);
+/// assert_eq!(pool.worker_config(), exact);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Workers {
-    /// The backend's natural default (no override / host parallelism).
-    #[default]
-    Default,
     /// Exactly this many workers.
     Exact(NonZeroUsize),
-    /// `SKIPPER_WORKERS` when set to a positive integer, else the
-    /// `Default` behaviour. Resolved when a backend is built (pool) or a
-    /// program is prepared (threads), not when the config value is
-    /// created.
+    /// `SKIPPER_WORKERS` when set to a positive integer, else
+    /// [`default_workers`]. Resolved when a pool is built, not when the
+    /// config value is created.
+    #[default]
     FromEnv,
 }
 
@@ -125,26 +119,19 @@ impl Workers {
     ///
     /// # Panics
     ///
-    /// Panics when `n` is zero (use [`Workers::Default`] to mean "pick
+    /// Panics when `n` is zero (use [`Workers::FromEnv`] to mean "pick
     /// for me").
     pub fn exact(n: usize) -> Workers {
         Workers::Exact(NonZeroUsize::new(n).expect("Workers::exact needs a nonzero count"))
     }
 
-    /// Resolves to an explicit override: `None` for `Default` (and for
-    /// `FromEnv` when the variable is unset), `Some` otherwise.
-    pub fn resolve(self) -> Option<NonZeroUsize> {
-        match self {
-            Workers::Default => None,
-            Workers::Exact(n) => Some(n),
-            Workers::FromEnv => env_workers(),
-        }
-    }
-
-    /// Resolves to a concrete count, falling back to [`default_workers`]
-    /// where [`resolve`](Workers::resolve) has no explicit override.
+    /// Resolves to a concrete count: `n` for `Exact(n)`;
+    /// `SKIPPER_WORKERS`, else [`default_workers`], for `FromEnv`.
     pub fn resolve_or_default(self) -> NonZeroUsize {
-        self.resolve().unwrap_or_else(default_workers)
+        match self {
+            Workers::Exact(n) => n,
+            Workers::FromEnv => env_workers().unwrap_or_else(default_workers),
+        }
     }
 }
 
@@ -164,8 +151,8 @@ impl Workers {
 ///   the jobs of each farm round run.
 ///
 /// User code normally does not call these directly: it hands the program
-/// to a [`Backend`](crate::Backend) (`SeqBackend`, `ThreadBackend`,
-/// `PoolBackend`, `ShardBackend`, or `skipper_exec::SimBackend` for the
+/// to a [`Backend`](crate::Backend) (`SeqBackend`, `PoolBackend`,
+/// `ShardBackend`, or `skipper_exec::SimBackend` for the
 /// full SynDEx → simulator pipeline) and calls `backend.run(&prog, input)`.
 pub trait Skeleton<I> {
     /// The program's result type.
@@ -174,10 +161,9 @@ pub trait Skeleton<I> {
     /// Declarative semantics: the executable specification.
     fn run_declarative(&self, input: I) -> Self::Output;
 
-    /// Operational semantics: every farm round of the program runs its
-    /// jobs through `dispatch` (which may override how many jobs a round
-    /// runs, never the program's decomposition, e.g. the fragment count
-    /// an `scm` split is asked for).
+    /// Operational semantics: every farm round of the program runs as
+    /// many jobs per lane as the program's degree, through `dispatch`,
+    /// which decides only where those jobs run.
     fn run_on(&self, dispatch: &dyn Dispatch, input: I) -> Self::Output;
 }
 
@@ -415,7 +401,7 @@ pub fn tf<W, A, Z>(workers: usize, worker: W, acc: A, init: Z) -> Tf<W, A, Z> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, SeqBackend, ThreadBackend};
+    use crate::{Backend, PoolBackend, SeqBackend};
 
     #[test]
     fn then_pipes_stages() {
@@ -423,7 +409,7 @@ mod tests {
             .then(pure(|total: u64| format!("{total}")));
         let xs = [1u64, 2, 3];
         assert_eq!(SeqBackend.run(&prog, &xs[..]), "9");
-        assert_eq!(ThreadBackend::new().run(&prog, &xs[..]), "9");
+        assert_eq!(PoolBackend::new().run(&prog, &xs[..]), "9");
     }
 
     #[test]
@@ -442,7 +428,7 @@ mod tests {
         let loop_prog = itermem(body, 1i64);
         let frames = vec![1i64, 2, 3];
         let (z_seq, ys_seq) = SeqBackend.run(&loop_prog, frames.clone());
-        let (z_par, ys_par) = ThreadBackend::new().run(&loop_prog, frames);
+        let (z_par, ys_par) = PoolBackend::new().run(&loop_prog, frames);
         assert_eq!(z_seq, z_par);
         assert_eq!(ys_seq, ys_par);
         assert_eq!(ys_seq.len(), 3);
@@ -468,9 +454,7 @@ mod tests {
 
     #[test]
     fn workers_config_resolves_per_policy() {
-        assert_eq!(Workers::Default.resolve(), None);
-        assert_eq!(Workers::Default.resolve_or_default(), default_workers());
-        assert_eq!(Workers::exact(6).resolve(), NonZeroUsize::new(6));
+        assert_eq!(Workers::exact(6).resolve_or_default().get(), 6);
         assert_eq!(
             Workers::exact(6),
             Workers::Exact(NonZeroUsize::new(6).unwrap())
@@ -482,7 +466,7 @@ mod tests {
             Some(n) => assert_eq!(from_env, n),
             None => assert_eq!(from_env, default_workers()),
         }
-        assert_eq!(Workers::default(), Workers::Default);
+        assert_eq!(Workers::default(), Workers::FromEnv);
     }
 
     #[test]
@@ -494,7 +478,7 @@ mod tests {
     #[test]
     fn pure_ignores_worker_override() {
         let p = pure(|x: i32| x * 3);
-        assert_eq!(ThreadBackend::configured(Workers::exact(5)).run(&p, 2), 6);
+        assert_eq!(PoolBackend::configured(Workers::exact(5)).run(&p, 2), 6);
         assert_eq!(SeqBackend.run(&p, 2), 6);
     }
 }

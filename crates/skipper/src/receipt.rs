@@ -16,7 +16,7 @@
 //!   restart their frame numbering per burst, on every backend alike).
 //!
 //! The trace is therefore a pure function of `(program, input)`:
-//! `SeqBackend`, `ThreadBackend`, `PoolBackend`,
+//! `SeqBackend`, `PoolBackend`,
 //! [`ShardBackend`](crate::dist::ShardBackend) and a
 //! [`DistBackend`](crate::dist::DistBackend) worker process all produce
 //! the identical event list — and so the identical `trace_hash` — while
@@ -356,7 +356,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{df, itermem, scm, Backend, PoolBackend, SeqBackend, ThreadBackend, Workers};
+    use crate::{df, itermem, scm, Backend, PoolBackend, SeqBackend, Workers};
 
     #[test]
     fn fnv1a_matches_the_reference_vectors() {
@@ -423,12 +423,9 @@ mod tests {
         let farm = df(4, |x: &i64| x * x + 3, |z: i64, y| z + y, 10i64);
         let xs: Vec<i64> = (0..40).collect();
         let (out_seq, seq) = receipted(&xs, || SeqBackend.run(&farm, &xs[..]));
-        let (out_thr, thr) = receipted(&xs, || ThreadBackend::new().run(&farm, &xs[..]));
         let pool = PoolBackend::configured(Workers::exact(3));
         let (out_pool, plr) = receipted(&xs, || pool.run(&farm, &xs[..]));
-        assert_eq!(out_seq, out_thr);
         assert_eq!(out_seq, out_pool);
-        assert_eq!(seq, thr);
         assert_eq!(seq, plr);
         assert_ne!(seq.trace_hash, FNV_OFFSET, "the farm round was traced");
     }
@@ -469,9 +466,10 @@ mod tests {
             })
             .collect();
         assert_eq!(frame_events, vec![0, 1, 2]);
-        let (_, threaded) = receipted(&frames, || ThreadBackend::new().run(&prog, frames.clone()));
+        let pool = PoolBackend::new();
+        let (_, pooled) = receipted(&frames, || pool.run(&prog, frames.clone()));
         let (_, declarative) = receipted(&frames, || SeqBackend.run(&prog, frames.clone()));
-        assert_eq!(threaded, declarative);
+        assert_eq!(pooled, declarative);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::Mutex;
 /// # Example
 ///
 /// ```
-/// use skipper::{scm, Backend, ThreadBackend};
+/// use skipper::{scm, Backend, PoolBackend};
 /// let prog = scm(
 ///     4,
 ///     |v: &Vec<u32>, n| v.chunks(v.len().div_ceil(n)).map(<[u32]>::to_vec).collect(),
@@ -32,7 +32,7 @@ use std::sync::Mutex;
 ///     |partials: Vec<u32>| partials.iter().sum::<u32>(),
 /// );
 /// let data: Vec<u32> = (1..=100).collect();
-/// assert_eq!(ThreadBackend::new().run(&prog, &data), 5050);
+/// assert_eq!(PoolBackend::new().run(&prog, &data), 5050);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scm<S, C, M> {
@@ -147,7 +147,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, SeqBackend, ThreadBackend};
+    use crate::{Backend, PoolBackend, SeqBackend};
     use std::time::Duration;
 
     // `&Vec` (not `&[_]`) is deliberate: the splitter's argument type fixes
@@ -170,7 +170,7 @@ mod tests {
         );
         let data: Vec<u64> = (0..1000).collect();
         assert_eq!(
-            ThreadBackend::new().run(&scm, &data),
+            PoolBackend::new().run(&scm, &data),
             SeqBackend.run(&scm, &data)
         );
     }
@@ -191,7 +191,7 @@ mod tests {
             |ps: Vec<usize>| ps.into_iter().sum::<usize>(),
             &data,
         );
-        assert_eq!(ThreadBackend::new().run(&scm, &data), spec);
+        assert_eq!(PoolBackend::new().run(&scm, &data), spec);
     }
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
             |ps: Vec<Vec<u64>>| ps.concat(),
         );
         let data: Vec<u64> = (0..20).rev().collect();
-        assert_eq!(ThreadBackend::new().run(&scm, &data), data);
+        assert_eq!(PoolBackend::new().run(&scm, &data), data);
     }
 
     #[test]
@@ -219,7 +219,7 @@ mod tests {
             |x: u32| x,
             |ps: Vec<u32>| ps.len(),
         );
-        assert_eq!(ThreadBackend::new().run(&scm, &0), 0);
+        assert_eq!(PoolBackend::new().run(&scm, &0), 0);
         assert_eq!(SeqBackend.run(&scm, &0), 0);
     }
 
@@ -232,7 +232,7 @@ mod tests {
             |ps: Vec<u64>| ps.iter().sum::<u64>(),
         );
         let data: Vec<u64> = (1..=9).collect();
-        assert_eq!(ThreadBackend::new().run(&scm, &data), 90);
+        assert_eq!(PoolBackend::new().run(&scm, &data), 90);
     }
 
     #[test]
@@ -245,7 +245,7 @@ mod tests {
         );
         assert_eq!(scm.workers(), crate::default_workers().get());
         assert_eq!(
-            ThreadBackend::new().run(&scm, &0),
+            PoolBackend::new().run(&scm, &0),
             crate::default_workers().get()
         );
     }

@@ -599,7 +599,7 @@ mod tests {
     use super::*;
     use crate::itermem::VecSource;
     use crate::program::{scm, Workers};
-    use crate::{stream_of, PoolBackend, ShardBackend, ThreadBackend};
+    use crate::{stream_of, PoolBackend, ShardBackend};
 
     /// The shared test body: `(z, b) -> (z + b, z + b)` as a 2-way scm
     /// (fn pointers, so the program is `Sync` and lifetime-polymorphic).
@@ -879,8 +879,7 @@ mod tests {
                 }
             })
             .collect();
-        let dispatchers: [(&str, Box<dyn Dispatch>); 3] = [
-            ("thread", Box::new(ThreadBackend::new())),
+        let dispatchers: [(&str, Box<dyn Dispatch>); 2] = [
             ("pool", Box::new(backend())),
             (
                 "2 shards",

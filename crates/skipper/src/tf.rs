@@ -23,7 +23,7 @@ use std::num::NonZeroUsize;
 /// # Example
 ///
 /// ```
-/// use skipper::{tf, Backend, ThreadBackend};
+/// use skipper::{tf, Backend, PoolBackend};
 /// // Count the nodes of an implicit binary tree of depth 4.
 /// let prog = tf(
 ///     4,
@@ -34,7 +34,7 @@ use std::num::NonZeroUsize;
 ///     |z, c| z + c,
 ///     0u32,
 /// );
-/// assert_eq!(ThreadBackend::new().run(&prog, vec![4]), 31);
+/// assert_eq!(PoolBackend::new().run(&prog, vec![4]), 31);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tf<W, A, Z> {
@@ -194,7 +194,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, SeqBackend, ThreadBackend};
+    use crate::{Backend, PoolBackend, SeqBackend};
 
     /// Quadtree-style division: a "region" of size s splits into 4 regions
     /// of size s/4 until small, then reports its size.
@@ -210,7 +210,7 @@ mod tests {
     fn par_equals_seq_for_commutative_acc() {
         let tf = Tf::new(4, quad, |z, o| z + o, 0u64);
         assert_eq!(
-            ThreadBackend::new().run(&tf, vec![1024]),
+            PoolBackend::new().run(&tf, vec![1024]),
             SeqBackend.run(&tf, vec![1024])
         );
     }
@@ -219,13 +219,13 @@ mod tests {
     fn leaf_mass_is_conserved() {
         // 1024 splits into 4x256 ... down to 4^3 leaves of 16: total 1024.
         let tf = Tf::new(8, quad, |z, o| z + o, 0u64);
-        assert_eq!(ThreadBackend::new().run(&tf, vec![1024]), 1024);
+        assert_eq!(PoolBackend::new().run(&tf, vec![1024]), 1024);
     }
 
     #[test]
     fn empty_task_list_returns_init() {
         let tf = Tf::new(2, quad, |z, o| z + o, 99u64);
-        assert_eq!(ThreadBackend::new().run(&tf, Vec::new()), 99);
+        assert_eq!(PoolBackend::new().run(&tf, Vec::new()), 99);
     }
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
         let tf = Tf::new(4, |x: u64| (Vec::new(), Some(x * 3)), |z, o| z + o, 0u64);
         let expected: u64 = (0..100).map(|x| x * 3).sum();
         let tasks: Vec<u64> = (0..100).collect();
-        assert_eq!(ThreadBackend::new().run(&tf, tasks), expected);
+        assert_eq!(PoolBackend::new().run(&tf, tasks), expected);
     }
 
     #[test]
@@ -252,7 +252,7 @@ mod tests {
             0u32,
         );
         let tasks: Vec<u32> = (0..10).collect();
-        assert_eq!(ThreadBackend::new().run(&tf, tasks), 2 + 4 + 6 + 8);
+        assert_eq!(PoolBackend::new().run(&tf, tasks), 2 + 4 + 6 + 8);
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
             |z, o| z + o,
             0u32,
         );
-        assert_eq!(ThreadBackend::new().run(&tf, vec![500]), 1);
+        assert_eq!(PoolBackend::new().run(&tf, vec![500]), 1);
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
         let tf = Tf::new(8, quad, |z, o| z + o, 0u64);
         let roots = vec![256u64; 16];
         assert_eq!(
-            ThreadBackend::new().run(&tf, roots.clone()),
+            PoolBackend::new().run(&tf, roots.clone()),
             SeqBackend.run(&tf, roots)
         );
     }
@@ -288,7 +288,7 @@ mod tests {
     fn zero_workers_selects_the_default() {
         let tf = Tf::new(0, quad, |z: u64, o: u64| z + o, 0u64);
         assert_eq!(tf.workers(), crate::default_workers().get());
-        assert_eq!(ThreadBackend::new().run(&tf, vec![64]), 64);
+        assert_eq!(PoolBackend::new().run(&tf, vec![64]), 64);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Connected-component labelling with the scm skeleton (paper ref [7]).
 //!
 //! ```text
-//! cargo run --release --example ccl_farm            # thread backend
-//! cargo run --release --example ccl_farm -- pool    # persistent pool
+//! cargo run --release --example ccl_farm            # persistent pool
+//! cargo run --release --example ccl_farm -- shard   # two pools
 //! cargo run --release --example ccl_farm -- seq     # declarative spec
 //! ```
 //!
 //! The optional argument picks the host execution strategy
-//! ([`skipper::HostBackend`]); the pool is worth trying here — labelling
-//! many frames reuses its threads instead of spawning per call.
+//! ([`skipper::HostBackend`]); labelling many frames reuses the pool's
+//! threads instead of spawning per call.
 
 use skipper::HostBackend;
 use skipper_apps::ccl::{count_components_on, count_components_seq};
@@ -19,7 +19,7 @@ fn main() {
     let backend: HostBackend = std::env::args()
         .nth(1)
         .as_deref()
-        .unwrap_or("thread")
+        .unwrap_or("pool")
         .parse()
         .unwrap_or_else(|e| {
             eprintln!("{e}");

@@ -5,10 +5,11 @@
 //!
 //! 1. [`SeqBackend`] — the declarative specification (workstation
 //!    emulation),
-//! 2. [`ThreadBackend`] — the crossbeam operational semantics (real host
-//!    parallelism, threads spawned per run),
-//! 3. [`PoolBackend`] — the same operational semantics on a persistent
+//! 2. [`PoolBackend`] — the operational semantics on a persistent
 //!    work-stealing pool (threads created once, reused every run),
+//! 3. [`ShardBackend`] — the same operational semantics routed over two
+//!    independent pools by a deterministic item hash (the single-machine
+//!    rehearsal of distribution),
 //! 4. [`SimBackend`] — the full environment pipeline: process-network
 //!    expansion, SynDEx scheduling, macro-code generation and execution
 //!    on the simulated Transputer ring,
@@ -19,7 +20,7 @@
 //! cargo run --example four_backends
 //! ```
 
-use skipper::{df, itermem, scm, Backend, PoolBackend, SeqBackend, ThreadBackend};
+use skipper::{df, itermem, scm, Backend, PoolBackend, SeqBackend, ShardBackend};
 use skipper_exec::SimBackend;
 
 fn main() {
@@ -27,20 +28,21 @@ fn main() {
     let farm = df(4, |x: &i64| x * x, |z: i64, y| z + y, 0i64);
     let xs: Vec<i64> = (1..=64).collect();
 
-    let emulated = SeqBackend.run(&farm, &xs[..]);
-    let threaded = ThreadBackend::new().run(&farm, &xs[..]);
     let pool = PoolBackend::new();
+    let shards = ShardBackend::new(2);
+    let emulated = SeqBackend.run(&farm, &xs[..]);
     let pooled = pool.run(&farm, &xs[..]);
+    let sharded = shards.run(&farm, &xs[..]);
     let simulated = SimBackend::ring(5)
         .run(&farm, &xs[..])
         .expect("farm lowers, schedules and simulates");
 
     println!("SeqBackend     (declarative spec) : {emulated}");
-    println!("ThreadBackend  (host threads)     : {threaded}");
     println!("PoolBackend    (persistent pool)  : {pooled}");
+    println!("ShardBackend   (two pools)        : {sharded}");
     println!("SimBackend     (ring of 5 T9000s) : {simulated}");
-    assert_eq!(emulated, threaded);
     assert_eq!(emulated, pooled);
+    assert_eq!(emulated, sharded);
     assert_eq!(emulated, simulated);
 
     // The same retargetability holds for composed programs: the paper's
@@ -58,14 +60,14 @@ fn main() {
     let tracker = itermem(body, 0i64);
     let frames = vec![10i64, 20, 30];
     let seq = SeqBackend.run(&tracker, frames.clone());
-    let par = ThreadBackend::new().run(&tracker, frames.clone());
     let pld = pool.run(&tracker, frames.clone());
+    let shd = shards.run(&tracker, frames.clone());
     let sim = SimBackend::ring(4)
         .run(&tracker, frames)
         .expect("loop lowers, schedules and simulates");
-    println!("itermem(scm)   seq/threads/pool/sim : {seq:?} / {par:?} / {pld:?} / {sim:?}");
-    assert_eq!(seq, par);
+    println!("itermem(scm)   seq/pool/shard/sim : {seq:?} / {pld:?} / {shd:?} / {sim:?}");
     assert_eq!(seq, pld);
+    assert_eq!(seq, shd);
     assert_eq!(seq, sim);
     println!("all backends agree — one program, four machines");
 }

@@ -5,11 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use skipper::{df, itermem, scm, tf, Backend, SeqBackend, ThreadBackend};
+use skipper::{df, itermem, scm, tf, Backend, PoolBackend, SeqBackend};
 
 fn main() {
     let seq = SeqBackend;
-    let threads = ThreadBackend::new();
+    let pool = PoolBackend::new();
 
     // df — data farming: irregular items, dynamic load balancing.
     let farm = df(4, |s: &String| s.len(), |z, l| z + l, 0usize);
@@ -17,8 +17,8 @@ fn main() {
         .iter()
         .map(ToString::to_string)
         .collect();
-    println!("df   : total length = {}", threads.run(&farm, &words[..]));
-    assert_eq!(threads.run(&farm, &words[..]), seq.run(&farm, &words[..]));
+    println!("df   : total length = {}", pool.run(&farm, &words[..]));
+    assert_eq!(pool.run(&farm, &words[..]), seq.run(&farm, &words[..]));
 
     // scm — split/compute/merge: regular geometric decomposition.
     let sum = scm(
@@ -28,7 +28,7 @@ fn main() {
         |partials: Vec<u64>| partials.into_iter().sum::<u64>(),
     );
     let data: Vec<u64> = (1..=100).collect();
-    println!("scm  : sum 1..=100 = {}", threads.run(&sum, &data));
+    println!("scm  : sum 1..=100 = {}", pool.run(&sum, &data));
 
     // tf — task farming: divide and conquer with work generation.
     let leaves = tf(
@@ -45,7 +45,7 @@ fn main() {
     );
     println!(
         "tf   : leaves of a depth-10 binary tree = {}",
-        threads.run(&leaves, vec![10])
+        pool.run(&leaves, vec![10])
     );
 
     // itermem — stream loop with state memory (Fig. 4), here with an scm
@@ -61,6 +61,6 @@ fn main() {
     );
     let tracker = itermem(body, 0i64);
     let frames = vec![1i64, 2, 3, 4, 5];
-    let (final_state, outputs) = threads.run(&tracker, frames);
+    let (final_state, outputs) = pool.run(&tracker, frames);
     println!("itermem: per-frame outputs = {outputs:?}, final state = {final_state}");
 }

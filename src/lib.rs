@@ -22,15 +22,15 @@
 //!
 //! A program is written once as a [`skipper::Skeleton`] value and handed
 //! to an interchangeable [`skipper::Backend`] — sequential emulation,
-//! host threads, or the full SynDEx-to-simulator pipeline
+//! a persistent host thread pool, or the full SynDEx-to-simulator pipeline
 //! (`skipper_exec::SimBackend`):
 //!
 //! ```
-//! use skipper::{df, Backend, SeqBackend, ThreadBackend};
+//! use skipper::{df, Backend, PoolBackend, SeqBackend};
 //! let farm = df(4, |x: &u64| x * x, |z: u64, y| z + y, 0u64);
 //! let xs: Vec<u64> = (1..=10).collect();
 //! assert_eq!(
-//!     ThreadBackend::new().run(&farm, &xs[..]),
+//!     PoolBackend::new().run(&farm, &xs[..]),
 //!     SeqBackend.run(&farm, &xs[..]),
 //! );
 //! ```

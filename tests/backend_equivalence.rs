@@ -2,9 +2,8 @@
 //!
 //! The redesign's contract: one [`skipper::Skeleton`] program value must
 //! produce identical results on every backend — the declarative
-//! specification ([`SeqBackend`]), the crossbeam operational semantics
-//! ([`ThreadBackend`]), the persistent work-stealing pool
-//! ([`PoolBackend`]) and the full paper pipeline on the simulated
+//! specification ([`SeqBackend`]), the operational semantics on the
+//! persistent work-stealing pool ([`PoolBackend`]) and the full paper pipeline on the simulated
 //! machine ([`SimBackend`]) — for all four skeletons on generated inputs,
 //! including a nested `itermem(scm(...))` composition. Accumulation
 //! functions are commutative-associative, the paper's stated side
@@ -16,9 +15,7 @@
 //! generator includes the empty and single-element cases.
 
 use proptest::prelude::*;
-use skipper::{
-    df, itermem, pure, scm, tf, Backend, Compose, PoolBackend, SeqBackend, ThreadBackend,
-};
+use skipper::{df, itermem, pure, scm, tf, Backend, Compose, PoolBackend, SeqBackend};
 use skipper_exec::SimBackend;
 
 /// The satellite worker-count matrix: 1, 2 and the host default.
@@ -30,7 +27,7 @@ fn worker_count(index: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// df: all four backends agree on a commutative-associative fold.
+    /// df: all three backends agree on a commutative-associative fold.
     #[test]
     fn df_equivalent_on_all_backends(
         xs in prop::collection::vec(0i64..1000, 0..60),
@@ -39,13 +36,12 @@ proptest! {
     ) {
         let farm = df(worker_count(widx), |x: &i64| x * x + 1, |z: i64, y| z + y, 0i64);
         let seq = SeqBackend.run(&farm, &xs[..]);
-        prop_assert_eq!(ThreadBackend::new().run(&farm, &xs[..]), seq);
         prop_assert_eq!(PoolBackend::new().run(&farm, &xs[..]), seq);
         let sim = SimBackend::ring(nprocs).run(&farm, &xs[..]).expect("df simulates");
         prop_assert_eq!(sim, seq);
     }
 
-    /// scm: all four backends agree (the merge sees fragment order, so no
+    /// scm: all three backends agree (the merge sees fragment order, so no
     /// commutativity side condition is needed).
     #[test]
     fn scm_equivalent_on_all_backends(
@@ -72,13 +68,12 @@ proptest! {
             },
         );
         let seq = SeqBackend.run(&prog, &xs);
-        prop_assert_eq!(ThreadBackend::new().run(&prog, &xs), seq.clone());
         prop_assert_eq!(PoolBackend::new().run(&prog, &xs), seq.clone());
         let sim = SimBackend::ring(nprocs).run(&prog, &xs).expect("scm simulates");
         prop_assert_eq!(sim, seq);
     }
 
-    /// tf: all four backends agree on generated task trees (the empty
+    /// tf: all three backends agree on generated task trees (the empty
     /// root list included).
     #[test]
     fn tf_equivalent_on_all_backends(
@@ -99,14 +94,13 @@ proptest! {
             0u64,
         );
         let seq = SeqBackend.run(&prog, roots.clone());
-        prop_assert_eq!(ThreadBackend::new().run(&prog, roots.clone()), seq);
         prop_assert_eq!(PoolBackend::new().run(&prog, roots.clone()), seq);
         let sim = SimBackend::ring(nprocs).run(&prog, roots).expect("tf simulates");
         prop_assert_eq!(sim, seq);
     }
 
     /// itermem(scm(...)): the nested tracking-loop composition threads its
-    /// state identically on all four backends.
+    /// state identically on all three backends.
     #[test]
     fn itermem_scm_equivalent_on_all_backends(
         frames in prop::collection::vec(-50i64..50, 0..8),
@@ -126,7 +120,6 @@ proptest! {
         );
         let prog = itermem(body, 3i64);
         let seq = SeqBackend.run(&prog, frames.clone());
-        prop_assert_eq!(ThreadBackend::new().run(&prog, frames.clone()), seq.clone());
         prop_assert_eq!(PoolBackend::new().run(&prog, frames.clone()), seq.clone());
         let sim = SimBackend::ring(nprocs).run(&prog, frames).expect("loop simulates");
         prop_assert_eq!(sim, seq);
@@ -143,7 +136,6 @@ proptest! {
         let prog = df(worker_count(widx), |x: &i64| x + 7, |z: i64, y| z + y, 0i64)
             .then(pure(|total: i64| (total, total % 10)));
         let seq = SeqBackend.run(&prog, &xs[..]);
-        prop_assert_eq!(ThreadBackend::new().run(&prog, &xs[..]), seq);
         prop_assert_eq!(PoolBackend::new().run(&prog, &xs[..]), seq);
         let sim = SimBackend::ring(nprocs).run(&prog, &xs[..]).expect("pipeline simulates");
         prop_assert_eq!(sim, seq);
@@ -184,7 +176,6 @@ fn degenerate_inputs_agree_on_every_backend_and_worker_count() {
         let pool = PoolBackend::new();
         for xs in [Vec::new(), vec![17i64]] {
             let seq = SeqBackend.run(&farm, &xs[..]);
-            assert_eq!(ThreadBackend::new().run(&farm, &xs[..]), seq);
             assert_eq!(pool.run(&farm, &xs[..]), seq);
             assert_eq!(
                 SimBackend::ring(3)
@@ -195,7 +186,6 @@ fn degenerate_inputs_agree_on_every_backend_and_worker_count() {
                 xs.len()
             );
             let seq = SeqBackend.run(&prog, &xs);
-            assert_eq!(ThreadBackend::new().run(&prog, &xs), seq);
             assert_eq!(pool.run(&prog, &xs), seq);
             assert_eq!(
                 SimBackend::ring(3).run(&prog, &xs).expect("scm simulates"),
@@ -206,7 +196,6 @@ fn degenerate_inputs_agree_on_every_backend_and_worker_count() {
         }
         for roots in [Vec::new(), vec![9u64]] {
             let seq = SeqBackend.run(&tree, roots.clone());
-            assert_eq!(ThreadBackend::new().run(&tree, roots.clone()), seq);
             assert_eq!(pool.run(&tree, roots.clone()), seq);
             assert_eq!(
                 SimBackend::ring(3)

@@ -1,8 +1,8 @@
 //! The backend conformance suite, instantiated for every backend.
 //!
 //! One contract (`skipper::conformance`), four execution strategies: the
-//! declarative specification, scoped threads, the persistent
-//! work-stealing pool and the simulated Transputer machine. `SimBackend`
+//! declarative specification, the persistent work-stealing pool, shards
+//! over several pools and the simulated Transputer machine. `SimBackend`
 //! runs the **full** case matrix — all skeletons plus `then`,
 //! `itermem(scm)`, `itermem(df)`, `itermem(tf)`, nested loops and
 //! then-inside-loop, over empty/singleton/regular/skewed inputs — with no
@@ -15,23 +15,13 @@
 use skipper::conformance::{
     assert_backend_conforms, assert_receipts_match, assert_serving_conforms, worker_counts,
 };
-use skipper::{HostBackend, PoolBackend, SeqBackend, ShardBackend, ThreadBackend, Workers};
+use skipper::{HostBackend, PoolBackend, SeqBackend, ShardBackend, Workers};
 use skipper_exec::SimBackend;
 use skipper_net::FarmShape;
 
 #[test]
 fn seq_backend_conforms() {
     assert_backend_conforms(&SeqBackend);
-}
-
-#[test]
-fn thread_backend_conforms() {
-    assert_backend_conforms(&ThreadBackend::new());
-}
-
-#[test]
-fn thread_backend_with_worker_override_conforms() {
-    assert_backend_conforms(&ThreadBackend::configured(Workers::exact(2)));
 }
 
 #[test]
@@ -62,11 +52,6 @@ fn pool_backend_serving_conforms() {
 #[test]
 fn pool_backend_single_thread_serving_conforms() {
     assert_serving_conforms(&PoolBackend::configured(Workers::exact(1)));
-}
-
-#[test]
-fn thread_backend_serving_conforms() {
-    assert_serving_conforms(&ThreadBackend::new());
 }
 
 #[test]
@@ -114,7 +99,7 @@ fn shard_backend_single_thread_pools_conform() {
 
 #[test]
 fn host_backend_selector_conforms_for_every_choice() {
-    for name in ["seq", "thread", "pool", "shard"] {
+    for name in ["seq", "pool", "shard"] {
         let backend: HostBackend = name.parse().expect("known host backend");
         assert_backend_conforms(&backend);
     }
@@ -126,11 +111,6 @@ fn host_backend_selector_conforms_for_every_choice() {
 // matrix. This is the run contract the distributed backends are held
 // to (the worker-process half lives in `crates/bench/tests/`, where
 // cargo exposes the worker binary).
-
-#[test]
-fn seq_and_thread_receipts_match() {
-    assert_receipts_match(&SeqBackend, &ThreadBackend::new());
-}
 
 #[test]
 fn pool_and_seq_receipts_match() {

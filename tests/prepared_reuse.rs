@@ -3,15 +3,15 @@
 //! The prepare-once/run-many contract: for every backend, `prepare` once
 //! followed by `N` [`Executable::run`] calls must produce exactly the
 //! results of `N` fresh [`Backend::run`] calls — on generated inputs, in
-//! generated run orders, on all four backends (the declarative
-//! [`SeqBackend`], the scoped-thread [`ThreadBackend`], the persistent
-//! [`PoolBackend`] and the simulator [`SimBackend`]), including an
+//! generated run orders, on all three backends (the declarative
+//! [`SeqBackend`], the persistent [`PoolBackend`] and the simulator
+//! [`SimBackend`]), including an
 //! `itermem` frame-stream program. Divergence here means a prepared
 //! executable leaks state between runs or resolves its execution
 //! structure differently from the one-shot path.
 
 use proptest::prelude::*;
-use skipper::{df, itermem, scm, Backend, Executable, PoolBackend, SeqBackend, ThreadBackend};
+use skipper::{df, itermem, scm, Backend, Executable, PoolBackend, SeqBackend};
 use skipper_exec::SimBackend;
 
 /// The satellite worker-count matrix: 1, 2 and the host default.
@@ -23,7 +23,7 @@ fn worker_count(index: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// df: prepare once + N runs == N fresh runs on all four backends.
+    /// df: prepare once + N runs == N fresh runs on all three backends.
     #[test]
     fn df_prepared_reuse_equals_fresh_runs(
         runs in prop::collection::vec(prop::collection::vec(0i64..500, 0..40), 1..5),
@@ -31,18 +31,15 @@ proptest! {
         nprocs in 1usize..5,
     ) {
         let farm = df(worker_count(widx), |x: &i64| x * x + 2, |z: i64, y| z + y, 1i64);
-        let thread = ThreadBackend::new();
         let pool = PoolBackend::new();
         let sim = SimBackend::ring(nprocs);
         let seq_exec = Backend::<_, &[i64]>::prepare(&SeqBackend, &farm);
-        let thread_exec = Backend::<_, &[i64]>::prepare(&thread, &farm);
         let pool_exec = Backend::<_, &[i64]>::prepare(&pool, &farm);
         let sim_exec = Backend::<_, &[i64]>::prepare(&sim, &farm);
         for xs in &runs {
             let fresh = SeqBackend.run(&farm, &xs[..]);
             prop_assert_eq!(seq_exec.run(&xs[..]), fresh);
-            prop_assert_eq!(thread_exec.run(&xs[..]), thread.run(&farm, &xs[..]));
-            prop_assert_eq!(thread_exec.run(&xs[..]), fresh);
+            prop_assert_eq!(pool_exec.run(&xs[..]), pool.run(&farm, &xs[..]));
             prop_assert_eq!(pool_exec.run(&xs[..]), fresh);
             prop_assert_eq!(
                 sim_exec.run(&xs[..]).expect("prepared df simulates"),
@@ -52,7 +49,7 @@ proptest! {
         }
     }
 
-    /// scm: prepared reuse on all four backends.
+    /// scm: prepared reuse on all three backends.
     #[test]
     fn scm_prepared_reuse_equals_fresh_runs(
         runs in prop::collection::vec(prop::collection::vec(-300i64..300, 0..40), 1..5),
@@ -71,17 +68,14 @@ proptest! {
             |chunk: Vec<i64>| chunk.iter().map(|x| x * 5 - 2).sum::<i64>(),
             |parts: Vec<i64>| parts.iter().sum::<i64>(),
         );
-        let thread = ThreadBackend::new();
         let pool = PoolBackend::new();
         let sim = SimBackend::ring(nprocs);
         let seq_exec = SeqBackend.prepare(&prog);
-        let thread_exec = thread.prepare(&prog);
         let pool_exec = pool.prepare(&prog);
         let sim_exec = sim.prepare(&prog);
         for xs in &runs {
             let fresh = SeqBackend.run(&prog, xs);
             prop_assert_eq!(seq_exec.run(xs), fresh);
-            prop_assert_eq!(thread_exec.run(xs), fresh);
             prop_assert_eq!(pool_exec.run(xs), fresh);
             prop_assert_eq!(sim_exec.run(xs).expect("prepared scm simulates"), fresh);
         }
@@ -108,17 +102,14 @@ proptest! {
             },
         );
         let prog = itermem(body, 6i64);
-        let thread = ThreadBackend::new();
         let pool = PoolBackend::new();
         let sim = SimBackend::ring(nprocs);
         let seq_exec = Backend::<_, Vec<i64>>::prepare(&SeqBackend, &prog);
-        let thread_exec = Backend::<_, Vec<i64>>::prepare(&thread, &prog);
         let pool_exec = Backend::<_, Vec<i64>>::prepare(&pool, &prog);
         let sim_exec = Backend::<_, Vec<i64>>::prepare(&sim, &prog);
         for frames in &streams {
             let fresh = SeqBackend.run(&prog, frames.clone());
             prop_assert_eq!(seq_exec.run(frames.clone()), fresh.clone());
-            prop_assert_eq!(thread_exec.run(frames.clone()), fresh.clone());
             prop_assert_eq!(pool_exec.run(frames.clone()), fresh.clone());
             prop_assert_eq!(
                 sim_exec.run(frames.clone()).expect("prepared loop simulates"),
@@ -135,11 +126,9 @@ proptest! {
 fn prepared_loop_interleaving_and_empty_streams_are_clean() {
     for workers in [1, 2, skipper::default_workers().get()] {
         let prog = itermem(df(workers, |x: &i64| x * 7, |z: i64, y| z + y, 0i64), 3i64);
-        let thread = ThreadBackend::new();
         let pool = PoolBackend::new();
         let sim = SimBackend::ring(3);
         let seq_exec = Backend::<_, Vec<Vec<i64>>>::prepare(&SeqBackend, &prog);
-        let thread_exec = Backend::<_, Vec<Vec<i64>>>::prepare(&thread, &prog);
         let pool_exec = Backend::<_, Vec<Vec<i64>>>::prepare(&pool, &prog);
         let sim_exec = Backend::<_, Vec<Vec<i64>>>::prepare(&sim, &prog);
         let streams: [Vec<Vec<i64>>; 4] = [
@@ -151,7 +140,6 @@ fn prepared_loop_interleaving_and_empty_streams_are_clean() {
         for frames in &streams {
             let fresh = SeqBackend.run(&prog, frames.clone());
             assert_eq!(seq_exec.run(frames.clone()), fresh, "workers={workers}");
-            assert_eq!(thread_exec.run(frames.clone()), fresh, "workers={workers}");
             assert_eq!(pool_exec.run(frames.clone()), fresh, "workers={workers}");
             assert_eq!(
                 sim_exec

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use skipper::{df, itermem, pure, scm, tf, Compose};
-use skipper::{
-    Backend, Df, PoolBackend, Scm, SeqBackend, ShardBackend, Tf, ThreadBackend, Workers,
-};
+use skipper::{Backend, Df, PoolBackend, Scm, SeqBackend, ShardBackend, Tf, Workers};
 use skipper_exec::SimBackend;
 use skipper_net::dtype::DataType;
 use skipper_net::graph::{NodeKind, ProcessNetwork};
@@ -31,7 +29,7 @@ proptest! {
     fn df_par_equals_seq(xs in prop::collection::vec(0u64..1000, 0..200), workers in 1usize..8) {
         let farm = Df::new(workers, |x: &u64| x.wrapping_mul(31) ^ 7, |z: u64, y| z.wrapping_add(y), 0u64);
         prop_assert_eq!(
-            ThreadBackend::new().run(&farm, &xs[..]),
+            PoolBackend::new().run(&farm, &xs[..]),
             SeqBackend.run(&farm, &xs[..])
         );
     }
@@ -50,7 +48,6 @@ proptest! {
             String::new(),
         );
         let golden = SeqBackend.run(&farm, &xs[..]);
-        prop_assert_eq!(ThreadBackend::new().run(&farm, &xs[..]), golden.clone());
         let pool = PoolBackend::configured(Workers::exact(2));
         prop_assert_eq!(pool.run(&farm, &xs[..]), golden.clone());
         let shards = ShardBackend::configured(2, Workers::exact(1));
@@ -67,7 +64,7 @@ proptest! {
             |ps: Vec<Vec<i64>>| ps.concat(),
         );
         prop_assert_eq!(
-            ThreadBackend::new().run(&scm, &xs),
+            PoolBackend::new().run(&scm, &xs),
             SeqBackend.run(&scm, &xs)
         );
     }
@@ -84,7 +81,7 @@ proptest! {
         };
         let tf = Tf::new(workers, worker, |z: u64, o| z.wrapping_add(o), 0u64);
         prop_assert_eq!(
-            ThreadBackend::new().run(&tf, roots.clone()),
+            PoolBackend::new().run(&tf, roots.clone()),
             SeqBackend.run(&tf, roots)
         );
     }

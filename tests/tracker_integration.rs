@@ -1,9 +1,13 @@
 //! Cross-crate integration of the vehicle tracker: sequential
-//! specification, thread backend and simulated platform must all agree.
+//! specification, pool backend and simulated platform must all agree.
 
+use skipper::{Backend, PoolBackend};
 use skipper_apps::tracker_sim::run_tracker_sim;
-use skipper_apps::tracking::{init_state, loop_step_seq, loop_step_threads, Mode, TrackerConfig};
+use skipper_apps::tracking::{
+    detection_farm, init_state, loop_step_prepared, loop_step_seq, Mode, TrackerConfig,
+};
 use skipper_vision::synth::{Scene, SceneConfig};
+use skipper_vision::Window;
 use std::sync::Arc;
 
 fn scene() -> Scene {
@@ -32,14 +36,17 @@ fn tracker_cfg() -> TrackerConfig {
 }
 
 #[test]
-fn specification_and_thread_backend_agree() {
+fn specification_and_pool_backend_agree() {
     let sc = scene();
+    let farm = detection_farm(tracker_cfg().nproc);
+    let pool = PoolBackend::new();
+    let exec = Backend::<_, &[Window]>::prepare(&pool, &farm);
     let mut a = init_state(tracker_cfg());
     let mut b = init_state(tracker_cfg());
     for k in 0..8 {
         let img = sc.render(k as f64 / 25.0);
         let (na, ma) = loop_step_seq(&a, &img);
-        let (nb, mb) = loop_step_threads(&b, &img);
+        let (nb, mb) = loop_step_prepared(&exec, &b, &img);
         assert_eq!(ma, mb, "frame {k}");
         assert_eq!(na, nb, "frame {k}");
         a = na;

@@ -10,11 +10,11 @@
 /// paths rather than the direct crate names.
 #[test]
 fn umbrella_quickstart_runs() {
-    use skipper_env::skipper::{df, Backend, SeqBackend, ThreadBackend};
+    use skipper_env::skipper::{df, Backend, PoolBackend, SeqBackend};
     let farm = df(4, |x: &u64| x * x, |z: u64, y: u64| z + y, 0u64);
     let xs: Vec<u64> = (1..=10).collect();
     assert_eq!(
-        ThreadBackend::new().run(&farm, &xs[..]),
+        PoolBackend::new().run(&farm, &xs[..]),
         SeqBackend.run(&farm, &xs[..])
     );
 }
@@ -24,7 +24,7 @@ fn umbrella_quickstart_runs() {
 #[test]
 fn every_reexported_crate_is_reachable() {
     // skeleton library
-    use skipper_env::skipper::{Backend, ThreadBackend};
+    use skipper_env::skipper::{Backend, PoolBackend};
     let scm = skipper_env::skipper::scm(
         2,
         |v: &Vec<u32>, n| v.chunks(v.len().div_ceil(n)).map(<[u32]>::to_vec).collect(),
@@ -32,7 +32,7 @@ fn every_reexported_crate_is_reachable() {
         |ps: Vec<u32>| ps.iter().sum::<u32>(),
     );
     assert_eq!(
-        ThreadBackend::new().run(&scm, &(1..=100).collect::<Vec<u32>>()),
+        PoolBackend::new().run(&scm, &(1..=100).collect::<Vec<u32>>()),
         5050
     );
 
