@@ -11,11 +11,12 @@
 //! output-for-output and receipt-for-receipt
 //! ([`skipper::conformance::assert_programs_equivalent`]).
 //!
-//! # Wire encoding
+//! # Boundary encoding
 //!
-//! DSL values are [`skipper_exec::Value`]s. Each vision type gets a
-//! structural encoding (no `Opaque`), so outputs hash stably into run
-//! receipts and survive the simulated machine's channels:
+//! DSL values are [`skipper_exec::Value`]s. Each vision type has a
+//! structural encoding, used wherever a value leaves a compiled body —
+//! the carried state, the outputs, run receipts — and by the frame
+//! sources and constants:
 //!
 //! | DSL type | encoding |
 //! |---|---|
@@ -28,10 +29,22 @@
 //! | `mark`   | `((cx, cy), (x, y, w, h), area)` |
 //! | `state`  | `(cfg, mode, vehicles, frame)` |
 //!
+//! Inside a frame, kernels hand each other Rust values instead: every
+//! kernel whose result has one of these types (or is a list of one)
+//! returns it as a [`Value::native`] carrying its encoder from the
+//! table, and every kernel argument is read through one helper, `arg`,
+//! which borrows a native and decodes a structural value. `accum_marks`
+//! decodes nothing: it concatenates its two lists' elements as they
+//! are, so the `df` fold never runs the codec. A native is observably
+//! identical to its encoding, so the simulated machine's channels, cost
+//! models and receipts see the table either way.
+//!
 //! Decoders treat a shape mismatch as a kernel-contract violation: the
 //! typechecker verified the *program* against the registered
 //! signatures, so a mismatch here means a registered signature lies
 //! about its Rust kernel — unreachable from DSL text.
+
+use std::borrow::Cow;
 
 use skipper::{itermem, run_with, Dispatch, IterLoop, Skeleton};
 use skipper_exec::Value;
@@ -89,6 +102,28 @@ fn boolean(v: &Value) -> bool {
 
 fn list(v: &Value) -> &[Value] {
     v.as_list().unwrap_or_else(|| codec_violation("a list", v))
+}
+
+/// A kernel argument as a Rust value: borrowed from a native, decoded
+/// from a structural value (sources, constants, the carried state).
+fn arg<T: Clone + 'static>(v: &Value, decode: fn(&Value) -> T) -> Cow<'_, T> {
+    match v.native_ref::<T>() {
+        Some(x) => Cow::Borrowed(x),
+        None => Cow::Owned(decode(v)),
+    }
+}
+
+/// A list kernel argument as owned Rust values, each read by [`arg`].
+fn list_arg<T: Clone + 'static>(v: &Value, decode: fn(&Value) -> T) -> Vec<T> {
+    list(v)
+        .iter()
+        .map(|x| arg(x, decode).into_owned())
+        .collect()
+}
+
+/// A list kernel result: a `Value::list` of natives.
+fn natives<T: Send + Sync + 'static>(xs: Vec<T>, encode: fn(&T) -> Value) -> Value {
+    Value::list(xs.into_iter().map(|x| Value::native(x, encode)).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -297,10 +332,6 @@ fn marks_value(ms: &[Mark]) -> Value {
     Value::list(ms.iter().map(mark_value).collect())
 }
 
-fn marks_of(v: &Value) -> Vec<Mark> {
-    list(v).iter().map(mark_of).collect()
-}
-
 fn vehicle_value(v: &VehicleEst) -> Value {
     Value::tuple(vec![
         Value::Bool(v.locked),
@@ -444,22 +475,17 @@ pub fn app_registry() -> KernelRegistry {
 
     // --- connected-component labelling (scm) ---
     r.register("ccl_split", "int -> image -> band list", |a| {
-        let n = usz(&a[0]);
-        let img = image_of(&a[1]);
-        Value::list(
-            crate::ccl::split_bands(&img, n)
-                .iter()
-                .map(band_value)
-                .collect(),
-        )
+        let bands = crate::ccl::split_bands(&arg(&a[1], image_of), usz(&a[0]));
+        natives(bands, band_value)
     })
     .expect(sig);
     r.register_costed("ccl_label", "band -> lband", 40_000, |a| {
-        lband_value(&crate::ccl::label_band(band_of(&a[0])))
+        let band = arg(&a[0], band_of).into_owned();
+        Value::native(crate::ccl::label_band(band), lband_value)
     })
     .expect(sig);
     r.register("ccl_merge", "lband list -> int", |a| {
-        let parts = list(&a[0]).iter().map(lband_of).collect();
+        let parts = list_arg(&a[0], lband_of);
         Value::Int(i64::from(crate::ccl::merge_bands(parts)))
     })
     .expect(sig);
@@ -472,31 +498,21 @@ pub fn app_registry() -> KernelRegistry {
 
     // --- road following (scm) ---
     r.register("road_split", "int -> image -> band list", |a| {
-        let n = usz(&a[0]);
-        let img = image_of(&a[1]);
-        Value::list(
-            skipper_vision::split::split_rows(&img, n, 0)
-                .iter()
-                .map(band_value)
-                .collect(),
-        )
+        let bands = skipper_vision::split::split_rows(&arg(&a[1], image_of), usz(&a[0]), 0);
+        natives(bands, band_value)
     })
     .expect(sig);
     r.register_costed("road_scan", "band -> point list", 10_000, |a| {
-        Value::list(
-            crate::road::scan_band(band_of(&a[0]))
-                .iter()
-                .map(line_point_value)
-                .collect(),
-        )
+        let band = arg(&a[0], band_of).into_owned();
+        natives(crate::road::scan_band(band), line_point_value)
     })
     .expect(sig);
     r.register("road_merge", "point list list -> line", |a| {
         let parts = list(&a[0])
             .iter()
-            .map(|p| list(p).iter().map(line_point_of).collect())
+            .map(|p| list_arg(p, line_point_of))
             .collect();
-        line_value(&crate::road::merge_scans(parts))
+        Value::native(crate::road::merge_scans(parts), line_value)
     })
     .expect(sig);
     r.register_source("road_frames", "unit -> image", |_, i| {
@@ -508,28 +524,23 @@ pub fn app_registry() -> KernelRegistry {
 
     // --- vehicle tracking (df inside itermem) ---
     r.register("get_windows", "state -> image -> window list", |a| {
-        let state = state_of(&a[0]);
-        let img = image_of(&a[1]);
-        Value::list(
-            crate::tracking::get_windows(&state, &img)
-                .iter()
-                .map(window_value)
-                .collect(),
-        )
+        let windows = crate::tracking::get_windows(&arg(&a[0], state_of), &arg(&a[1], image_of));
+        natives(windows, window_value)
     })
     .expect(sig);
     r.register_costed(
         "detect_marks",
         "window -> mark list",
         crate::costs::DETECT_UNITS_PER_PX * 32 * 32,
-        |a| marks_value(&crate::tracking::detect_marks(&window_of(&a[0]))),
+        |a| {
+            let marks = crate::tracking::detect_marks(&arg(&a[0], window_of));
+            natives(marks, mark_value)
+        },
     )
     .expect(sig);
     r.register("accum_marks", "mark list -> mark list -> mark list", |a| {
-        marks_value(&crate::tracking::accum_marks(
-            marks_of(&a[0]),
-            marks_of(&a[1]),
-        ))
+        let acc = crate::tracking::accum_marks(list(&a[0]).to_vec(), list(&a[1]).to_vec());
+        Value::list(acc)
     })
     .expect(sig);
     r.register_costed(
@@ -537,8 +548,12 @@ pub fn app_registry() -> KernelRegistry {
         "state -> mark list -> state * mark list",
         crate::costs::PREDICT_UNITS,
         |a| {
-            let (state, marks) = crate::tracking::predict(&state_of(&a[0]), marks_of(&a[1]));
-            Value::tuple(vec![state_value(&state), marks_value(&marks)])
+            let (state, marks) =
+                crate::tracking::predict(&arg(&a[0], state_of), list_arg(&a[1], mark_of));
+            Value::tuple(vec![
+                Value::native(state, state_value),
+                natives(marks, mark_value),
+            ])
         },
     )
     .expect(sig);
@@ -715,6 +730,69 @@ mod tests {
         for m in &marks {
             assert_eq!(&mark_of(&mark_value(m)), m);
         }
+    }
+
+    /// Everything but `native_ref` sees `Value::native(x, encode)` as
+    /// `encode(&x)`; `arg` borrows the native and decodes the encoding.
+    fn assert_native_contract<T>(x: &T, encode: fn(&T) -> Value, decode: fn(&Value) -> T)
+    where
+        T: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
+    {
+        use skipper::receipt::wire_hash;
+        let (n, e) = (Value::native(x.clone(), encode), encode(x));
+        assert_eq!(n, e);
+        assert_eq!(e, n);
+        assert_eq!(format!("{n:?}"), format!("{e:?}"));
+        assert_eq!(wire_hash(&n), wire_hash(&e));
+        assert_eq!(n.byte_size(), e.byte_size());
+        assert_eq!(n.size(), e.size());
+        assert_eq!(n.type_name(), e.type_name());
+        assert!(matches!(arg(&n, decode), Cow::Borrowed(b) if b == x));
+        assert!(matches!(arg(&e, decode), Cow::Owned(ref o) if o == x));
+    }
+
+    #[test]
+    fn natives_observe_as_their_boundary_encoding() {
+        assert_native_contract(&track_frame(0), image_value, image_of);
+        for band in crate::ccl::split_bands(&ccl_frame(0), 4) {
+            assert_native_contract(&band, band_value, band_of);
+            let lband = crate::ccl::label_band(band);
+            assert_native_contract(&lband, lband_value, lband_of);
+        }
+        for band in skipper_vision::split::split_rows(&road_frame(0), 4, 0) {
+            for p in crate::road::scan_band(band) {
+                assert_native_contract(&p, line_point_value, line_point_of);
+            }
+        }
+        assert_native_contract(&None, line_value, line_of);
+        let line = crate::road::detect_line_seq(&road_frame(0));
+        assert!(line.is_some(), "synthetic road frame has a lane line");
+        assert_native_contract(&line, line_value, line_of);
+
+        let s0 = crate::tracking::init_state(tracker_dsl_config());
+        let (s1, marks) = crate::tracking::loop_step_seq(&s0, &track_frame(0));
+        assert!(!marks.is_empty(), "scene frame 0 yields marks");
+        for state in [&s0, &s1] {
+            assert_native_contract(state, state_value, state_of);
+            for w in crate::tracking::get_windows(state, &track_frame(1)) {
+                assert_native_contract(&w, window_value, window_of);
+            }
+        }
+        for m in &marks {
+            assert_native_contract(m, mark_value, mark_of);
+        }
+
+        // A kernel result shape: natives nested in lists and tuples.
+        let nested = Value::tuple(vec![
+            Value::native(s1.clone(), state_value),
+            natives(marks.clone(), mark_value),
+        ]);
+        let encoded = Value::tuple(vec![state_value(&s1), marks_value(&marks)]);
+        assert!(!nested.is_structural());
+        let s = nested.structural();
+        assert!(s.is_structural());
+        assert_eq!(s, encoded);
+        assert_eq!(format!("{s:?}"), format!("{encoded:?}"));
     }
 
     #[test]

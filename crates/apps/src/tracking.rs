@@ -242,12 +242,14 @@ pub fn detect_marks(window: &Window) -> Vec<Mark> {
 }
 
 /// `accum_marks`: folds one window's detections into the accumulated list.
+/// It is generic over how a mark is held, so the DSL kernel concatenates
+/// its marks as executive values without decoding them.
 ///
 /// Concatenation is order-sensitive, so [`predict`] canonicalises the list
 /// before use — this is what makes the farm's arrival-order accumulation
 /// equivalent to the sequential fold, as the paper's `df` equivalence
 /// condition requires.
-pub fn accum_marks(mut acc: Vec<Mark>, mut marks: Vec<Mark>) -> Vec<Mark> {
+pub fn accum_marks<M>(mut acc: Vec<M>, mut marks: Vec<M>) -> Vec<M> {
     acc.append(&mut marks);
     acc
 }
@@ -514,7 +516,12 @@ pub type DetectFarm =
 
 /// The detection farm as a program value (`df nproc detect accum []`).
 pub fn detection_farm(nproc: usize) -> DetectFarm {
-    skipper::df(nproc, detect_marks as _, accum_marks as _, Vec::new())
+    skipper::df(
+        nproc,
+        detect_marks as _,
+        accum_marks::<Mark> as _,
+        Vec::new(),
+    )
 }
 
 /// One loop iteration with the detection farm run through a **prepared**
@@ -696,7 +703,7 @@ mod tests {
         };
         let acc = accum_marks(vec![m.clone()], vec![m.clone(), m.clone()]);
         assert_eq!(acc.len(), 3);
-        assert_eq!(accum_marks(Vec::new(), Vec::new()).len(), 0);
+        assert_eq!(accum_marks(Vec::<Mark>::new(), Vec::new()).len(), 0);
     }
 
     #[test]

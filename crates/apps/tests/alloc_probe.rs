@@ -1,12 +1,14 @@
 //! Steady-state allocation probe: prepare once, run many frames, and
-//! prove that **zero pixel-buffer allocations** happen per frame.
+//! prove that **zero pixel-buffer allocations** happen per frame on the
+//! native ccl and road pipelines, and that the compiled `tracking.skp`
+//! body makes exactly as many as the handwritten `TrackBody`.
 //!
 //! The probe is `skipper_vision::pixel_alloc_count()` — a process-global
 //! counter bumped by every pixel-buffer heap allocation (owned image
 //! construction, copy-on-write materialisation, arena misses and slot
-//! growth) and by nothing else. Because the counter is global, this
-//! binary holds a **single** `#[test]`: concurrent tests would bleed
-//! deltas into each other.
+//! growth) and by nothing else. Because the counter is global, every
+//! test in this binary holds [`PROBE`] from its first statement to its
+//! last: concurrent tests would bleed deltas into each other.
 //!
 //! Steady state is reached by a deterministic prewarm, not by hopeful
 //! warm-up laps. Work stealing means any pool worker — and the helping
@@ -28,16 +30,28 @@
 
 use skipper::{Backend, Executable, PoolBackend, Scm, ShardBackend, WorkerPool};
 use skipper_apps::ccl::ccl_program;
+use skipper_apps::kernels::{app_registry, track_frame, track_loop, value_frames, TrackBody};
 use skipper_apps::road::line_program;
+use skipper_exec::Value;
+use skipper_lang::{compile_source, CompiledBody};
 use skipper_vision::ops;
 use skipper_vision::split::{merge_rows, split_rows, RowBand};
 use skipper_vision::synth::{random_blobs, render_road_frame};
 use skipper_vision::{pixel_alloc_count, Image};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 const W: usize = 160;
 const H: usize = 120;
 const BANDS: usize = 4;
+
+/// Serialises the tests of this binary around the global counter.
+static PROBE: Mutex<()> = Mutex::new(());
+
+fn probe() -> MutexGuard<'static, ()> {
+    PROBE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Deterministically warms the thread-local frame arenas of every
 /// thread that can run this pool's jobs: the `pool.threads()` workers
@@ -69,6 +83,7 @@ fn prewarm(pool: &WorkerPool) {
 
 #[test]
 fn steady_state_frames_make_zero_pixel_buffer_allocations() {
+    let _probe = probe();
     // Everything that legitimately allocates happens before the
     // snapshot: frame synthesis, backend construction, prewarm, and one
     // golden lap that also records expected outputs.
@@ -135,5 +150,69 @@ fn steady_state_frames_make_zero_pixel_buffer_allocations() {
         "steady-state frames must not allocate pixel buffers \
          (splits are views, kernels lease from warmed arenas, merges \
          lease from the caller's arena)"
+    );
+}
+
+/// Steady-state pixel-buffer allocations of `laps` passes over `frames`
+/// through a prepared `(state, frame)` loop body, each lap restarting
+/// from `init`; every frame's `(state, output)` is checked against
+/// `golden`.
+fn loop_allocs(
+    run: impl Fn(&(Value, Value)) -> (Value, Value),
+    init: &Value,
+    frames: &[Value],
+    golden: &[(Value, Value)],
+    laps: usize,
+) -> u64 {
+    let before = pixel_alloc_count();
+    for _ in 0..laps {
+        let mut z = init.clone();
+        for (i, f) in frames.iter().enumerate() {
+            let out = run(&(z, f.clone()));
+            assert_eq!(out, golden[i], "frame {i}");
+            z = out.0;
+        }
+    }
+    pixel_alloc_count() - before
+}
+
+/// The compiled tracker hands its kernels native windows and marks, so
+/// on the pool its body allocates exactly what the handwritten body
+/// does: one pixel buffer per frame, for the decoded frame.
+#[test]
+fn compiled_tracker_allocates_as_the_handwritten_body() {
+    let _probe = probe();
+    const FRAMES: usize = 8;
+    const LAPS: usize = 3;
+    let src = include_str!("../../../examples/dsl/tracking.skp");
+    let prog = compile_source(&app_registry(), src).expect("tracking.skp compiles");
+    let hand = track_loop(4);
+    let frames = value_frames(track_frame, FRAMES);
+
+    let pool = PoolBackend::new();
+    prewarm(pool.pool());
+    let dsl = Backend::<CompiledBody, &(Value, Value)>::prepare(&pool, prog.body());
+    let hw = Backend::<TrackBody, &(Value, Value)>::prepare(&pool, hand.body());
+
+    // Golden lap of the handwritten body, then a warm lap of each.
+    let mut golden = Vec::new();
+    let mut z = hand.init().clone();
+    for f in &frames {
+        let out = hw.run(&(z, f.clone()));
+        z = out.0.clone();
+        golden.push(out);
+    }
+    loop_allocs(|t| dsl.run(t), prog.init(), &frames, &golden, 1);
+
+    let hand_allocs = loop_allocs(|t| hw.run(t), hand.init(), &frames, &golden, LAPS);
+    let dsl_allocs = loop_allocs(|t| dsl.run(t), prog.init(), &frames, &golden, LAPS);
+    let frames_run = (FRAMES * LAPS) as u64;
+    assert_eq!(
+        hand_allocs, frames_run,
+        "the handwritten body allocates one pixel buffer per frame (the decoded frame)"
+    );
+    assert_eq!(
+        dsl_allocs, hand_allocs,
+        "the compiled body allocates as many pixel buffers as the handwritten one"
     );
 }

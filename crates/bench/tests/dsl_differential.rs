@@ -4,10 +4,11 @@
 //! [`skipper`] counterpart **output-for-output and receipt-for-receipt**
 //! on every host strategy (declarative / threads / pool / shards) across
 //! the standard worker-count sweep — and must reproduce the declarative
-//! golden on the simulated SynDEx machine.
+//! golden on the simulated SynDEx machine. Kernels hand each other
+//! native Rust values inside a frame; no native may leave a body.
 
 use skipper::conformance::assert_programs_equivalent;
-use skipper::{Backend, Skeleton};
+use skipper::{Backend, PoolBackend, SeqBackend, ShardBackend, Skeleton};
 use skipper_apps::kernels::{
     app_registry, ccl_frame, ccl_loop, road_frame, road_loop, track_frame, track_loop, value_frames,
 };
@@ -104,4 +105,48 @@ fn driver_frames_replay_the_synthetic_streams() {
         compiled(TRACKING_SRC).frames(3),
         value_frames(track_frame, 3)
     );
+}
+
+/// Natives stay inside a frame: on the sequential, pool, 2-shard and
+/// simulated backends, the carried state and the output of every frame
+/// are plain structural values. Each frame's state is observed as the
+/// final state of the stream prefix ending at it. The pool and shards
+/// are sized by `SKIPPER_WORKERS`, so CI runs this at 1 and 4 workers.
+#[test]
+fn no_native_escapes_a_compiled_body() {
+    let pool = PoolBackend::new();
+    let shards = ShardBackend::new(2);
+    let sim = SimBackend::ring(3);
+    for (label, src) in [
+        ("ccl.skp", CCL_SRC),
+        ("road.skp", ROAD_SRC),
+        ("tracking.skp", TRACKING_SRC),
+    ] {
+        let prog = compiled(src);
+        let lp = prog.loop_program();
+        let frames = prog.frames(3);
+        for k in 1..=frames.len() {
+            let prefix = frames[..k].to_vec();
+            let sim_run = sim
+                .run(&lp, prefix.clone())
+                .unwrap_or_else(|e| panic!("{label} must run on the simulated ring: {e:?}"));
+            let runs = [
+                ("seq", SeqBackend.run(&lp, prefix.clone())),
+                ("pool", pool.run(&lp, prefix.clone())),
+                ("2 shards", shards.run(&lp, prefix)),
+                ("sim", sim_run),
+            ];
+            for (backend, (z, ys)) in &runs {
+                assert_eq!(ys.len(), k, "{label} on {backend}: one output per frame");
+                assert!(
+                    z.is_structural(),
+                    "{label} on {backend}: the state after frame {k} holds a native"
+                );
+                assert!(
+                    ys.iter().all(Value::is_structural),
+                    "{label} on {backend}: an output of frames 1..={k} holds a native"
+                );
+            }
+        }
+    }
 }

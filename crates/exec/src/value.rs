@@ -3,13 +3,30 @@
 //! The executive ships *real application data* through the simulated
 //! machine so that a parallel run can be checked bit-for-bit against the
 //! sequential emulation. [`Value`] is the uniform message/argument type:
-//! scalars, strings, lists, tuples, and opaque application payloads
-//! (images, tracker states, …) carried behind an `Arc` together with their
-//! modelled wire size.
+//! scalars, strings, lists, tuples, and two kinds of Rust payload
+//! carried behind an `Arc`:
+//!
+//! - [`Value::Opaque`] is a *modelled* payload: a type name, a modelled
+//!   wire size, and pointer identity (two opaques are equal only when
+//!   they are the same allocation). The simulated tracker
+//!   (`tracker_sim`) uses it for images, windows and marks whose link
+//!   occupancy is the paper's modelled size, not their encoded size.
+//! - [`Value::Native`] is a *structural value that has not been encoded
+//!   yet*: a Rust payload plus the encoder that turns it into plain
+//!   tuples, lists and scalars. Kernels hand natives to each other
+//!   inside a frame so the codec runs only where a value leaves it. A
+//!   native is observably identical to its encoding — `==`, `Debug`,
+//!   [`to_wire`](skipper::wire::ToWire::to_wire) (so receipt hashes),
+//!   [`byte_size`](Value::byte_size) (so simulated link occupancy),
+//!   [`size`](Value::size) (so cost models), [`type_name`](Value::type_name)
+//!   and the shape accessors all see the encoding, computed once on
+//!   first use — and only [`native_ref`](Value::native_ref) tells the two
+//!   apart. [`structural`](Value::structural) encodes every native in a
+//!   value, deeply.
 
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dynamically-typed executive value.
 #[derive(Clone)]
@@ -42,8 +59,36 @@ pub enum Value {
         /// Modelled size in bytes (drives link occupancy).
         bytes: u64,
     },
+    /// A Rust payload standing for its structural encoding (see the
+    /// module docs and [`Value::native`]).
+    Native(Arc<dyn NativeValue>),
     /// Farm-protocol control marker: "no more work" (end of iteration).
     End,
+}
+
+/// The payload of a [`Value::Native`]: a Rust value plus its structural
+/// encoding, computed on first use and kept.
+pub trait NativeValue: Send + Sync {
+    /// The Rust payload, for [`Value::native_ref`].
+    fn payload(&self) -> &dyn Any;
+    /// The structural encoding of the payload.
+    fn encoded(&self) -> &Value;
+}
+
+struct Native<T> {
+    value: T,
+    encode: fn(&T) -> Value,
+    encoded: OnceLock<Value>,
+}
+
+impl<T: Send + Sync + 'static> NativeValue for Native<T> {
+    fn payload(&self) -> &dyn Any {
+        &self.value
+    }
+
+    fn encoded(&self) -> &Value {
+        self.encoded.get_or_init(|| (self.encode)(&self.value))
+    }
 }
 
 impl Value {
@@ -53,6 +98,59 @@ impl Value {
             type_name: Arc::from(type_name),
             data: Arc::new(value),
             bytes,
+        }
+    }
+
+    /// Wraps a Rust value that stands for `encode(&value)`: every
+    /// observation but [`native_ref`](Value::native_ref) sees the
+    /// encoding, which is computed only if something observes it.
+    pub fn native<T: Send + Sync + 'static>(value: T, encode: fn(&T) -> Value) -> Value {
+        Value::Native(Arc::new(Native {
+            value,
+            encode,
+            encoded: OnceLock::new(),
+        }))
+    }
+
+    /// Borrows the payload of a [`Value::Native`] as `T`.
+    pub fn native_ref<T: Any>(&self) -> Option<&T> {
+        match self {
+            Value::Native(n) => n.payload().downcast_ref::<T>(),
+            _ => None,
+        }
+    }
+
+    /// This value with every native replaced by its encoding, at any
+    /// depth. Shares the storage of a value that holds no native.
+    #[must_use]
+    pub fn structural(&self) -> Value {
+        match self {
+            Value::Native(n) => n.encoded().structural(),
+            Value::List(v) if !self.is_structural() => {
+                Value::list(v.iter().map(Value::structural).collect())
+            }
+            Value::Tuple(v) if !self.is_structural() => {
+                Value::tuple(v.iter().map(Value::structural).collect())
+            }
+            _ => self.clone(),
+        }
+    }
+
+    /// `true` when no native occurs in this value, at any depth.
+    pub fn is_structural(&self) -> bool {
+        match self {
+            Value::Native(_) => false,
+            Value::List(v) | Value::Tuple(v) => v.iter().all(Value::is_structural),
+            _ => true,
+        }
+    }
+
+    /// The value the shape accessors and observers look at: a native's
+    /// encoding, anything else itself.
+    fn shape(&self) -> &Value {
+        match self {
+            Value::Native(n) => n.encoded().shape(),
+            v => v,
         }
     }
 
@@ -86,7 +184,7 @@ impl Value {
 
     /// The byte payload, if this is a `Bytes`.
     pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
+        match self.shape() {
             Value::Bytes(b) => Some(b),
             _ => None,
         }
@@ -102,7 +200,7 @@ impl Value {
 
     /// The integer payload, if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
-        match self {
+        match self.shape() {
             Value::Int(i) => Some(*i),
             _ => None,
         }
@@ -110,7 +208,7 @@ impl Value {
 
     /// The float payload, if this is a `Float`.
     pub fn as_float(&self) -> Option<f64> {
-        match self {
+        match self.shape() {
             Value::Float(f) => Some(*f),
             _ => None,
         }
@@ -118,7 +216,7 @@ impl Value {
 
     /// The list elements, if this is a `List`.
     pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
+        match self.shape() {
             Value::List(v) => Some(v),
             _ => None,
         }
@@ -126,7 +224,7 @@ impl Value {
 
     /// The tuple elements, if this is a `Tuple`.
     pub fn as_tuple(&self) -> Option<&[Value]> {
-        match self {
+        match self.shape() {
             Value::Tuple(v) => Some(v),
             _ => None,
         }
@@ -146,6 +244,7 @@ impl Value {
             Value::Bytes(b) => b.len() as u64,
             Value::List(v) | Value::Tuple(v) => 8 + v.iter().map(Value::byte_size).sum::<u64>(),
             Value::Opaque { bytes, .. } => *bytes,
+            Value::Native(n) => n.encoded().byte_size(),
         };
         raw.max(1)
     }
@@ -163,6 +262,7 @@ impl Value {
             Value::Bytes(b) => b.len(),
             Value::List(v) | Value::Tuple(v) => v.iter().map(Value::size).sum(),
             Value::Opaque { bytes, .. } => *bytes as usize,
+            Value::Native(n) => n.encoded().size(),
             Value::End => 0,
         }
     }
@@ -179,6 +279,7 @@ impl Value {
             Value::List(_) => "list".into(),
             Value::Tuple(_) => "tuple".into(),
             Value::Opaque { type_name, .. } => type_name.to_string(),
+            Value::Native(n) => n.encoded().type_name(),
             Value::End => "end".into(),
         }
     }
@@ -207,6 +308,7 @@ impl fmt::Debug for Value {
             Value::Opaque {
                 type_name, bytes, ..
             } => write!(f, "<{type_name}:{bytes}B>"),
+            Value::Native(n) => fmt::Debug::fmt(n.encoded(), f),
             Value::End => write!(f, "<end>"),
         }
     }
@@ -223,6 +325,9 @@ impl PartialEq for Value {
             (Value::Bytes(a), Value::Bytes(b)) => a == b,
             (Value::List(a), Value::List(b)) | (Value::Tuple(a), Value::Tuple(b)) => a == b,
             (Value::Opaque { data: a, .. }, Value::Opaque { data: b, .. }) => Arc::ptr_eq(a, b),
+            (Value::Native(a), Value::Native(b)) if Arc::ptr_eq(a, b) => true,
+            (Value::Native(a), b) => a.encoded() == b,
+            (a, Value::Native(b)) => a == b.encoded(),
             _ => false,
         }
     }
@@ -231,7 +336,8 @@ impl PartialEq for Value {
 /// [`Value`]s cross the receipt hasher structurally: every data-bearing
 /// variant maps onto its [`WireValue`](skipper::wire::WireValue)
 /// counterpart, so a receipted compiled-DSL run hashes identically to a
-/// handwritten program producing the same values. The two variants
+/// handwritten program producing the same values. A `Native` is its
+/// encoding. The two variants
 /// without a structural encoding are tagged tuples: an `Opaque` hashes
 /// its type name and byte size (its payload identity is host-local by
 /// design), and `End` hashes its marker tag.
@@ -254,6 +360,7 @@ impl skipper::wire::ToWire for Value {
                 W::Str(type_name.to_string()),
                 W::Int(*bytes as i64),
             ]),
+            Value::Native(n) => n.encoded().to_wire(),
             Value::End => W::Tuple(vec![W::Str("<end>".into())]),
         }
     }
@@ -357,5 +464,87 @@ mod tests {
         assert_eq!(format!("{v:?}"), "(1, \"a\")");
         let o = Value::opaque("image", (), 1024);
         assert_eq!(format!("{o:?}"), "<image:1024B>");
+    }
+
+    /// A toy Rust type and its structural encoder.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Pt {
+        x: i64,
+        y: f64,
+        tag: String,
+    }
+
+    fn pt_value(p: &Pt) -> Value {
+        Value::tuple(vec![Value::Int(p.x), Value::Float(p.y), Value::str(&p.tag)])
+    }
+
+    fn pts() -> Vec<Pt> {
+        vec![
+            Pt {
+                x: 3,
+                y: -0.5,
+                tag: "a".into(),
+            },
+            Pt {
+                x: -7,
+                y: 1e9,
+                tag: String::new(),
+            },
+        ]
+    }
+
+    /// Everything but `native_ref` sees a native as its encoding.
+    fn assert_same_observations(native: &Value, encoded: &Value) {
+        use skipper::receipt::wire_hash;
+        assert_eq!(native, encoded);
+        assert_eq!(encoded, native);
+        assert_eq!(format!("{native:?}"), format!("{encoded:?}"));
+        assert_eq!(wire_hash(native), wire_hash(encoded));
+        assert_eq!(native.byte_size(), encoded.byte_size());
+        assert_eq!(native.size(), encoded.size());
+        assert_eq!(native.type_name(), encoded.type_name());
+    }
+
+    #[test]
+    fn native_is_observably_its_encoding() {
+        for p in pts() {
+            let n = Value::native(p.clone(), pt_value);
+            assert_same_observations(&n, &pt_value(&p));
+            assert_eq!(n.native_ref::<Pt>(), Some(&p));
+            assert!(n.native_ref::<i64>().is_none());
+            assert!(pt_value(&p).native_ref::<Pt>().is_none());
+            assert_eq!(n.as_tuple().map(<[Value]>::len), Some(3));
+            let other = pts().into_iter().find(|q| *q != p).expect("two points");
+            assert_ne!(n, Value::native(other.clone(), pt_value));
+            assert_ne!(n, pt_value(&other));
+        }
+    }
+
+    #[test]
+    fn structural_encodes_natives_at_any_depth() {
+        let [a, b] = [0, 1].map(|i| Value::native(pts()[i].clone(), pt_value));
+        let nested = Value::tuple(vec![
+            Value::list(vec![a.clone(), b.clone()]),
+            Value::Int(1),
+            Value::tuple(vec![Value::list(Vec::new()), b.clone()]),
+        ]);
+        let [ea, eb] = [0, 1].map(|i| pt_value(&pts()[i]));
+        let want = Value::tuple(vec![
+            Value::list(vec![ea, eb.clone()]),
+            Value::Int(1),
+            Value::tuple(vec![Value::list(Vec::new()), eb]),
+        ]);
+        assert!(!nested.is_structural());
+        assert!(!a.is_structural());
+        assert!(want.is_structural());
+        let s = nested.structural();
+        assert!(s.is_structural());
+        assert_eq!(s, want);
+        assert_same_observations(&nested, &want);
+        // A value without natives is shared, not rebuilt.
+        let (Value::Tuple(x), Value::Tuple(y)) = (&want, &want.structural()) else {
+            panic!("tuple variant");
+        };
+        assert!(Arc::ptr_eq(x, y));
     }
 }

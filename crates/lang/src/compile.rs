@@ -86,6 +86,19 @@ struct SourceEntry {
 /// functions over [`Value`]s, each carrying the DSL type signature it is
 /// type-checked under. Shared between `skipperc` and the apps crate so
 /// one registry serves both the driver and the differential tests.
+///
+/// # Values inside a frame
+///
+/// A kernel whose result is a named DSL type (`window`, `band`, …) or a
+/// list of one returns it as a [`Value::native`] (a list as a
+/// `Value::list` of natives), so the next kernel of the frame borrows
+/// the Rust value instead of decoding it. Scalars, tuples and lists
+/// themselves are never wrapped. A compiled body encodes its
+/// `(state, output)` result with [`Value::structural`], so no native
+/// leaves a frame: the carried state, outputs, receipts and the display
+/// sink see plain values only. A kernel therefore accepts either form of
+/// each argument — natives from other kernels, structural values from
+/// sources, constants and the carried state.
 #[derive(Clone, Default)]
 pub struct KernelRegistry {
     kernels: BTreeMap<String, KernelEntry>,
@@ -248,7 +261,7 @@ fn kernel_contract_violation(kernel: &str, expected: &str, got: &Value) -> ! {
 /// at compile time).
 #[derive(Clone)]
 struct KernelCall {
-    name: String,
+    name: Arc<str>,
     f: KernelFn,
     pre: Vec<Value>,
     remaining: usize,
@@ -257,6 +270,9 @@ struct KernelCall {
 
 impl KernelCall {
     fn call(&self, rest: &[Value]) -> Value {
+        if self.pre.is_empty() {
+            return (self.f)(rest);
+        }
         let mut args = Vec::with_capacity(self.pre.len() + rest.len());
         args.extend(self.pre.iter().cloned());
         args.extend(rest.iter().cloned());
@@ -422,9 +438,9 @@ impl std::fmt::Debug for Step {
 }
 
 /// A compiled `itermem` loop body: steps over a frame environment,
-/// ending in the `(state', output)` pair. Runs anywhere a handwritten
-/// body runs — declaratively, on any host [`Dispatch`], or lowered onto
-/// the simulated machine — and its
+/// ending in the structurally encoded `(state', output)` pair. Runs
+/// anywhere a handwritten body runs — declaratively, on any host
+/// [`Dispatch`], or lowered onto the simulated machine — and its
 /// skeleton steps call the same `skipper` entry points a handwritten
 /// program would, making dispatch receipts comparable across the two.
 #[derive(Clone)]
@@ -441,9 +457,11 @@ impl std::fmt::Debug for CompiledBody {
 
 impl CompiledBody {
     /// Runs the steps, each skeleton step through `dispatch` (declaratively
-    /// when `None`).
+    /// when `None`), and encodes the result structurally: natives stay
+    /// inside the frame.
     fn run(&self, input: &(Value, Value), dispatch: Option<&dyn Dispatch>) -> (Value, Value) {
-        let mut env: Vec<Value> = vec![input.0.clone(), input.1.clone()];
+        let mut env = Vec::with_capacity(2 + self.steps.len());
+        env.extend([input.0.clone(), input.1.clone()]);
         for step in self.steps.iter() {
             let v = match step {
                 Step::Call { f, args } => {
@@ -459,12 +477,11 @@ impl CompiledBody {
                 } => {
                     let seed_v = seed.resolve(&env);
                     let items_v = items.resolve(&env);
-                    let xs = match items_v.as_list() {
-                        Some(xs) => xs.to_vec(),
-                        None => kernel_contract_violation("<df items>", "a list", &items_v),
+                    let Some(xs) = items_v.as_list() else {
+                        kernel_contract_violation("<df items>", "a list", &items_v)
                     };
                     let prog = df_value(comp, acc, *workers, seed_v);
-                    run_with(&prog, dispatch, &xs[..])
+                    run_with(&prog, dispatch, xs)
                 }
                 Step::Scm {
                     workers,
@@ -496,7 +513,10 @@ impl CompiledBody {
             };
             env.push(v);
         }
-        (self.result.0.resolve(&env), self.result.1.resolve(&env))
+        (
+            self.result.0.resolve(&env).structural(),
+            self.result.1.resolve(&env).structural(),
+        )
     }
 }
 
@@ -683,8 +703,8 @@ impl SimLowerBody<Value, Value> for CompiledBody {
         lw.register_fn(&finish_name, move |ins| {
             let env = env_of(&ins[0]);
             vec![Value::tuple(vec![
-                result.0.resolve(&env),
-                result.1.resolve(&env),
+                result.0.resolve(&env).structural(),
+                result.1.resolve(&env).structural(),
             ])]
         });
         lw.connect(prev, finish, 0, "env")?;
@@ -878,7 +898,7 @@ impl<'r> Compiler<'r> {
             globals.insert(
                 name.clone(),
                 CVal::Kernel(KernelCall {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     f: Arc::clone(&k.f),
                     pre: Vec::new(),
                     remaining: k.arity,
@@ -1438,7 +1458,7 @@ pub fn compile_program(
         source_arg,
         body,
         init,
-        show_name: show.name.clone(),
+        show_name: show.name.to_string(),
         show,
     })
 }
