@@ -1,7 +1,11 @@
 //! `skipperc`'s command-line contract, mirroring the experiments CLI:
 //! good sources exit 0 on every backend; any failure — broken source,
 //! missing file, bad flag — exits nonzero with a **single located
-//! diagnostic line** on stderr, never a panic.
+//! diagnostic line** on stderr, never a panic. `--plan` output is pinned
+//! by golden files in `tests/fixtures/plan/`: a lowering change that
+//! renumbers a node or moves it in the schedule fails here. Regenerate
+//! them only for a deliberate change to the lowered networks:
+//! `REGEN_PLAN_FIXTURES=1 cargo test -p skipper-bench --test skipperc_cli`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -57,6 +61,40 @@ fn plan_emits_a_schedule() {
         stdout.contains("makespan") && stdout.contains("P3:"),
         "expected a 4-processor schedule, got:\n{stdout}"
     );
+}
+
+fn plan_fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/plan")
+        .join(format!("{name}.txt"))
+}
+
+#[test]
+fn plan_output_matches_the_golden_fixtures() {
+    let regen = std::env::var_os("REGEN_PLAN_FIXTURES").is_some_and(|v| v == "1");
+    for name in ["ccl", "road", "tracking"] {
+        let path = example(&format!("{name}.skp"));
+        let out = skipperc(&[path.to_str().unwrap(), "--plan", "--workers", "4"]);
+        assert!(
+            out.status.success(),
+            "{name} --plan failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let live = String::from_utf8(out.stdout).expect("plan output is UTF-8");
+        let fixture = plan_fixture(name);
+        if regen {
+            std::fs::write(&fixture, &live).expect("write plan fixture");
+            continue;
+        }
+        let committed = std::fs::read_to_string(&fixture)
+            .unwrap_or_else(|e| panic!("missing plan fixture {}: {e}", fixture.display()));
+        assert_eq!(
+            live, committed,
+            "`{name}.skp --plan --workers 4` differs from its golden fixture — \
+             the lowered network or its schedule changed (regenerate with \
+             REGEN_PLAN_FIXTURES=1 only if that is intended)"
+        );
+    }
 }
 
 #[test]
