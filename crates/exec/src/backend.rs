@@ -47,9 +47,23 @@
 //!     let simulated = exec.run(&items[..]).expect("prepared farm runs");
 //!     assert_eq!(simulated, SeqBackend.run(&farm, &items[..]));
 //! }
+//! // The SynDEx schedule every run follows: one node order per processor.
+//! let schedule = exec.statics().expect("prepared").schedule();
+//! assert_eq!(schedule.proc_order.len(), 4);
 //! ```
 //!
-//! Lowering notes (all consistent with the paper's side conditions):
+//! # One lowering
+//!
+//! As in SKiPPER, each skeleton is expanded exactly once into its process
+//! network template. Every lowerable program implements [`SimLower`],
+//! whose one method returns a [`SimPlan`]: a farm (`df` or `tf`),
+//! split/compute/merge, a single node, `then`, or a stage that carries
+//! its input around an inner plan (the DSL body's environment). One
+//! private expander turns any plan into PNT nodes, and one private
+//! compile routine places, schedules and code-generates one-shot programs
+//! and `itermem` loops alike.
+//!
+//! Notes on the lowering (all consistent with the paper's side conditions):
 //!
 //! - `df`/`tf` results are accumulated in **arrival order** by the farm
 //!   master, so simulated results equal the declarative semantics only for
@@ -76,15 +90,14 @@
 //!   and use the **carried state as the accumulator seed** (the
 //!   executive's seeded-master protocol; outputs are the updated
 //!   accumulator). A nested `itermem(...)` body — whose trip count is
-//!   data-dependent — is elaborated sequentially on its host processor,
-//!   like a `tf` subtree. A bare [`Pure`] body cannot lower — its
-//!   by-reference input has no executive encoding — and fails with the
-//!   dedicated [`ExecError::PureLoopBody`];
+//!   data-dependent — and a bare [`Pure`] body are each one node,
+//!   elaborated sequentially on their host processor, like a `tf`
+//!   subtree;
 //! - a program's `with_cost_hint` declaration (e.g.
 //!   [`skipper::Df::with_cost_hint`]) is plumbed through the lowering:
 //!   stamped onto the lowered worker nodes as WCET hints for the SynDEx
-//!   scheduler (inspectable via [`SimBackend::plan`]) and registered as
-//!   the function's per-call cost model
+//!   scheduler (inspectable via [`SimExecutable::statics`]) and
+//!   registered as the function's per-call cost model
 //!   ([`Registry::register_with_cost`]) for the executive's virtual
 //!   clock. An **argument-dependent** `with_cost_model` declaration
 //!   (e.g. [`skipper::Df::with_cost_model`]) goes further: the executive
@@ -92,15 +105,15 @@
 //!   `model(1)` serves as the static WCET hint for the scheduler.
 
 use crate::executive::{run_prepared, ExecConfig, ExecError, ExecReport, SimStatics};
-use crate::registry::Registry;
+use crate::registry::{NativeFn, Registry};
 use crate::sim_value::SimValue;
 use crate::value::Value;
-use skipper::{Df, IterLoop, Pure, Scm, Skeleton, Tf, Then};
+use skipper::{Backend, CostModel, Df, Executable, IterLoop, Pure, Scm, Skeleton, Tf, Then};
 use skipper_net::dtype::DataType;
 use skipper_net::graph::{NodeId, NodeKind, ProcessNetwork};
 use skipper_net::pnt::{expand_df, expand_itermem, expand_scm, DfTypes, IterMemTypes, ScmTypes};
 use skipper_net::FarmShape;
-use skipper_syndex::schedule::{schedule_with, Schedule, Strategy};
+use skipper_syndex::schedule::{schedule_with, Strategy};
 use skipper_syndex::Architecture;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -117,317 +130,148 @@ fn decode<T: SimValue>(v: &Value, what: &str) -> Result<T, ExecError> {
     })
 }
 
-/// One fragment of a lowered program: a subgraph consuming its encoded
-/// input on `entry` port 0 and producing its encoded output on `exit`
-/// port 0.
-#[derive(Debug, Clone, Copy)]
-pub struct Fragment {
-    /// Dataflow entry node.
-    pub entry: NodeId,
-    /// Dataflow exit node.
-    pub exit: NodeId,
+fn named(t: &str) -> DataType {
+    DataType::named(t)
 }
 
-/// Shared state threaded through a lowering pass.
-pub struct Lowering<'a> {
-    net: &'a mut ProcessNetwork,
-    reg: &'a mut Registry,
-    farm_init: &'a mut HashMap<usize, Value>,
-    workers: &'a mut Vec<NodeId>,
-    /// `(router, worker)` co-location pairs: each ring router must be
-    /// mapped onto its worker's processor (Fig. 1 places one `M->W`/`W->M`
-    /// pair per worker processor).
-    colocated: &'a mut Vec<(NodeId, NodeId)>,
-    /// Farm PNT shape the backend lowers with.
-    shape: FarmShape,
-    counter: &'a mut usize,
+/// A program's declared per-call cost: a constant WCET hint (0: none)
+/// and an optional argument-dependent model, which wins over the hint.
+#[derive(Clone, Copy, Default)]
+struct Cost {
+    hint: u64,
+    model: Option<CostModel>,
 }
 
-impl Lowering<'_> {
-    /// A registry/function name unique within this lowering.
-    fn fresh(&mut self, role: &str) -> String {
-        let id = *self.counter;
-        *self.counter += 1;
-        format!("p{id}_{role}")
+impl Cost {
+    fn new(hint: u64, model: Option<CostModel>) -> Cost {
+        Cost { hint, model }
     }
+}
 
-    /// Records the ring routers of a freshly expanded farm as co-located
-    /// with their workers (no-op for star farms, which have none).
-    fn colocate_routers(&mut self, h: &skipper_net::pnt::FarmHandles) {
-        for routers in [&h.routers_mw, &h.routers_wm] {
-            for (i, &r) in routers.iter().enumerate() {
-                self.colocated.push((r, h.workers[i]));
-            }
-        }
-    }
+/// The two farms of the repertoire, which share Fig. 1's template.
+#[derive(Clone, Copy)]
+enum FarmKind {
+    /// `df`: workers map items to results.
+    Data,
+    /// `tf`: workers elaborate a root task's subtree into a result list.
+    Task,
+}
 
-    /// Registers `f` under `name`, carrying the program's declared cost
-    /// into the executive's cost model
-    /// ([`Registry::register_with_cost`]) when one was given. An
-    /// argument-dependent `cost_model` wins over a constant `cost_hint`:
-    /// the model is evaluated on the first actual argument's
-    /// [`Value::size`] at every call.
-    fn register_costed(
-        &mut self,
-        name: &str,
+/// The process-network structure of a lowered program, with its
+/// sequential functions bound: what [`SimLower::lower`] returns and the
+/// backend's expander turns into PNT nodes. Node ids, function names
+/// (`p{k}_{role}`) and edges are assigned at expansion, in plan order.
+pub struct SimPlan(Form);
+
+enum Form {
+    /// Fig. 1's master and `workers` workers: `compute` on every worker,
+    /// `acc` on the master, seeded by `init` (or, for an `(state, items)`
+    /// input, by the state).
+    Farm {
+        kind: FarmKind,
+        workers: usize,
+        compute: NativeFn,
+        acc: NativeFn,
+        init: Value,
+        cost: Cost,
+    },
+    /// Split, `workers` compute nodes, merge.
+    Scm {
+        workers: usize,
+        split: NativeFn,
+        compute: NativeFn,
+        merge: NativeFn,
+        cost: Cost,
+    },
+    /// One process running `f`.
+    Node {
+        role: String,
+        f: NativeFn,
+        cost: Cost,
+    },
+    /// `first`'s exit feeds `second`'s entry over a `link`-typed edge.
+    Then {
+        first: Box<Form>,
+        second: Box<Form>,
+        link: &'static str,
+    },
+    /// `before`, then `feed → inner → store`, with `before`'s output also
+    /// fanned around `inner` to the store's port 1 (see
+    /// [`SimPlan::around`]).
+    Around {
+        before: Box<Form>,
+        feed: Box<Form>,
+        into: &'static str,
+        inner: Box<Form>,
+        out: &'static str,
+        store: Box<Form>,
+    },
+}
+
+impl SimPlan {
+    /// One process running `f`, registered under a fresh `p{k}_{role}`
+    /// name with a constant per-call `cost_hint` for the executive's
+    /// clock (0: none).
+    pub fn node(
+        role: impl Into<String>,
         cost_hint: u64,
-        cost_model: Option<skipper::CostModel>,
         f: impl Fn(&[Value]) -> Vec<Value> + Send + Sync + 'static,
-    ) {
-        if let Some(model) = cost_model {
-            self.reg.register_with_cost(name, f, move |args| {
-                model(args.first().map(Value::size).unwrap_or(0))
-            });
-        } else if cost_hint > 0 {
-            self.reg.register_with_cost(name, f, move |_| cost_hint);
-        } else {
-            self.reg.register(name, f);
-        }
+    ) -> SimPlan {
+        SimPlan(Form::Node {
+            role: role.into(),
+            f: Arc::new(f),
+            cost: Cost::new(cost_hint, None),
+        })
     }
 
-    /// Stamps the program's declared per-call cost onto the lowered
-    /// compute nodes, so the SynDEx scheduler sees real WCET hints
-    /// instead of zero-cost placeholders. With an argument-dependent
-    /// model, the static hint is the model evaluated at size 1 (or the
-    /// constant hint when that is larger): the scheduler has no actual
-    /// arguments to measure, so a nominal unit-size argument stands in.
-    fn hint_nodes(
-        &mut self,
-        nodes: &[NodeId],
-        cost_hint: u64,
-        cost_model: Option<skipper::CostModel>,
-    ) {
-        let effective = cost_model.map(|m| m(1)).unwrap_or(0).max(cost_hint);
-        if effective > 0 {
-            for &node in nodes {
-                self.net.set_cost_hint(node, effective);
-            }
-        }
+    /// `self`, then `next` on its output over a `link`-typed edge.
+    #[must_use]
+    pub fn then(self, next: SimPlan, link: &'static str) -> SimPlan {
+        SimPlan(Form::Then {
+            first: Box::new(self.0),
+            second: Box::new(next.0),
+            link,
+        })
     }
 
-    // The public construction surface for out-of-crate lowerings: the
-    // DSL compiler (`skipper-lang`'s `compile` module) lowers its
-    // compiled loop bodies through [`SimLowerBody`] like any skeleton,
-    // but lives outside this crate. These accessors expose exactly the
-    // node/edge/registry operations the in-crate lowerings use — a
-    // custom body is glue nodes around fragments produced by the
-    // [`SimLower`] impls of the ordinary skeleton shapes.
-
-    /// A registry/function name unique within this lowering.
-    pub fn fresh_name(&mut self, role: &str) -> String {
-        self.fresh(role)
-    }
-
-    /// Adds a user-function node named `name` to the network. The
-    /// function itself must be registered under the same name
-    /// ([`Lowering::register_fn`] or [`Lowering::register_costed_fn`]).
-    pub fn add_user_fn(&mut self, name: &str) -> NodeId {
-        self.net.add_node(NodeKind::UserFn(name.to_string()), name)
-    }
-
-    /// Connects `from`'s output port 0 to `to`'s input port `to_port`
-    /// carrying a `ty`-named data type.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Internal`] if either endpoint does not exist or the
-    /// input port is already driven.
-    pub fn connect(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        to_port: usize,
-        ty: &str,
-    ) -> Result<(), ExecError> {
-        self.net
-            .add_data_edge(from, 0, to, to_port, named(ty))
-            .map_err(internal)
-    }
-
-    /// Registers `f` under `name` with no cost declaration.
-    pub fn register_fn(
-        &mut self,
-        name: &str,
-        f: impl Fn(&[Value]) -> Vec<Value> + Send + Sync + 'static,
-    ) {
-        self.reg.register(name, f);
-    }
-
-    /// Registers `f` under `name`, carrying a cost declaration exactly
-    /// as the in-crate skeleton lowerings do (see the private
-    /// `register_costed`): an argument-dependent `cost_model` wins over
-    /// a constant `cost_hint`.
-    pub fn register_costed_fn(
-        &mut self,
-        name: &str,
-        cost_hint: u64,
-        cost_model: Option<skipper::CostModel>,
-        f: impl Fn(&[Value]) -> Vec<Value> + Send + Sync + 'static,
-    ) {
-        self.register_costed(name, cost_hint, cost_model, f);
+    /// `self`, then a stage that carries its output around `inner`:
+    /// `feed` (a node reading `self`'s output over an `env` edge) computes
+    /// `inner`'s input, sent over an `into` edge; `store` receives
+    /// `inner`'s output on port 0 (an `out` edge) and `self`'s output
+    /// again on port 1 (an `env` edge).
+    #[must_use]
+    pub fn around(
+        self,
+        feed: SimPlan,
+        into: &'static str,
+        inner: SimPlan,
+        out: &'static str,
+        store: SimPlan,
+    ) -> SimPlan {
+        SimPlan(Form::Around {
+            before: Box::new(self.0),
+            feed: Box::new(feed.0),
+            into,
+            inner: Box::new(inner.0),
+            out,
+            store: Box::new(store.0),
+        })
     }
 }
 
 /// A program shape [`SimBackend`] knows how to lower into a process
 /// network: [`Df`], [`Scm`], [`Tf`], [`Pure`] and [`Then`] pipelines of
-/// them ([`IterLoop`] is handled at the top level, since a stream loop
-/// wraps the whole graph).
+/// them as one-shot programs, and the same shapes (plus a nested
+/// [`IterLoop`]) over an `itermem` body's `(state, frame)` tuple.
 pub trait SimLower<I>: Skeleton<I> {
-    /// Expands this program into `lw`, registering its sequential
-    /// functions, and returns the fragment's dataflow endpoints — or the
-    /// [`ExecError`] explaining why this shape has no machine encoding.
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError>;
+    /// This program's process-network structure.
+    fn lower(&self) -> SimPlan;
 }
 
-/// A program shape that can head an `itermem` loop body on the
-/// simulator: the loop machinery lowers the body through this trait
-/// rather than [`SimLower`] directly, so that shapes *without* a machine
-/// encoding — a bare [`Pure`] function over the by-reference
-/// `(state, frame)` tuple — surface a dedicated, diagnosable
-/// [`ExecError::PureLoopBody`] at lowering time instead of an opaque
-/// trait-bound failure.
-pub trait SimLowerBody<Z, B>: for<'x> Skeleton<&'x (Z, B)> {
-    /// Lowers this loop body into `lw`, or reports why it cannot lower.
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError>;
-}
-
-impl<Z, B, C, A, Z2> SimLowerBody<Z, B> for Df<C, A, Z2>
-where
-    Df<C, A, Z2>: for<'x> SimLower<&'x (Z, B)>,
-{
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        <Self as SimLower<&(Z, B)>>::lower(self, lw)
-    }
-}
-
-impl<Z, B, S, C, M> SimLowerBody<Z, B> for Scm<S, C, M>
-where
-    Scm<S, C, M>: for<'x> SimLower<&'x (Z, B)>,
-{
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        <Self as SimLower<&(Z, B)>>::lower(self, lw)
-    }
-}
-
-impl<Z, B, W, A, Z2> SimLowerBody<Z, B> for Tf<W, A, Z2>
-where
-    Tf<W, A, Z2>: for<'x> SimLower<&'x (Z, B)>,
-{
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        <Self as SimLower<&(Z, B)>>::lower(self, lw)
-    }
-}
-
-impl<Z, B, P, Z2> SimLowerBody<Z, B> for IterLoop<P, Z2>
-where
-    IterLoop<P, Z2>: for<'x> SimLower<&'x (Z, B)>,
-{
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        <Self as SimLower<&(Z, B)>>::lower(self, lw)
-    }
-}
-
-impl<Z, B, A, B2> SimLowerBody<Z, B> for Then<A, B2>
-where
-    Then<A, B2>: for<'x> SimLower<&'x (Z, B)>,
-{
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        <Self as SimLower<&(Z, B)>>::lower(self, lw)
-    }
-}
-
-/// The ROADMAP's unlowerable case, made diagnosable: a bare `pure(...)`
-/// loop body types as a host-side [`Skeleton`] but has no executive
-/// encoding for its by-reference `(state, frame)` input, so lowering it
-/// fails with [`ExecError::PureLoopBody`] (message pinned by test).
-impl<Z, B, Y, F> SimLowerBody<Z, B> for Pure<F>
-where
-    F: for<'x> Fn(&'x (Z, B)) -> (Z, Y),
-{
-    fn lower_body(&self, _lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        Err(ExecError::PureLoopBody)
-    }
-}
-
-fn named(t: &str) -> DataType {
-    DataType::named(t)
-}
-
-/// Expands a `df` farm into the network with the backend's farm shape,
-/// registering its compute/accumulate functions. Shared by the slice
-/// (one-shot) and loop-body lowerings — the node structure and functions
-/// are identical; only the master's accumulator seeding differs, and that
-/// is decided at run time by the input's shape (list vs `(state, items)`
+/// A data farm over an item slice. The loop-body lowering below shares
+/// its nodes and functions: the master's accumulator seeding is decided
+/// at run time by the input's shape (an item list or a `(state, items)`
 /// tuple).
-fn lower_df_nodes<I, O, C, A, Z>(prog: &Df<C, A, Z>, lw: &mut Lowering<'_>) -> Fragment
-where
-    C: Fn(&I) -> O + Clone + Send + Sync + 'static,
-    A: Fn(Z, O) -> Z + Clone + Send + Sync + 'static,
-    I: SimValue,
-    O: SimValue,
-    Z: SimValue,
-{
-    let comp_name = lw.fresh("df_comp");
-    let acc_name = lw.fresh("df_acc");
-    let h = expand_df(
-        lw.net,
-        prog.workers(),
-        &comp_name,
-        &acc_name,
-        DfTypes {
-            item: named("item"),
-            result: named("result"),
-            acc: named("acc"),
-        },
-        lw.shape,
-    );
-    let comp = prog.compute_fn().clone();
-    lw.register_costed(
-        &comp_name,
-        prog.cost_hint(),
-        prog.cost_model(),
-        move |args| {
-            let item = I::from_value(&args[0]).expect("df item decodes");
-            vec![comp(&item).to_value()]
-        },
-    );
-    let acc = prog.acc_fn().clone();
-    lw.reg.register(&acc_name, move |args| {
-        let z = Z::from_value(&args[0]).expect("df accumulator decodes");
-        let o = O::from_value(&args[1]).expect("df result decodes");
-        vec![acc(z, o).to_value()]
-    });
-    lw.farm_init.insert(h.instance, prog.init().to_value());
-    lw.hint_nodes(&h.workers, prog.cost_hint(), prog.cost_model());
-    lw.workers.extend(h.workers.iter().copied());
-    lw.colocate_routers(&h);
-    Fragment {
-        entry: h.master,
-        exit: h.master,
-    }
-}
-
-/// Wraps a farm fragment for loop-body use: the master's output `z'`
-/// becomes the `(state', output)` pair the Fig. 4 `unpair` contract
-/// expects (both components are the updated accumulator — see the
-/// matching `Skeleton<&(Z, Vec<_>)>` impls in `skipper`).
-fn state_pair_exit(lw: &mut Lowering<'_>, farm: Fragment) -> Fragment {
-    let name = lw.fresh("state_pair");
-    let node = lw
-        .net
-        .add_node(NodeKind::UserFn(name.clone()), name.clone());
-    lw.reg.register(&name, |args| {
-        vec![Value::tuple(vec![args[0].clone(), args[0].clone()])]
-    });
-    lw.net
-        .add_data_edge(farm.exit, 0, node, 0, named("state"))
-        .expect("fragment endpoints exist");
-    Fragment {
-        entry: farm.entry,
-        exit: node,
-    }
-}
-
 impl<I, O, C, A, Z> SimLower<&[I]> for Df<C, A, Z>
 where
     C: Fn(&I) -> O + Clone + Send + Sync + 'static,
@@ -436,9 +280,83 @@ where
     O: SimValue + Send,
     Z: SimValue + Clone,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        Ok(lower_df_nodes(self, lw))
+    fn lower(&self) -> SimPlan {
+        let comp = self.compute_fn().clone();
+        let acc = self.acc_fn().clone();
+        SimPlan(Form::Farm {
+            kind: FarmKind::Data,
+            workers: self.workers(),
+            compute: Arc::new(move |args: &[Value]| {
+                let item = I::from_value(&args[0]).expect("df item decodes");
+                vec![comp(&item).to_value()]
+            }),
+            acc: Arc::new(move |args: &[Value]| {
+                let z = Z::from_value(&args[0]).expect("df accumulator decodes");
+                let o = O::from_value(&args[1]).expect("df result decodes");
+                vec![acc(z, o).to_value()]
+            }),
+            init: self.init().to_value(),
+            cost: Cost::new(self.cost_hint(), self.cost_model()),
+        })
     }
+}
+
+/// A task farm over owned root tasks (shared with the loop-body
+/// lowering, as the data farm's is).
+impl<T, O, W, A, Z> SimLower<Vec<T>> for Tf<W, A, Z>
+where
+    W: Fn(T) -> (Vec<T>, Option<O>) + Clone + Send + Sync + 'static,
+    A: Fn(Z, O) -> Z + Clone + Send + Sync + 'static,
+    T: SimValue + Send,
+    O: SimValue + Send,
+    Z: SimValue + Clone,
+{
+    fn lower(&self) -> SimPlan {
+        let worker = self.worker_fn().clone();
+        let acc = self.acc_fn().clone();
+        SimPlan(Form::Farm {
+            kind: FarmKind::Task,
+            workers: self.workers(),
+            compute: Arc::new(move |args: &[Value]| {
+                // Depth-first elaboration of this root task's subtree (the
+                // same order as `skipper::spec::tf` within one subtree).
+                let root = T::from_value(&args[0]).expect("tf task decodes");
+                let mut stack = vec![root];
+                let mut results: Vec<Value> = Vec::new();
+                while let Some(t) = stack.pop() {
+                    let (new_tasks, result) = worker(t);
+                    stack.extend(new_tasks.into_iter().rev());
+                    if let Some(o) = result {
+                        results.push(o.to_value());
+                    }
+                }
+                vec![Value::list(results)]
+            }),
+            acc: Arc::new(move |args: &[Value]| {
+                let z = Z::from_value(&args[0]).expect("tf accumulator decodes");
+                let folded = args[1]
+                    .as_list()
+                    .expect("tf subtree results arrive as a list")
+                    .iter()
+                    .map(|v| O::from_value(v).expect("tf result decodes"))
+                    .fold(z, &acc);
+                vec![folded.to_value()]
+            }),
+            init: self.init().to_value(),
+            cost: Cost::new(self.cost_hint(), self.cost_model()),
+        })
+    }
+}
+
+/// A farm as an `itermem` body: the master's output `z'` becomes the
+/// `(state', output)` pair the Fig. 4 `unpair` contract expects (both
+/// components are the updated accumulator — see the matching
+/// `Skeleton<&(Z, Vec<_>)>` impls in `skipper`).
+fn state_paired(farm: SimPlan) -> SimPlan {
+    let pair = SimPlan::node("state_pair", 0, |args| {
+        vec![Value::tuple(vec![args[0].clone(), args[0].clone()])]
+    });
+    farm.then(pair, "state")
 }
 
 /// A data farm as an `itermem` loop body: the `(state, frame)` tuple
@@ -452,9 +370,8 @@ where
     O: SimValue + Send,
     Z: SimValue + Clone,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        let farm = lower_df_nodes(self, lw);
-        Ok(state_pair_exit(lw, farm))
+    fn lower(&self) -> SimPlan {
+        state_paired(SimLower::<&[I]>::lower(self))
     }
 }
 
@@ -468,144 +385,42 @@ where
     P: SimValue + Send,
     R: SimValue,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
+    fn lower(&self) -> SimPlan {
         let n = self.workers();
-        let split_name = lw.fresh("scm_split");
-        let comp_name = lw.fresh("scm_comp");
-        let merge_name = lw.fresh("scm_merge");
-        let h = expand_scm(
-            lw.net,
-            n,
-            &split_name,
-            &comp_name,
-            &merge_name,
-            ScmTypes {
-                input: named("input"),
-                fragment: named("fragment"),
-                partial: named("partial"),
-                output: named("output"),
-            },
-        );
         let split = self.split_fn().clone();
-        lw.reg.register(&split_name, move |args| {
-            let x = I::from_value(&args[0]).expect("scm input decodes");
-            let frags = split(&x, n);
-            // The statically-expanded network has exactly `n` compute
-            // nodes, so any other fragment count cannot be published.
-            // Returning the short list (or an empty one, when too many
-            // fragments would otherwise be silently dropped) makes the
-            // executive fail the run with `ExecError::BadShape` instead
-            // of panicking or losing work items.
-            if frags.len() > n {
-                return vec![Value::list(Vec::new())];
-            }
-            vec![Value::list(frags.iter().map(SimValue::to_value).collect())]
-        });
         let compute = self.compute_fn().clone();
-        lw.register_costed(
-            &comp_name,
-            self.cost_hint(),
-            self.cost_model(),
-            move |args| {
+        let merge = self.merge_fn().clone();
+        SimPlan(Form::Scm {
+            workers: n,
+            split: Arc::new(move |args: &[Value]| {
+                let x = I::from_value(&args[0]).expect("scm input decodes");
+                let frags = split(&x, n);
+                // The statically-expanded network has exactly `n` compute
+                // nodes, so any other fragment count cannot be published.
+                // Returning the short list (or an empty one, when too many
+                // fragments would otherwise be silently dropped) makes the
+                // executive fail the run with `ExecError::BadShape` instead
+                // of panicking or losing work items.
+                if frags.len() > n {
+                    return vec![Value::list(Vec::new())];
+                }
+                vec![Value::list(frags.iter().map(SimValue::to_value).collect())]
+            }),
+            compute: Arc::new(move |args: &[Value]| {
                 let f = F::from_value(&args[0]).expect("scm fragment decodes");
                 vec![compute(f).to_value()]
-            },
-        );
-        let merge = self.merge_fn().clone();
-        lw.reg.register(&merge_name, move |args| {
-            let parts: Vec<P> = args[0]
-                .as_list()
-                .expect("scm partials arrive as a list")
-                .iter()
-                .map(|v| P::from_value(v).expect("scm partial decodes"))
-                .collect();
-            vec![merge(parts).to_value()]
-        });
-        lw.hint_nodes(&h.workers, self.cost_hint(), self.cost_model());
-        lw.workers.extend(h.workers.iter().copied());
-        Ok(Fragment {
-            entry: h.split,
-            exit: h.merge,
+            }),
+            merge: Arc::new(move |args: &[Value]| {
+                let parts: Vec<P> = args[0]
+                    .as_list()
+                    .expect("scm partials arrive as a list")
+                    .iter()
+                    .map(|v| P::from_value(v).expect("scm partial decodes"))
+                    .collect();
+                vec![merge(parts).to_value()]
+            }),
+            cost: Cost::new(self.cost_hint(), self.cost_model()),
         })
-    }
-}
-
-/// Expands a `tf` task farm into the network (shared by the owned-task
-/// and loop-body lowerings, as with [`lower_df_nodes`]).
-fn lower_tf_nodes<T, O, W, A, Z>(prog: &Tf<W, A, Z>, lw: &mut Lowering<'_>) -> Fragment
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Clone + Send + Sync + 'static,
-    A: Fn(Z, O) -> Z + Clone + Send + Sync + 'static,
-    T: SimValue,
-    O: SimValue,
-    Z: SimValue,
-{
-    let worker_name = lw.fresh("tf_worker");
-    let acc_name = lw.fresh("tf_acc");
-    let h = expand_df(
-        lw.net,
-        prog.workers(),
-        &worker_name,
-        &acc_name,
-        DfTypes {
-            item: named("task"),
-            result: DataType::list(named("result")),
-            acc: named("acc"),
-        },
-        lw.shape,
-    );
-    let worker = prog.worker_fn().clone();
-    lw.register_costed(
-        &worker_name,
-        prog.cost_hint(),
-        prog.cost_model(),
-        move |args| {
-            // Depth-first elaboration of this root task's subtree (the
-            // same order as `skipper::spec::tf` within one subtree).
-            let root = T::from_value(&args[0]).expect("tf task decodes");
-            let mut stack = vec![root];
-            let mut results: Vec<Value> = Vec::new();
-            while let Some(t) = stack.pop() {
-                let (new_tasks, result) = worker(t);
-                stack.extend(new_tasks.into_iter().rev());
-                if let Some(o) = result {
-                    results.push(o.to_value());
-                }
-            }
-            vec![Value::list(results)]
-        },
-    );
-    let acc = prog.acc_fn().clone();
-    lw.reg.register(&acc_name, move |args| {
-        let z = Z::from_value(&args[0]).expect("tf accumulator decodes");
-        let folded = args[1]
-            .as_list()
-            .expect("tf subtree results arrive as a list")
-            .iter()
-            .map(|v| O::from_value(v).expect("tf result decodes"))
-            .fold(z, &acc);
-        vec![folded.to_value()]
-    });
-    lw.farm_init.insert(h.instance, prog.init().to_value());
-    lw.hint_nodes(&h.workers, prog.cost_hint(), prog.cost_model());
-    lw.workers.extend(h.workers.iter().copied());
-    lw.colocate_routers(&h);
-    Fragment {
-        entry: h.master,
-        exit: h.master,
-    }
-}
-
-impl<T, O, W, A, Z> SimLower<Vec<T>> for Tf<W, A, Z>
-where
-    W: Fn(T) -> (Vec<T>, Option<O>) + Clone + Send + Sync + 'static,
-    A: Fn(Z, O) -> Z + Clone + Send + Sync + 'static,
-    T: SimValue + Send,
-    O: SimValue + Send,
-    Z: SimValue + Clone,
-{
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        Ok(lower_tf_nodes(self, lw))
     }
 }
 
@@ -619,9 +434,8 @@ where
     O: SimValue + Send,
     Z: SimValue + Clone,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        let farm = lower_tf_nodes(self, lw);
-        Ok(state_pair_exit(lw, farm))
+    fn lower(&self) -> SimPlan {
+        state_paired(SimLower::<Vec<T>>::lower(self))
     }
 }
 
@@ -638,19 +452,11 @@ where
     B: SimValue + Clone + Send + Sync,
     Y: SimValue,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        let name = lw.fresh("inner_loop");
-        let node = lw
-            .net
-            .add_node(NodeKind::UserFn(name.clone()), name.clone());
+    fn lower(&self) -> SimPlan {
         let inner = self.clone();
-        lw.reg.register(&name, move |args| {
+        SimPlan::node("inner_loop", 0, move |args| {
             let pair = <(Z, Vec<B>)>::from_value(&args[0]).expect("inner loop input decodes");
             vec![inner.run_declarative(&pair).to_value()]
-        });
-        Ok(Fragment {
-            entry: node,
-            exit: node,
         })
     }
 }
@@ -661,19 +467,30 @@ where
     In: SimValue,
     Out: SimValue,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        let name = lw.fresh("fn");
-        let node = lw
-            .net
-            .add_node(NodeKind::UserFn(name.clone()), name.clone());
+    fn lower(&self) -> SimPlan {
         let f = self.get().clone();
-        lw.reg.register(&name, move |args| {
+        SimPlan::node("fn", 0, move |args| {
             let x = In::from_value(&args[0]).expect("function input decodes");
             vec![f(x).to_value()]
-        });
-        Ok(Fragment {
-            entry: node,
-            exit: node,
+        })
+    }
+}
+
+/// A function over a loop body's by-reference `(state, frame)` tuple:
+/// one node that decodes the pair and calls the function on a borrow of
+/// it, as the nested-loop lowering does.
+impl<Z, B, Out, F> SimLower<&(Z, B)> for Pure<F>
+where
+    F: for<'x> Fn(&'x (Z, B)) -> Out + Clone + Send + Sync + 'static,
+    Z: SimValue,
+    B: SimValue,
+    Out: SimValue,
+{
+    fn lower(&self) -> SimPlan {
+        let f = self.get().clone();
+        SimPlan::node("fn", 0, move |args| {
+            let pair = <(Z, B)>::from_value(&args[0]).expect("function input decodes");
+            vec![f(&pair).to_value()]
         })
     }
 }
@@ -683,16 +500,223 @@ where
     A: SimLower<In>,
     B: SimLower<<A as Skeleton<In>>::Output>,
 {
-    fn lower(&self, lw: &mut Lowering<'_>) -> Result<Fragment, ExecError> {
-        let fa = self.first().lower(lw)?;
-        let fb = self.second().lower(lw)?;
-        lw.net
-            .add_data_edge(fa.exit, 0, fb.entry, 0, named("link"))
-            .expect("fragment endpoints exist");
-        Ok(Fragment {
-            entry: fa.entry,
-            exit: fb.exit,
-        })
+    fn lower(&self) -> SimPlan {
+        self.first().lower().then(self.second().lower(), "link")
+    }
+}
+
+/// Dataflow endpoints of an expanded plan: its input arrives on `entry`
+/// port 0, its output leaves `exit` port 0.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    entry: NodeId,
+    exit: NodeId,
+}
+
+/// Turns plans into process-network nodes, registering every node's
+/// function, and collects what placement needs.
+struct Expander {
+    net: ProcessNetwork,
+    reg: Registry,
+    farm_init: HashMap<usize, Value>,
+    /// Worker nodes, pinned round-robin on `P1..`.
+    workers: Vec<NodeId>,
+    /// `(router, worker)` co-location pairs: each ring router must be
+    /// mapped onto its worker's processor (Fig. 1 places one `M->W`/`W->M`
+    /// pair per worker processor).
+    colocated: Vec<(NodeId, NodeId)>,
+    shape: FarmShape,
+    counter: usize,
+}
+
+impl Expander {
+    fn new(name: &str, shape: FarmShape) -> Self {
+        Expander {
+            net: ProcessNetwork::new(name),
+            reg: Registry::new(),
+            farm_init: HashMap::new(),
+            workers: Vec::new(),
+            colocated: Vec::new(),
+            shape,
+            counter: 0,
+        }
+    }
+
+    /// A registry/function name unique within this lowering.
+    fn fresh(&mut self, role: &str) -> String {
+        let id = self.counter;
+        self.counter += 1;
+        format!("p{id}_{role}")
+    }
+
+    fn edge(&mut self, from: NodeId, to: NodeId, port: usize, ty: &str) -> Result<(), ExecError> {
+        self.net
+            .add_data_edge(from, 0, to, port, named(ty))
+            .map_err(internal)
+    }
+
+    /// Registers `f` under `name`, carrying the program's declared cost
+    /// into the executive's cost model: an argument-dependent model is
+    /// evaluated on the first actual argument's [`Value::size`] at every
+    /// call, and wins over a constant hint.
+    fn bind(&mut self, name: &str, f: NativeFn, cost: Cost) {
+        let call = move |args: &[Value]| f(args);
+        if let Some(model) = cost.model {
+            self.reg.register_with_cost(name, call, move |args| {
+                model(args.first().map(Value::size).unwrap_or(0))
+            });
+        } else if cost.hint > 0 {
+            let hint = cost.hint;
+            self.reg.register_with_cost(name, call, move |_| hint);
+        } else {
+            self.reg.register(name, call);
+        }
+    }
+
+    /// Stamps the declared per-call cost onto the compute nodes, so the
+    /// SynDEx scheduler sees real WCET hints instead of zero-cost
+    /// placeholders. With an argument-dependent model, the static hint is
+    /// the model evaluated at size 1 (or the constant hint when that is
+    /// larger): the scheduler has no actual arguments to measure, so a
+    /// nominal unit-size argument stands in.
+    fn hint(&mut self, nodes: &[NodeId], cost: Cost) {
+        let effective = cost.model.map(|m| m(1)).unwrap_or(0).max(cost.hint);
+        if effective > 0 {
+            for &node in nodes {
+                self.net.set_cost_hint(node, effective);
+            }
+        }
+    }
+
+    fn expand(&mut self, form: Form) -> Result<Ends, ExecError> {
+        match form {
+            Form::Farm {
+                kind,
+                workers,
+                compute,
+                acc,
+                init,
+                cost,
+            } => {
+                let (comp_role, acc_role, item, result) = match kind {
+                    FarmKind::Data => ("df_comp", "df_acc", named("item"), named("result")),
+                    FarmKind::Task => (
+                        "tf_worker",
+                        "tf_acc",
+                        named("task"),
+                        DataType::list(named("result")),
+                    ),
+                };
+                let comp_name = self.fresh(comp_role);
+                let acc_name = self.fresh(acc_role);
+                let types = DfTypes {
+                    item,
+                    result,
+                    acc: named("acc"),
+                };
+                let h = expand_df(
+                    &mut self.net,
+                    workers,
+                    &comp_name,
+                    &acc_name,
+                    types,
+                    self.shape,
+                );
+                self.bind(&comp_name, compute, cost);
+                self.bind(&acc_name, acc, Cost::default());
+                self.farm_init.insert(h.instance, init);
+                self.hint(&h.workers, cost);
+                self.workers.extend(&h.workers);
+                for routers in [&h.routers_mw, &h.routers_wm] {
+                    for (&router, &worker) in routers.iter().zip(&h.workers) {
+                        self.colocated.push((router, worker));
+                    }
+                }
+                Ok(Ends {
+                    entry: h.master,
+                    exit: h.master,
+                })
+            }
+            Form::Scm {
+                workers,
+                split,
+                compute,
+                merge,
+                cost,
+            } => {
+                let split_name = self.fresh("scm_split");
+                let comp_name = self.fresh("scm_comp");
+                let merge_name = self.fresh("scm_merge");
+                let types = ScmTypes {
+                    input: named("input"),
+                    fragment: named("fragment"),
+                    partial: named("partial"),
+                    output: named("output"),
+                };
+                let h = expand_scm(
+                    &mut self.net,
+                    workers,
+                    &split_name,
+                    &comp_name,
+                    &merge_name,
+                    types,
+                );
+                self.bind(&split_name, split, Cost::default());
+                self.bind(&comp_name, compute, cost);
+                self.bind(&merge_name, merge, Cost::default());
+                self.hint(&h.workers, cost);
+                self.workers.extend(&h.workers);
+                Ok(Ends {
+                    entry: h.split,
+                    exit: h.merge,
+                })
+            }
+            Form::Node { role, f, cost } => {
+                let name = self.fresh(&role);
+                let node = self
+                    .net
+                    .add_node(NodeKind::UserFn(name.clone()), name.clone());
+                self.bind(&name, f, cost);
+                Ok(Ends {
+                    entry: node,
+                    exit: node,
+                })
+            }
+            Form::Then {
+                first,
+                second,
+                link,
+            } => {
+                let a = self.expand(*first)?;
+                let b = self.expand(*second)?;
+                self.edge(a.exit, b.entry, 0, link)?;
+                Ok(Ends {
+                    entry: a.entry,
+                    exit: b.exit,
+                })
+            }
+            Form::Around {
+                before,
+                feed,
+                into,
+                inner,
+                out,
+                store,
+            } => {
+                let env = self.expand(*before)?;
+                let feed = self.expand(*feed)?;
+                self.edge(env.exit, feed.entry, 0, "env")?;
+                let inner = self.expand(*inner)?;
+                self.edge(feed.exit, inner.entry, 0, into)?;
+                let store = self.expand(*store)?;
+                self.edge(inner.exit, store.entry, 0, out)?;
+                self.edge(env.exit, store.entry, 1, "env")?;
+                Ok(Ends {
+                    entry: env.entry,
+                    exit: store.exit,
+                })
+            }
+        }
     }
 }
 
@@ -748,8 +772,8 @@ impl<T: SimValue> SimInput for Vec<T> {
 // concrete type rather than as a blanket so the `Vec<T>`/`&T` impls
 // above stay coherent.
 macro_rules! impl_owned_sim_input {
-    ($($t:ty),* $(,)?) => {$(
-        impl SimInput for $t {
+    ($([$($g:ident),*] $t:ty),* $(,)?) => {$(
+        impl<$($g: SimValue),*> SimInput for $t {
             type Shape = $t;
 
             fn encode_input(&self) -> Value {
@@ -760,53 +784,10 @@ macro_rules! impl_owned_sim_input {
 }
 
 impl_owned_sim_input!(
-    (),
-    bool,
-    f64,
-    String,
-    i8,
-    i16,
-    i32,
-    i64,
-    u8,
-    u16,
-    u32,
-    u64,
-    usize,
-    isize
+    [] (), [] bool, [] f64, [] String, [] i8, [] i16, [] i32, [] i64, [] u8, [] u16, [] u32,
+    [] u64, [] usize, [] isize, [A, B] (A, B), [A, B, C] (A, B, C), [A, B, C, D] (A, B, C, D),
+    [T] Option<T>,
 );
-
-impl<A: SimValue, B: SimValue> SimInput for (A, B) {
-    type Shape = (A, B);
-
-    fn encode_input(&self) -> Value {
-        self.to_value()
-    }
-}
-
-impl<A: SimValue, B: SimValue, C: SimValue> SimInput for (A, B, C) {
-    type Shape = (A, B, C);
-
-    fn encode_input(&self) -> Value {
-        self.to_value()
-    }
-}
-
-impl<A: SimValue, B: SimValue, C: SimValue, D: SimValue> SimInput for (A, B, C, D) {
-    type Shape = (A, B, C, D);
-
-    fn encode_input(&self) -> Value {
-        self.to_value()
-    }
-}
-
-impl<T: SimValue> SimInput for Option<T> {
-    type Shape = Option<T>;
-
-    fn encode_input(&self) -> Value {
-        self.to_value()
-    }
-}
 
 /// The simulator execution strategy: the program is expanded into a
 /// process network, mapped onto a T9000-class machine (a ring of
@@ -871,24 +852,10 @@ impl SimBackend {
         self.nprocs
     }
 
-    /// Lowering precondition: the machine must have at least one
-    /// processor.
-    fn require_procs(&self) -> Result<(), ExecError> {
-        if self.nprocs == 0 {
-            return Err(ExecError::EmptyMachine);
-        }
-        Ok(())
-    }
-
     /// The paper's placement policy: control nodes pinned to `P0`, worker
     /// nodes round-robin on `P1..` (everything on `P0` when simulating a
     /// single processor), and ring routers co-located with their workers.
-    fn placement(
-        &self,
-        net: &ProcessNetwork,
-        workers: &[NodeId],
-        colocated: &[(NodeId, NodeId)],
-    ) -> (Architecture, HashMap<NodeId, ProcId>, Strategy) {
+    fn placement(&self, x: &Expander) -> (Architecture, HashMap<NodeId, ProcId>, Strategy) {
         if self.nprocs == 1 {
             (
                 Architecture::single_t9000(),
@@ -897,17 +864,17 @@ impl SimBackend {
             )
         } else {
             let arch = Architecture::ring_t9000(self.nprocs);
-            let worker_set: HashSet<NodeId> = workers.iter().copied().collect();
+            let worker_set: HashSet<NodeId> = x.workers.iter().copied().collect();
             let mut pins = HashMap::new();
-            for node in net.nodes() {
+            for node in x.net.nodes() {
                 if !worker_set.contains(&node.id) {
                     pins.insert(node.id, ProcId(0));
                 }
             }
-            for (i, &w) in workers.iter().enumerate() {
+            for (i, &w) in x.workers.iter().enumerate() {
                 pins.insert(w, ProcId(1 + i % (self.nprocs - 1)));
             }
-            for &(node, with) in colocated {
+            for &(node, with) in &x.colocated {
                 let p = pins.get(&with).copied().unwrap_or(ProcId(0));
                 pins.insert(node, p);
             }
@@ -915,115 +882,121 @@ impl SimBackend {
         }
     }
 
-    /// Lowers and schedules a one-shot program: the offline pipeline up
-    /// to (and including) the SynDEx schedule, shared by
-    /// [`SimBackend::plan`] (which stops here) and
-    /// [`SimBackend::compile`] (which goes on to macro-code).
-    fn lower_and_schedule<I, P>(
+    /// The offline pipeline, once per prepared program: expand `plan`,
+    /// let `wire` add the harness around its endpoints (binding the
+    /// harness functions against the slots it returns), then place,
+    /// schedule with SynDEx and generate macro-code.
+    fn compile<S>(
         &self,
-        prog: &P,
-    ) -> Result<(LoweredOneShot, Architecture, Schedule), ExecError>
-    where
-        P: SimLower<I>,
-    {
-        self.require_procs()?;
-        let lowered = lower_one_shot(prog, self.farm_shape)?;
-        let (arch, pins, strategy) =
-            self.placement(&lowered.net, &lowered.workers, &lowered.colocated);
-        let sched = schedule_with(&lowered.net, &arch, &pins, strategy)
+        net_name: &str,
+        plan: SimPlan,
+        wire: impl FnOnce(&mut Expander, Ends) -> Result<S, ExecError>,
+    ) -> Result<Compiled<S>, ExecError> {
+        if self.nprocs == 0 {
+            return Err(ExecError::EmptyMachine);
+        }
+        LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut x = Expander::new(net_name, self.farm_shape);
+        let ends = x.expand(plan.0)?;
+        let slots = wire(&mut x, ends)?;
+        let (arch, pins, strategy) = self.placement(&x);
+        let sched = schedule_with(&x.net, &arch, &pins, strategy)
             .map_err(|e| ExecError::Sim(format!("scheduling failed: {e}")))?;
-        Ok((lowered, arch, sched))
+        let progs = skipper_syndex::macrocode::generate(&x.net, &sched, &arch);
+        let stat = SimStatics::analyze(
+            x.net,
+            sched,
+            progs,
+            arch.topology().clone(),
+            Arc::new(x.reg),
+            &x.farm_init,
+        )?;
+        Ok(Compiled {
+            stat: Arc::new(stat),
+            config: self.config,
+            slots,
+            run_lock: Mutex::new(()),
+        })
     }
+}
 
-    /// Compiles a one-shot program down to interpretable macro-code: the
-    /// prepare-once half of the pipeline (lowering → placement → SynDEx
-    /// scheduling → macro-code generation), shared by
-    /// [`Backend::prepare`] and [`Backend::run`].
-    fn compile<I, P>(&self, prog: &P) -> Result<CompiledSim, ExecError>
-    where
-        P: SimLower<I>,
-    {
-        let (lowered, arch, sched) = self.lower_and_schedule::<I, P>(prog)?;
-        let progs = skipper_syndex::macrocode::generate(&lowered.net, &sched, &arch);
-        // Bind the input/output endpoints ONCE, here, against rebindable
-        // slots: a run only stores the frame into `input_slot` and takes
-        // the result out of `output_slot` — the registry itself is never
-        // cloned or re-registered per frame (the zero-copy run contract,
-        // pinned by the registry_probe test).
-        let mut reg = lowered.reg;
-        let input_slot: Arc<Mutex<Option<Value>>> = Arc::new(Mutex::new(None));
-        let output_slot: Arc<Mutex<Option<Value>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&input_slot);
-        reg.register("simbackend_input", move |_| {
+/// Counts every program lowering this process has performed (one-shot
+/// and loop lowerings alike): the prepare-once contract's observable.
+/// The prepared-reuse tests snapshot it around a prepare-then-run-many
+/// sequence and assert the delta is exactly one.
+static LOWERINGS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// Total number of program lowerings performed by this process so far —
+/// a monotonic probe for asserting the prepare-once/run-many contract
+/// (compare deltas around a prepare + N runs sequence).
+pub fn lowering_count() -> usize {
+    LOWERINGS.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// A program compiled for repeated simulation: the full run-invariant
+/// context ([`SimStatics`]: network, registry, schedule, macro-code,
+/// topology, farm tables) behind one `Arc`, plus the rebindable `slots`
+/// its harness functions were bound against at compile time. A run
+/// fills the slots, re-interprets the cached macro-code with fresh
+/// simulator state and empties them — zero registry clones, zero
+/// network/schedule/macro-code copies per frame (the zero-copy run
+/// contract, pinned by the `registry_probe` test).
+struct Compiled<S> {
+    stat: Arc<SimStatics>,
+    config: SimConfig,
+    slots: S,
+    /// Runs share the slots, so concurrent `run` calls on one executable
+    /// are serialised (the contract stays `&self`).
+    run_lock: Mutex<()>,
+}
+
+/// The slots of a one-shot program's `Input`/`Output` endpoints.
+struct OneShotSlots {
+    /// The frame read by the `simbackend_input` endpoint.
+    input: Arc<Mutex<Option<Value>>>,
+    /// The result written by the `simbackend_output` endpoint.
+    output: Arc<Mutex<Option<Value>>>,
+}
+
+impl OneShotSlots {
+    /// Wires `Input`/`Output` endpoints around the program.
+    fn wire(x: &mut Expander, ends: Ends) -> Result<Self, ExecError> {
+        let inp = x
+            .net
+            .add_node(NodeKind::Input("simbackend_input".into()), "input");
+        let out = x
+            .net
+            .add_node(NodeKind::Output("simbackend_output".into()), "output");
+        x.edge(inp, ends.entry, 0, "input")?;
+        x.edge(ends.exit, out, 0, "output")?;
+        let slots = OneShotSlots {
+            input: Arc::new(Mutex::new(None)),
+            output: Arc::new(Mutex::new(None)),
+        };
+        let slot = Arc::clone(&slots.input);
+        x.reg.register("simbackend_input", move |_| {
             vec![slot
                 .lock()
                 .expect("input slot")
                 .clone()
                 .expect("input bound before run")]
         });
-        let slot = Arc::clone(&output_slot);
-        reg.register("simbackend_output", move |args| {
+        let slot = Arc::clone(&slots.output);
+        x.reg.register("simbackend_output", move |args| {
             *slot.lock().expect("output slot") = Some(args[0].clone());
             vec![]
         });
-        let stat = SimStatics::analyze(
-            lowered.net,
-            sched,
-            progs,
-            arch.topology().clone(),
-            Arc::new(reg),
-            &lowered.farm_init,
-        )?;
-        Ok(CompiledSim {
-            stat: Arc::new(stat),
-            config: self.config,
-            input_slot,
-            output_slot,
-            run_lock: Mutex::new(()),
-        })
-    }
-
-    /// Lowers a one-shot program and returns the SynDEx schedule this
-    /// backend would execute it with — without running it (macro-code is
-    /// not generated). The schedule's predicted makespan reflects the
-    /// program's [`with_cost_hint`](skipper::Df::with_cost_hint) and
-    /// [`with_cost_model`](skipper::Df::with_cost_model) declarations,
-    /// which the lowering stamps onto the worker nodes as WCET hints.
-    pub fn plan<I, P>(&self, prog: &P) -> Result<Schedule, ExecError>
-    where
-        P: SimLower<I>,
-    {
-        Ok(self.lower_and_schedule::<I, P>(prog)?.2)
+        Ok(slots)
     }
 }
 
-/// A one-shot program compiled for repeated simulation: the full
-/// run-invariant context ([`SimStatics`]: network, registry, schedule,
-/// macro-code, topology, farm tables) behind one `Arc`, plus the
-/// rebindable input/output **slots** its endpoint functions were bound
-/// against at compile time. A run stores the encoded frame into the
-/// input slot, re-interprets the cached macro-code with fresh simulator
-/// state, and takes the result from the output slot — zero registry
-/// clones, zero network/schedule/macro-code copies per frame.
-struct CompiledSim {
-    stat: Arc<SimStatics>,
-    config: SimConfig,
-    /// Per-run frame binding read by the `simbackend_input` endpoint.
-    input_slot: Arc<Mutex<Option<Value>>>,
-    /// Per-run result binding written by the `simbackend_output` endpoint.
-    output_slot: Arc<Mutex<Option<Value>>>,
-    /// Runs share the slots above, so concurrent `run` calls on one
-    /// executable are serialised (the contract stays `&self`).
-    run_lock: Mutex<()>,
-}
-
-impl CompiledSim {
+impl Compiled<OneShotSlots> {
     /// One online run: rebind the input slot, interpret the cached
     /// macro-code for a single graph iteration, take the output slot.
     fn run_value(&self, encoded: Value) -> Result<Value, ExecError> {
         let _guard = self.run_lock.lock().expect("run lock");
-        *self.input_slot.lock().expect("input slot") = Some(encoded);
-        self.output_slot.lock().expect("output slot").take();
+        *self.slots.input.lock().expect("input slot") = Some(encoded);
+        self.slots.output.lock().expect("output slot").take();
         let config = ExecConfig {
             iterations: 1,
             frame_clock: None,
@@ -1032,10 +1005,121 @@ impl CompiledSim {
         let run = run_prepared(&self.stat, &HashMap::new(), &config);
         // Unbind the frame either way: a slot must never pin a frame's
         // payload past its run.
-        self.input_slot.lock().expect("input slot").take();
+        self.slots.input.lock().expect("input slot").take();
         run?;
-        let v = self.output_slot.lock().expect("output slot").take();
+        let v = self.slots.output.lock().expect("output slot").take();
         v.ok_or_else(|| ExecError::Internal("program produced no output".into()))
+    }
+}
+
+/// The slots of an `itermem` loop's Fig. 4 harness.
+struct LoopSlots {
+    /// The Fig. 4 `MEM` node, seeded per run with the loop's initial
+    /// state.
+    mem: NodeId,
+    /// Per-run frame vector read by the `simbackend_grab` endpoint.
+    frames: Arc<Mutex<Vec<Value>>>,
+    /// Latest loop state written by the `simbackend_unpair` endpoint.
+    state: Arc<Mutex<Option<Value>>>,
+    /// Per-frame outputs appended by the `simbackend_show` endpoint.
+    outputs: Arc<Mutex<Vec<Value>>>,
+}
+
+impl LoopSlots {
+    /// Wraps the loop body in the Fig. 4 port contract: `pair` packs
+    /// (frame on port 0, state on port 1) into the body's input tuple;
+    /// `unpair` splits the body's (state', output) tuple back onto
+    /// (output on port 0, next state on port 1), around a `MEM` node.
+    fn wire(x: &mut Expander, ends: Ends) -> Result<Self, ExecError> {
+        let pair = x
+            .net
+            .add_node(NodeKind::UserFn("simbackend_pair".into()), "pair");
+        x.reg.register("simbackend_pair", |args| {
+            vec![Value::tuple(vec![args[1].clone(), args[0].clone()])]
+        });
+        let unpair = x
+            .net
+            .add_node(NodeKind::UserFn("simbackend_unpair".into()), "unpair");
+        x.edge(pair, ends.entry, 0, "state-frame")?;
+        x.edge(ends.exit, unpair, 0, "state-output")?;
+        let h = expand_itermem(
+            &mut x.net,
+            "simbackend_grab",
+            "simbackend_show",
+            pair,
+            unpair,
+            IterMemTypes {
+                input: named("frame"),
+                state: named("state"),
+                output: named("output"),
+            },
+        )
+        .map_err(internal)?;
+        let slots = LoopSlots {
+            mem: h.mem,
+            frames: Arc::new(Mutex::new(Vec::new())),
+            state: Arc::new(Mutex::new(None)),
+            outputs: Arc::new(Mutex::new(Vec::new())),
+        };
+        let slot = Arc::clone(&slots.state);
+        x.reg.register("simbackend_unpair", move |args| {
+            let t = args[0]
+                .as_tuple()
+                .expect("loop body must produce a (state, output) tuple");
+            *slot.lock().expect("state slot") = Some(t[0].clone());
+            vec![t[1].clone(), t[0].clone()]
+        });
+        let slot = Arc::clone(&slots.frames);
+        x.reg.register("simbackend_grab", move |args| {
+            let frames = slot.lock().expect("frames slot");
+            let k = args[0].as_int().unwrap_or(0).unsigned_abs() as usize;
+            vec![frames[k.min(frames.len() - 1)].clone()]
+        });
+        let slot = Arc::clone(&slots.outputs);
+        x.reg.register("simbackend_show", move |args| {
+            slot.lock().expect("output slot").push(args[0].clone());
+            vec![]
+        });
+        Ok(slots)
+    }
+}
+
+impl Compiled<LoopSlots> {
+    /// One online stream run: one graph iteration per encoded frame,
+    /// with the state memory seeded by `mem0`. Returns the final state,
+    /// the per-frame outputs and the executive report.
+    fn run_frames(
+        &self,
+        frames: Vec<Value>,
+        mem0: Value,
+    ) -> Result<(Value, Vec<Value>, ExecReport), ExecError> {
+        let _guard = self.run_lock.lock().expect("run lock");
+        let iterations = frames.len();
+        *self.slots.frames.lock().expect("frames slot") = frames;
+        self.slots.state.lock().expect("state slot").take();
+        self.slots.outputs.lock().expect("output slot").clear();
+        let mut mem_init = HashMap::new();
+        mem_init.insert(self.slots.mem, mem0);
+        let config = ExecConfig {
+            iterations,
+            frame_clock: None,
+            sim: self.config,
+        };
+        let run = run_prepared(&self.stat, &mem_init, &config);
+        // Release the frame payloads either way: the slot must never pin
+        // a stream's frames past its run (the Vec keeps its capacity, so
+        // the buffer itself is recycled across runs).
+        self.slots.frames.lock().expect("frames slot").clear();
+        let report = run?;
+        let z_value = self
+            .slots
+            .state
+            .lock()
+            .expect("state slot")
+            .take()
+            .ok_or_else(|| ExecError::Internal("loop produced no final state".into()))?;
+        let ys = std::mem::take(&mut *self.slots.outputs.lock().expect("output slot"));
+        Ok((z_value, ys, report))
     }
 }
 
@@ -1052,27 +1136,20 @@ impl CompiledSim {
 /// error, not a runtime [`ExecError::BadShape`]. The tag is
 /// lifetime-free, so inputs borrowed for any lifetime run.
 pub struct SimExecutable<Shape, Out> {
-    inner: Result<CompiledSim, ExecError>,
+    inner: Result<Compiled<OneShotSlots>, ExecError>,
     _io: std::marker::PhantomData<fn(Shape) -> Out>,
 }
 
 impl<Shape, Out> SimExecutable<Shape, Out> {
-    fn new(inner: Result<CompiledSim, ExecError>) -> Self {
-        SimExecutable {
-            inner,
-            _io: std::marker::PhantomData,
-        }
-    }
-
     /// The prepared statics every run of this executable follows — the
-    /// network, its SynDEx schedule (the compiled counterpart of
-    /// [`SimBackend::plan`]) and the macro-code — or the preparation
-    /// error. All of it is computed once, at prepare time.
+    /// network, its SynDEx schedule and the macro-code — or the
+    /// preparation error. All of it is computed once, at prepare time.
+    /// The schedule's predicted makespan reflects the program's
+    /// [`with_cost_hint`](skipper::Df::with_cost_hint) and
+    /// [`with_cost_model`](skipper::Df::with_cost_model) declarations,
+    /// which the lowering stamps onto the worker nodes as WCET hints.
     pub fn statics(&self) -> Result<&SimStatics, ExecError> {
-        match &self.inner {
-            Ok(c) => Ok(&c.stat),
-            Err(e) => Err(e.clone()),
-        }
+        self.inner.as_ref().map(|c| &*c.stat).map_err(Clone::clone)
     }
 }
 
@@ -1098,68 +1175,6 @@ where
     }
 }
 
-/// A one-shot program lowered to a process network with `Input`/`Output`
-/// endpoints wired around the program fragment. The registry holds the
-/// program's own functions; the `simbackend_input`/`simbackend_output`
-/// endpoint functions are bound by the caller.
-struct LoweredOneShot {
-    net: ProcessNetwork,
-    reg: Registry,
-    workers: Vec<NodeId>,
-    colocated: Vec<(NodeId, NodeId)>,
-    farm_init: HashMap<usize, Value>,
-}
-
-/// Counts every program lowering this process has performed (one-shot
-/// and loop lowerings alike): the prepare-once contract's observable.
-/// The prepared-reuse tests snapshot it around a prepare-then-run-many
-/// sequence and assert the delta is exactly one.
-static LOWERINGS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Total number of program lowerings performed by this process so far —
-/// a monotonic probe for asserting the prepare-once/run-many contract
-/// (compare deltas around a prepare + N runs sequence).
-pub fn lowering_count() -> usize {
-    LOWERINGS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-fn lower_one_shot<I, P>(prog: &P, shape: FarmShape) -> Result<LoweredOneShot, ExecError>
-where
-    P: SimLower<I>,
-{
-    LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut net = ProcessNetwork::new("simbackend");
-    let mut reg = Registry::new();
-    let mut farm_init = HashMap::new();
-    let mut workers = Vec::new();
-    let mut colocated = Vec::new();
-    let mut counter = 0usize;
-    let frag = prog.lower(&mut Lowering {
-        net: &mut net,
-        reg: &mut reg,
-        farm_init: &mut farm_init,
-        workers: &mut workers,
-        colocated: &mut colocated,
-        shape,
-        counter: &mut counter,
-    })?;
-    let inp = net.add_node(NodeKind::Input("simbackend_input".into()), "input");
-    let out = net.add_node(NodeKind::Output("simbackend_output".into()), "output");
-    net.add_data_edge(inp, 0, frag.entry, 0, named("input"))
-        .map_err(internal)?;
-    net.add_data_edge(frag.exit, 0, out, 0, named("output"))
-        .map_err(internal)?;
-    Ok(LoweredOneShot {
-        net,
-        reg,
-        workers,
-        colocated,
-        farm_init,
-    })
-}
-
-use skipper::{Backend, Executable};
-
 /// Every lowerable one-shot program ([`Df`], [`Scm`], [`Tf`], [`Pure`]
 /// and [`Then`] pipelines of them) prepares into a [`SimExecutable`]
 /// typed by its input's shape.
@@ -1178,198 +1193,10 @@ where
         P: 'p;
 
     fn prepare<'p>(&'p self, prog: &'p P) -> SimExecutable<In::Shape, P::Output> {
-        SimExecutable::new(self.compile::<In, _>(prog))
-    }
-}
-
-impl SimBackend {
-    /// Runs an `itermem` stream loop and returns the outputs **together
-    /// with the executive report** (virtual-time trace, per-frame
-    /// latencies, processor utilisations) — the measurement face of
-    /// `Backend::run` for loop programs, used by the latency experiments.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ExecError`]; additionally, an empty frame stream is an
-    /// [`ExecError::Internal`] here because nothing is simulated (the
-    /// `Backend::run` wrapper short-circuits that case instead).
-    pub fn run_loop_with_report<P, Z, B, Y>(
-        &self,
-        prog: &IterLoop<P, Z>,
-        frames: Vec<B>,
-    ) -> Result<((Z, Vec<Y>), ExecReport), ExecError>
-    where
-        P: SimLowerBody<Z, B> + for<'x> Skeleton<&'x (Z, B), Output = (Z, Y)>,
-        Z: SimValue + Clone,
-        B: SimValue,
-        Y: SimValue,
-    {
-        let exec: SimLoopExecutable<Z, B, Y> =
-            SimLoopExecutable::new(self.compile_loop(prog), prog.init().clone());
-        exec.run_with_report(frames)
-    }
-
-    /// Compiles an `itermem` stream loop down to interpretable
-    /// macro-code: the body is lowered and wrapped in the Fig. 4
-    /// `pair`/`MEM`/`unpair` harness, then scheduled and code-generated —
-    /// all exactly once, shared by every run of the returned state.
-    fn compile_loop<P, Z, B>(&self, prog: &IterLoop<P, Z>) -> Result<CompiledSimLoop, ExecError>
-    where
-        P: SimLowerBody<Z, B>,
-    {
-        self.require_procs()?;
-        LOWERINGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut net = ProcessNetwork::new("simbackend-itermem");
-        let mut reg = Registry::new();
-        let mut farm_init = HashMap::new();
-        let mut workers = Vec::new();
-        let mut colocated = Vec::new();
-        let mut counter = 0usize;
-        let frag = prog.body().lower_body(&mut Lowering {
-            net: &mut net,
-            reg: &mut reg,
-            farm_init: &mut farm_init,
-            workers: &mut workers,
-            colocated: &mut colocated,
-            shape: self.farm_shape,
-            counter: &mut counter,
-        })?;
-        // Fig. 4 port contract around the body fragment: `pair` packs
-        // (frame on port 0, state on port 1) into the body's input tuple;
-        // `unpair` splits the body's (state', output) tuple back onto
-        // (output on port 0, next state on port 1). All four harness
-        // functions are bound HERE, once, against rebindable slots — a
-        // run only swaps the frame vector in and takes the state/output
-        // slots back out (zero registry clones per stream).
-        let pair = net.add_node(NodeKind::UserFn("simbackend_pair".into()), "pair");
-        reg.register("simbackend_pair", |args| {
-            vec![Value::tuple(vec![args[1].clone(), args[0].clone()])]
-        });
-        let unpair = net.add_node(NodeKind::UserFn("simbackend_unpair".into()), "unpair");
-        net.add_data_edge(pair, 0, frag.entry, 0, named("state-frame"))
-            .map_err(internal)?;
-        net.add_data_edge(frag.exit, 0, unpair, 0, named("state-output"))
-            .map_err(internal)?;
-        let h = expand_itermem(
-            &mut net,
-            "simbackend_grab",
-            "simbackend_show",
-            pair,
-            unpair,
-            IterMemTypes {
-                input: named("frame"),
-                state: named("state"),
-                output: named("output"),
-            },
-        )
-        .map_err(internal)?;
-        let frames_slot: Arc<Mutex<Vec<Value>>> = Arc::new(Mutex::new(Vec::new()));
-        let state_slot: Arc<Mutex<Option<Value>>> = Arc::new(Mutex::new(None));
-        let outputs_slot: Arc<Mutex<Vec<Value>>> = Arc::new(Mutex::new(Vec::new()));
-        let slot = Arc::clone(&state_slot);
-        reg.register("simbackend_unpair", move |args| {
-            let t = args[0]
-                .as_tuple()
-                .expect("loop body must produce a (state, output) tuple");
-            *slot.lock().expect("state slot") = Some(t[0].clone());
-            vec![t[1].clone(), t[0].clone()]
-        });
-        let slot = Arc::clone(&frames_slot);
-        reg.register("simbackend_grab", move |args| {
-            let frames = slot.lock().expect("frames slot");
-            let k = args[0].as_int().unwrap_or(0).unsigned_abs() as usize;
-            vec![frames[k.min(frames.len() - 1)].clone()]
-        });
-        let slot = Arc::clone(&outputs_slot);
-        reg.register("simbackend_show", move |args| {
-            slot.lock().expect("output slot").push(args[0].clone());
-            vec![]
-        });
-        let (arch, pins, strategy) = self.placement(&net, &workers, &colocated);
-        let sched = schedule_with(&net, &arch, &pins, strategy)
-            .map_err(|e| ExecError::Sim(format!("scheduling failed: {e}")))?;
-        let progs = skipper_syndex::macrocode::generate(&net, &sched, &arch);
-        let stat = SimStatics::analyze(
-            net,
-            sched,
-            progs,
-            arch.topology().clone(),
-            Arc::new(reg),
-            &farm_init,
-        )?;
-        Ok(CompiledSimLoop {
-            base: CompiledSim {
-                stat: Arc::new(stat),
-                config: self.config,
-                input_slot: Arc::new(Mutex::new(None)),
-                output_slot: Arc::new(Mutex::new(None)),
-                run_lock: Mutex::new(()),
-            },
-            mem: h.mem,
-            frames_slot,
-            state_slot,
-            outputs_slot,
-        })
-    }
-}
-
-/// An `itermem` program compiled for repeated simulation, the loop
-/// counterpart of [`CompiledSim`]: the lowered body with its Fig. 4
-/// harness behind one `Arc` of statics, plus the rebindable slots the
-/// harness endpoints (`grab`/`unpair`/`show`) were bound against at
-/// compile time. Per run, only the frame vector is swapped in and the
-/// `MEM` initial value seeded — the registry, network, schedule and
-/// macro-code are shared untouched.
-struct CompiledSimLoop {
-    /// The compiled form shared with the one-shot path (statics, config,
-    /// run lock; the one-shot input/output slots are unused here).
-    base: CompiledSim,
-    /// The Fig. 4 `MEM` node, seeded per run with the loop's initial
-    /// state.
-    mem: NodeId,
-    /// Per-run frame vector read by the `simbackend_grab` endpoint.
-    frames_slot: Arc<Mutex<Vec<Value>>>,
-    /// Latest loop state written by the `simbackend_unpair` endpoint.
-    state_slot: Arc<Mutex<Option<Value>>>,
-    /// Per-frame outputs appended by the `simbackend_show` endpoint.
-    outputs_slot: Arc<Mutex<Vec<Value>>>,
-}
-
-impl CompiledSimLoop {
-    /// One online stream run: one graph iteration per encoded frame,
-    /// with the state memory seeded by `mem0`. Returns the final state,
-    /// the per-frame outputs and the executive report.
-    fn run_frames(
-        &self,
-        frames: Vec<Value>,
-        mem0: Value,
-    ) -> Result<(Value, Vec<Value>, ExecReport), ExecError> {
-        let _guard = self.base.run_lock.lock().expect("run lock");
-        let iterations = frames.len();
-        *self.frames_slot.lock().expect("frames slot") = frames;
-        self.state_slot.lock().expect("state slot").take();
-        self.outputs_slot.lock().expect("output slot").clear();
-        let mut mem_init = HashMap::new();
-        mem_init.insert(self.mem, mem0);
-        let config = ExecConfig {
-            iterations,
-            frame_clock: None,
-            sim: self.base.config,
-        };
-        let run = run_prepared(&self.base.stat, &mem_init, &config);
-        // Release the frame payloads either way: the slot must never pin
-        // a stream's frames past its run (the Vec keeps its capacity, so
-        // the buffer itself is recycled across runs).
-        self.frames_slot.lock().expect("frames slot").clear();
-        let report = run?;
-        let z_value = self
-            .state_slot
-            .lock()
-            .expect("state slot")
-            .take()
-            .ok_or_else(|| ExecError::Internal("loop produced no final state".into()))?;
-        let ys = std::mem::take(&mut *self.outputs_slot.lock().expect("output slot"));
-        Ok((z_value, ys, report))
+        SimExecutable {
+            inner: self.compile("simbackend", prog.lower(), OneShotSlots::wire),
+            _io: std::marker::PhantomData,
+        }
     }
 }
 
@@ -1383,27 +1210,16 @@ impl CompiledSimLoop {
 /// `B` is the frame type the loop was prepared for, pinned at prepare
 /// time for the same reason as [`SimExecutable`]'s `In`.
 pub struct SimLoopExecutable<Z, B, Y> {
-    inner: Result<CompiledSimLoop, ExecError>,
+    inner: Result<Compiled<LoopSlots>, ExecError>,
     init: Z,
     _io: std::marker::PhantomData<fn(Vec<B>) -> Y>,
 }
 
 impl<Z, B, Y> SimLoopExecutable<Z, B, Y> {
-    fn new(inner: Result<CompiledSimLoop, ExecError>, init: Z) -> Self {
-        SimLoopExecutable {
-            inner,
-            init,
-            _io: std::marker::PhantomData,
-        }
-    }
-
     /// The prepared statics every run of this executable follows
     /// (network, schedule, macro-code), or the preparation error.
     pub fn statics(&self) -> Result<&SimStatics, ExecError> {
-        match &self.inner {
-            Ok(c) => Ok(&c.base.stat),
-            Err(e) => Err(e.clone()),
-        }
+        self.inner.as_ref().map(|c| &*c.stat).map_err(Clone::clone)
     }
 }
 
@@ -1458,9 +1274,7 @@ where
     type Output = Result<(Z, Vec<Y>), ExecError>;
 
     fn run(&self, frames: Vec<B>) -> Result<(Z, Vec<Y>), ExecError> {
-        if let Err(e) = &self.inner {
-            return Err(e.clone());
-        }
+        self.inner.as_ref().map_err(Clone::clone)?;
         if frames.is_empty() {
             return Ok((self.init.clone(), Vec::new()));
         }
@@ -1470,7 +1284,7 @@ where
 
 impl<P, Z, B, Y> Backend<IterLoop<P, Z>, Vec<B>> for SimBackend
 where
-    P: SimLowerBody<Z, B> + for<'x> Skeleton<&'x (Z, B), Output = (Z, Y)>,
+    P: for<'x> SimLower<&'x (Z, B)> + for<'x> Skeleton<&'x (Z, B), Output = (Z, Y)>,
     Z: SimValue + Clone,
     B: SimValue,
     Y: SimValue,
@@ -1484,199 +1298,55 @@ where
         IterLoop<P, Z>: 'p;
 
     fn prepare<'p>(&'p self, prog: &'p IterLoop<P, Z>) -> SimLoopExecutable<Z, B, Y> {
-        SimLoopExecutable::new(self.compile_loop(prog), prog.init().clone())
+        let body = <P as SimLower<&(Z, B)>>::lower(prog.body());
+        SimLoopExecutable {
+            inner: self.compile("simbackend-itermem", body, LoopSlots::wire),
+            init: prog.init().clone(),
+            _io: std::marker::PhantomData,
+        }
     }
 }
 
-/// [`SimBackend`]'s adapter into the shared backend-conformance kit
-/// ([`skipper::conformance`]): every conformance case must lower,
-/// schedule, simulate and agree with the sequential golden results —
-/// a failure to execute *is* a conformance failure.
-impl skipper::conformance::ConformanceHarness for SimBackend {
-    fn name(&self) -> String {
-        format!(
-            "SimBackend::ring({})[{} farms]",
-            self.nprocs,
-            match self.farm_shape {
-                FarmShape::Star => "star",
-                FarmShape::Ring => "ring",
-            }
-        )
-    }
-
-    fn run_df(&self, prog: &skipper::conformance::DfProg, xs: &[i64]) -> i64 {
-        self.run(prog, xs).expect("df case lowers and simulates")
-    }
-
-    fn run_scm(&self, prog: &skipper::conformance::ScmProg, input: &Vec<i64>) -> Vec<i64> {
-        self.run(prog, input)
-            .expect("scm case lowers and simulates")
-    }
-
-    fn run_tf(&self, prog: &skipper::conformance::TfProg, roots: Vec<u64>) -> u64 {
-        self.run(prog, roots).expect("tf case lowers and simulates")
-    }
-
-    fn run_then(&self, prog: &skipper::conformance::ThenProg, xs: &[i64]) -> (i64, i64) {
-        self.run(prog, xs).expect("then case lowers and simulates")
-    }
-
-    fn run_itermem(
-        &self,
-        prog: &skipper::conformance::LoopProg,
-        frames: Vec<i64>,
-    ) -> (i64, Vec<i64>) {
-        self.run(prog, frames)
-            .expect("itermem case lowers and simulates")
-    }
-
-    fn run_itermem_df(
-        &self,
-        prog: &skipper::conformance::LoopDfProg,
-        frames: Vec<Vec<i64>>,
-    ) -> (i64, Vec<i64>) {
-        self.run(prog, frames)
-            .expect("itermem(df) case lowers and simulates")
-    }
-
-    fn run_itermem_tf(
-        &self,
-        prog: &skipper::conformance::LoopTfProg,
-        frames: Vec<Vec<u64>>,
-    ) -> (u64, Vec<u64>) {
-        self.run(prog, frames)
-            .expect("itermem(tf) case lowers and simulates")
-    }
-
-    fn run_nested_loop(
-        &self,
-        prog: &skipper::conformance::NestedLoopProg,
-        bursts: Vec<Vec<i64>>,
-    ) -> (i64, Vec<Vec<i64>>) {
-        self.run(prog, bursts)
-            .expect("nested-loop case lowers and simulates")
-    }
-
-    fn run_itermem_then(
-        &self,
-        prog: &skipper::conformance::LoopThenProg,
-        frames: Vec<i64>,
-    ) -> (i64, Vec<i64>) {
-        self.run(prog, frames)
-            .expect("then-inside-loop case lowers and simulates")
-    }
-
-    fn run_df_prepared(&self, prog: &skipper::conformance::DfProg, runs: &[Vec<i64>]) -> Vec<i64> {
-        let exec = Backend::<_, &[i64]>::prepare(self, prog);
-        runs.iter()
-            .map(|xs| exec.run(&xs[..]).expect("prepared df case simulates"))
-            .collect()
-    }
-
-    fn run_scm_prepared(
-        &self,
-        prog: &skipper::conformance::ScmProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<Vec<i64>> {
-        let exec = Backend::<_, &Vec<i64>>::prepare(self, prog);
-        runs.iter()
-            .map(|xs| exec.run(xs).expect("prepared scm case simulates"))
-            .collect()
-    }
-
-    fn run_tf_prepared(&self, prog: &skipper::conformance::TfProg, runs: &[Vec<u64>]) -> Vec<u64> {
-        let exec = Backend::<_, Vec<u64>>::prepare(self, prog);
-        runs.iter()
-            .map(|roots| exec.run(roots.clone()).expect("prepared tf case simulates"))
-            .collect()
-    }
-
-    fn run_then_prepared(
-        &self,
-        prog: &skipper::conformance::ThenProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<(i64, i64)> {
-        let exec = Backend::<_, &[i64]>::prepare(self, prog);
-        runs.iter()
-            .map(|xs| exec.run(&xs[..]).expect("prepared then case simulates"))
-            .collect()
-    }
-
-    fn run_itermem_prepared(
-        &self,
-        prog: &skipper::conformance::LoopProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<(i64, Vec<i64>)> {
-        let exec = Backend::<_, Vec<i64>>::prepare(self, prog);
-        runs.iter()
-            .map(|frames| {
-                exec.run(frames.clone())
-                    .expect("prepared itermem case simulates")
-            })
-            .collect()
-    }
-
-    fn run_itermem_df_prepared(
-        &self,
-        prog: &skipper::conformance::LoopDfProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<i64>)> {
-        let exec = Backend::<_, Vec<Vec<i64>>>::prepare(self, prog);
-        runs.iter()
-            .map(|frames| {
-                exec.run(frames.clone())
-                    .expect("prepared itermem(df) case simulates")
-            })
-            .collect()
-    }
-
-    fn run_itermem_tf_prepared(
-        &self,
-        prog: &skipper::conformance::LoopTfProg,
-        runs: &[Vec<Vec<u64>>],
-    ) -> Vec<(u64, Vec<u64>)> {
-        let exec = Backend::<_, Vec<Vec<u64>>>::prepare(self, prog);
-        runs.iter()
-            .map(|frames| {
-                exec.run(frames.clone())
-                    .expect("prepared itermem(tf) case simulates")
-            })
-            .collect()
-    }
-
-    fn run_nested_loop_prepared(
-        &self,
-        prog: &skipper::conformance::NestedLoopProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<Vec<i64>>)> {
-        let exec = Backend::<_, Vec<Vec<i64>>>::prepare(self, prog);
-        runs.iter()
-            .map(|bursts| {
-                exec.run(bursts.clone())
-                    .expect("prepared nested-loop case simulates")
-            })
-            .collect()
-    }
-
-    fn run_itermem_then_prepared(
-        &self,
-        prog: &skipper::conformance::LoopThenProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<(i64, Vec<i64>)> {
-        let exec = Backend::<_, Vec<i64>>::prepare(self, prog);
-        runs.iter()
-            .map(|frames| {
-                exec.run(frames.clone())
-                    .expect("prepared then-inside-loop case simulates")
-            })
-            .collect()
-    }
+/// A conformance case must lower, schedule and simulate: failing to
+/// execute *is* a conformance failure.
+fn simulated<T>(run: Result<T, ExecError>) -> T {
+    run.unwrap_or_else(|e| panic!("conformance case failed on the simulator: {e}"))
 }
+
+// [`SimBackend`]'s adapter into the shared backend-conformance kit
+// ([`skipper::conformance`]): every case must agree with the sequential
+// golden results.
+skipper::host_harness!(
+    SimBackend,
+    |b| format!(
+        "SimBackend::ring({})[{} farms]",
+        b.nprocs,
+        match b.farm_shape {
+            FarmShape::Star => "star",
+            FarmShape::Ring => "ring",
+        }
+    ),
+    simulated
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use skipper::{df, itermem, pure, scm, tf, Compose, SeqBackend};
+
+    /// The predicted makespan of `prog` prepared over `In` on `backend`.
+    fn makespan<P, In>(backend: &SimBackend, prog: &P) -> u64
+    where
+        P: SimLower<In>,
+        In: SimInput,
+        P::Output: SimValue,
+    {
+        Backend::<P, In>::prepare(backend, prog)
+            .statics()
+            .expect("prepares")
+            .schedule()
+            .makespan_ns
+    }
 
     #[test]
     fn df_on_sim_matches_seq() {
@@ -1817,14 +1487,12 @@ mod tests {
         let cheap = df(4, |x: &i64| *x, |z: i64, y| z + y, 0i64);
         let costly = cheap.clone().with_cost_hint(5_000_000);
         let backend = SimBackend::ring(3);
-        let plan_cheap = backend.plan::<&[i64], _>(&cheap).expect("cheap plan");
-        let plan_costly = backend.plan::<&[i64], _>(&costly).expect("costly plan");
+        let plan_cheap = makespan::<_, &[i64]>(&backend, &cheap);
+        let plan_costly = makespan::<_, &[i64]>(&backend, &costly);
         assert!(
-            plan_costly.makespan_ns > plan_cheap.makespan_ns,
+            plan_costly > plan_cheap,
             "a per-call cost hint must lengthen the predicted schedule: \
-             {} ns (hinted) vs {} ns (unhinted)",
-            plan_costly.makespan_ns,
-            plan_cheap.makespan_ns
+             {plan_costly} ns (hinted) vs {plan_cheap} ns (unhinted)"
         );
         // The hint is advisory for results: the simulated run still agrees
         // with the declarative semantics.
@@ -1939,8 +1607,14 @@ mod tests {
     fn ring_farm_lowering_pins_routers_with_their_workers() {
         let farm = df(3, |x: &i64| *x, |z: i64, y| z + y, 0i64);
         let backend = SimBackend::ring(4).with_farm_shape(FarmShape::Ring);
-        let plan = backend.plan::<&[i64], _>(&farm).expect("plans");
-        let lowered = lower_one_shot::<&[i64], _>(&farm, FarmShape::Ring).expect("lowers");
+        let exec = Backend::<_, &[i64]>::prepare(&backend, &farm);
+        let plan = exec.statics().expect("plans").schedule();
+        // The program is expanded first, so its node ids are the
+        // compiled network's.
+        let mut lowered = Expander::new("probe", FarmShape::Ring);
+        lowered
+            .expand(SimLower::<&[i64]>::lower(&farm).0)
+            .expect("lowers");
         assert_eq!(
             lowered.colocated.len(),
             6,
@@ -1965,8 +1639,8 @@ mod tests {
             err.to_string(),
             "cannot lower onto a machine with no processors (SimBackend::ring(0))"
         );
-        let err = backend.plan::<&[i64], _>(&farm).unwrap_err();
-        assert!(matches!(err, ExecError::EmptyMachine));
+        let exec = Backend::<_, &[i64]>::prepare(&backend, &farm);
+        assert!(matches!(exec.statics(), Err(ExecError::EmptyMachine)));
         // Loops too — even the empty-stream shortcut must not mask it.
         let prog = itermem(df(2, |x: &i64| *x, |z: i64, y| z + y, 0i64), 0i64);
         let err = backend.run(&prog, Vec::<Vec<i64>>::new()).unwrap_err();
@@ -1974,29 +1648,30 @@ mod tests {
     }
 
     #[test]
-    fn bare_pure_loop_body_fails_lowering_with_a_dedicated_error() {
-        // The ROADMAP gap, closed: a bare pure(...) loop body now types
-        // as a SimBackend program but fails lowering with a dedicated,
-        // message-pinned error instead of an opaque trait-bound failure.
-        let prog = itermem(pure(|t: &(i64, i64)| (t.0 + t.1, t.0)), 0i64);
-        let err = SimBackend::ring(3).run(&prog, vec![1i64, 2]).unwrap_err();
-        assert!(matches!(err, ExecError::PureLoopBody), "got {err:?}");
-        assert_eq!(
-            err.to_string(),
-            "a bare pure(...) loop body cannot be lowered: its by-reference \
-             (state, frame) input has no executive encoding — wrap it in an \
-             scm/df/tf skeleton head"
-        );
-        // The prepared path defers the same error to every run.
-        let exec = Backend::<_, Vec<i64>>::prepare(&SimBackend::ring(3), &prog);
-        let err = exec.run(vec![1i64]).unwrap_err();
-        assert!(matches!(err, ExecError::PureLoopBody));
-        let err = exec.statics().unwrap_err();
-        assert!(matches!(err, ExecError::PureLoopBody));
-        // An empty stream is still short-circuited before lowering is
-        // consulted on `run` — but the prepared error wins.
-        let err = exec.run(Vec::<i64>::new()).unwrap_err();
-        assert!(matches!(err, ExecError::PureLoopBody));
+    fn bare_pure_loop_body_lowers_to_one_node() {
+        // A bare pure(...) body over the by-reference (state, frame)
+        // tuple is one node that decodes the pair and calls the
+        // function on a borrow of it.
+        let prog = itermem(pure(|t: &(i64, i64)| (t.0 + t.1, t.0 * 3 - t.1)), 2i64);
+        let frames = vec![1i64, -2, 5, 7];
+        let golden = SeqBackend.run(&prog, frames.clone());
+        for nprocs in [1usize, 3] {
+            for shape in [FarmShape::Star, FarmShape::Ring] {
+                let backend = SimBackend::ring(nprocs).with_farm_shape(shape);
+                let fresh = backend.run(&prog, frames.clone()).expect("fresh run");
+                assert_eq!(fresh, golden, "fresh, nprocs={nprocs} shape={shape:?}");
+                let exec = Backend::<_, Vec<i64>>::prepare(&backend, &prog);
+                for lap in 0..2 {
+                    let prepared = exec.run(frames.clone()).expect("prepared run");
+                    assert_eq!(
+                        prepared, golden,
+                        "prepared lap {lap}, nprocs={nprocs} shape={shape:?}"
+                    );
+                }
+            }
+        }
+        let err = SimBackend::ring(0).run(&prog, frames).unwrap_err();
+        assert!(matches!(err, ExecError::EmptyMachine), "got {err:?}");
     }
 
     #[test]
@@ -2011,29 +1686,27 @@ mod tests {
         );
         let modelled = flat.clone().with_cost_model(|size| size as u64 * 400_000);
         let backend = SimBackend::ring(3);
-        let plan_flat = backend.plan::<&[Vec<i64>], _>(&flat).expect("flat plan");
-        let plan_modelled = backend
-            .plan::<&[Vec<i64>], _>(&modelled)
-            .expect("modelled plan");
+        let plan_flat = makespan::<_, &[Vec<i64>]>(&backend, &flat);
+        let plan_modelled = makespan::<_, &[Vec<i64>]>(&backend, &modelled);
         assert!(
-            plan_modelled.makespan_ns > plan_flat.makespan_ns,
+            plan_modelled > plan_flat,
             "a cost model must lengthen the predicted schedule: \
-             {} ns (modelled) vs {} ns (flat)",
-            plan_modelled.makespan_ns,
-            plan_flat.makespan_ns
+             {plan_modelled} ns (modelled) vs {plan_flat} ns (flat)"
         );
         // ... and the executive's virtual clock, where it is evaluated on
         // each actual argument's size: bigger items take longer simulated
         // time under the same schedule.
         let small: Vec<Vec<i64>> = vec![vec![1; 2]; 6];
         let large: Vec<Vec<i64>> = vec![vec![1; 40]; 6];
-        let t_small = backend
-            .run_loop_with_report(&itermem(modelled.clone(), 0i64), vec![small.clone()])
+        let looped = itermem(modelled.clone(), 0i64);
+        let exec = Backend::<_, Vec<Vec<Vec<i64>>>>::prepare(&backend, &looped);
+        let t_small = exec
+            .run_with_report(vec![small.clone()])
             .expect("small frames simulate")
             .1
             .mean_latency_ns();
-        let t_large = backend
-            .run_loop_with_report(&itermem(modelled.clone(), 0i64), vec![large.clone()])
+        let t_large = exec
+            .run_with_report(vec![large.clone()])
             .expect("large frames simulate")
             .1
             .mean_latency_ns();
@@ -2060,12 +1733,12 @@ mod tests {
         let farm = df(3, |x: &i64| x * 2 + 1, |z: i64, y| z + y, 4i64);
         let backend = SimBackend::ring(4);
         let exec = Backend::<_, &[i64]>::prepare(&backend, &farm);
-        let plan = backend.plan::<&[i64], _>(&farm).expect("plans");
+        let plan = makespan::<_, &[i64]>(&backend, &farm);
         // The executable's schedule is the plan, computed once at prepare
         // time; runs of different inputs share it.
         assert_eq!(
             exec.statics().expect("prepared").schedule().makespan_ns,
-            plan.makespan_ns
+            plan
         );
         for len in [0i64, 1, 7, 20] {
             let xs: Vec<i64> = (0..len).collect();
@@ -2077,7 +1750,7 @@ mod tests {
         }
         assert_eq!(
             exec.statics().expect("prepared").schedule().makespan_ns,
-            plan.makespan_ns
+            plan
         );
     }
 
@@ -2113,18 +1786,9 @@ mod tests {
         // schedule: the ring plan cannot be shorter than the star plan
         // for the same costed farm.
         let farm = df(3, |x: &i64| *x, |z: i64, y| z + y, 0i64).with_cost_hint(100_000);
-        let star = SimBackend::ring(4)
-            .plan::<&[i64], _>(&farm)
-            .expect("star plan");
-        let ring = SimBackend::ring(4)
-            .with_farm_shape(FarmShape::Ring)
-            .plan::<&[i64], _>(&farm)
-            .expect("ring plan");
-        assert!(
-            ring.makespan_ns >= star.makespan_ns,
-            "ring {} vs star {}",
-            ring.makespan_ns,
-            star.makespan_ns
-        );
+        let star = makespan::<_, &[i64]>(&SimBackend::ring(4), &farm);
+        let ring =
+            makespan::<_, &[i64]>(&SimBackend::ring(4).with_farm_shape(FarmShape::Ring), &farm);
+        assert!(ring >= star, "ring {ring} vs star {star}");
     }
 }

@@ -77,10 +77,6 @@ pub enum ExecError {
     },
     /// The target machine has no processors (`SimBackend::ring(0)`).
     EmptyMachine,
-    /// A bare `pure(...)` program heads an `itermem` loop body: its
-    /// by-reference `(state, frame)` input has no executive encoding, so
-    /// it cannot be lowered onto the machine.
-    PureLoopBody,
     /// The node kind is not executable (e.g. ring-farm routers).
     UnsupportedNode {
         /// The offending node.
@@ -114,12 +110,6 @@ impl fmt::Display for ExecError {
             ExecError::EmptyMachine => write!(
                 f,
                 "cannot lower onto a machine with no processors (SimBackend::ring(0))"
-            ),
-            ExecError::PureLoopBody => write!(
-                f,
-                "a bare pure(...) loop body cannot be lowered: its by-reference \
-                 (state, frame) input has no executive encoding — wrap it in an \
-                 scm/df/tf skeleton head"
             ),
             ExecError::UnsupportedNode { node, what } => {
                 write!(f, "node {node} not executable: {what}")

@@ -28,7 +28,10 @@
 //! `SimBackend::prepare(&prog)` performs that compilation **once**,
 //! returning a [`backend::SimExecutable`] whose per-run cost is
 //! simulation only (the paper's compile-offline/execute-per-frame
-//! regime; see [`backend::lowering_count`]).
+//! regime; see [`backend::lowering_count`]). Every lowerable program
+//! implements [`backend::SimLower`], whose one method returns a
+//! structural [`backend::SimPlan`] that the backend expands into the
+//! process network.
 
 pub mod backend;
 pub mod executive;
@@ -37,8 +40,8 @@ pub mod sim_value;
 pub mod value;
 
 pub use backend::{
-    lowering_count, Fragment, Lowering, RefInput, SimBackend, SimExecutable, SimInput,
-    SimLoopExecutable, SimLower, SimLowerBody, SliceInput,
+    lowering_count, RefInput, SimBackend, SimExecutable, SimInput, SimLoopExecutable, SimLower,
+    SimPlan, SliceInput,
 };
 pub use executive::{run_prepared, run_simulated, ExecConfig, ExecError, ExecReport, SimStatics};
 pub use registry::{registry_clone_count, Registry};

@@ -33,7 +33,8 @@
 //! steps (kernel calls and `df`/`scm`/`tf` skeleton stages) over an
 //! environment of frame-local values. `CompiledBody` implements the same
 //! execution traits as any handwritten body — [`Skeleton`] (run on any
-//! host [`Dispatch`]) and `SimLowerBody` — and each skeleton
+//! host [`Dispatch`]) and [`SimLower`] (one [`SimPlan`] for the simulated
+//! machine, built from the same skeleton values) — and each skeleton
 //! stage executes through the very same `skipper::{df, scm, tf}` entry
 //! points a handwritten program uses, so a compiled program's dispatch
 //! **receipts** ([`skipper::receipted`]) are bit-identical to the
@@ -54,7 +55,7 @@ use crate::ast::{Expr, ExprKind, Pattern, Program};
 use crate::diag::{Diagnostic, Span, Stage};
 use crate::types::{check_program, parse_type, Type, TypeEnv};
 use skipper::{df, itermem, run_with, scm, tf, Dispatch, IterLoop, Skeleton};
-use skipper_exec::{Fragment, Lowering, SimLower, SimLowerBody, Value};
+use skipper_exec::{SimLower, SimPlan, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -615,35 +616,30 @@ impl<'a> Skeleton<&'a (Value, Value)> for CompiledBody {
 
 /// Lowers the body onto the simulated machine. The environment crosses
 /// the graph as a `Value::List`; each step contributes either one glue
-/// node (kernel call) or a feed node, the ordinary farm fragment of the
-/// step's skeleton (via its `SimLower` impl), and a store node fanning
-/// the carried environment around the farm.
-impl SimLowerBody<Value, Value> for CompiledBody {
-    fn lower_body(&self, lw: &mut Lowering<'_>) -> Result<Fragment, skipper_exec::ExecError> {
-        let entry_name = lw.fresh_name("dsl_env");
-        let entry = lw.add_user_fn(&entry_name);
-        lw.register_fn(&entry_name, |args| {
+/// node (kernel call) or a feed node, the ordinary plan of the step's
+/// skeleton (via its `SimLower` impl), and a store node, with the
+/// carried environment fanned around the skeleton
+/// ([`SimPlan::around`]).
+impl SimLower<&(Value, Value)> for CompiledBody {
+    fn lower(&self) -> SimPlan {
+        let mut plan = SimPlan::node("dsl_env", 0, |args| {
             let t = args[0]
                 .as_tuple()
                 .expect("loop body input is a (state, frame) tuple");
             vec![Value::list(vec![t[0].clone(), t[1].clone()])]
         });
-        let mut prev = entry;
         for step in self.steps.iter() {
-            prev = match step {
+            plan = match step {
                 Step::Call { f, args } => {
-                    let name = lw.fresh_name(&format!("dsl_call_{}", f.name));
-                    let node = lw.add_user_fn(&name);
-                    let f = f.clone();
-                    let args = args.clone();
-                    lw.register_costed_fn(&name, f.cost_hint, None, move |ins| {
+                    let role = format!("dsl_call_{}", f.name);
+                    let (f, args) = (f.clone(), args.clone());
+                    let call = SimPlan::node(role, f.cost_hint, move |ins| {
                         let env = env_of(&ins[0]);
                         let vals: Vec<Value> = args.iter().map(|a| a.resolve(&env)).collect();
                         let v = f.call(&vals);
                         vec![pushed(env, v)]
                     });
-                    lw.connect(prev, node, 0, "env")?;
-                    node
+                    plan.then(call, "env")
                 }
                 Step::Df {
                     workers,
@@ -652,15 +648,16 @@ impl SimLowerBody<Value, Value> for CompiledBody {
                     seed,
                     items,
                 } => {
-                    let feed = feed_node(lw, prev, "dsl_df_feed", {
-                        let seed = seed.clone();
-                        let items = items.clone();
-                        move |env| Value::tuple(vec![seed.resolve(env), items.resolve(env)])
-                    })?;
-                    let prog = df_value(comp, acc, *workers, Value::Unit);
-                    let frag = SimLower::<&(Value, Vec<Value>)>::lower(&prog, lw)?;
-                    lw.connect(feed, frag.entry, 0, "state-items")?;
-                    store_node(lw, prev, frag.exit, "dsl_df_store")?
+                    let feed = feed_node("dsl_df_feed", seed.clone(), items.clone());
+                    let farm = df_value(comp, acc, *workers, Value::Unit);
+                    let inner = SimLower::<&(Value, Vec<Value>)>::lower(&farm);
+                    plan.around(
+                        feed,
+                        "state-items",
+                        inner,
+                        "state-pair",
+                        store_node("dsl_df_store"),
+                    )
                 }
                 Step::Scm {
                     workers,
@@ -669,14 +666,16 @@ impl SimLowerBody<Value, Value> for CompiledBody {
                     merge,
                     input,
                 } => {
-                    let feed = feed_node(lw, prev, "dsl_scm_feed", {
-                        let input = input.clone();
-                        move |env| input.resolve(env)
-                    })?;
-                    let prog = scm_value(split, comp, merge, *workers);
-                    let frag = SimLower::<&Value>::lower(&prog, lw)?;
-                    lw.connect(feed, frag.entry, 0, "input")?;
-                    store_scm_node(lw, prev, frag.exit, "dsl_scm_store")?
+                    let input = input.clone();
+                    let feed = SimPlan::node("dsl_scm_feed", 0, move |ins| {
+                        vec![input.resolve(&env_of(&ins[0]))]
+                    });
+                    let inner = SimLower::<&Value>::lower(&scm_value(split, comp, merge, *workers));
+                    // The merge node's output is the merged value itself.
+                    let store = SimPlan::node("dsl_scm_store", 0, |ins| {
+                        vec![pushed(env_of(&ins[1]), ins[0].clone())]
+                    });
+                    plan.around(feed, "input", inner, "merged", store)
                 }
                 Step::Tf {
                     workers,
@@ -685,33 +684,28 @@ impl SimLowerBody<Value, Value> for CompiledBody {
                     seed,
                     tasks,
                 } => {
-                    let feed = feed_node(lw, prev, "dsl_tf_feed", {
-                        let seed = seed.clone();
-                        let tasks = tasks.clone();
-                        move |env| Value::tuple(vec![seed.resolve(env), tasks.resolve(env)])
-                    })?;
-                    let prog = tf_value(worker, acc, *workers, Value::Unit);
-                    let frag = SimLower::<&(Value, Vec<Value>)>::lower(&prog, lw)?;
-                    lw.connect(feed, frag.entry, 0, "state-tasks")?;
-                    store_node(lw, prev, frag.exit, "dsl_tf_store")?
+                    let feed = feed_node("dsl_tf_feed", seed.clone(), tasks.clone());
+                    let farm = tf_value(worker, acc, *workers, Value::Unit);
+                    let inner = SimLower::<&(Value, Vec<Value>)>::lower(&farm);
+                    plan.around(
+                        feed,
+                        "state-tasks",
+                        inner,
+                        "state-pair",
+                        store_node("dsl_tf_store"),
+                    )
                 }
             };
         }
-        let finish_name = lw.fresh_name("dsl_result");
-        let finish = lw.add_user_fn(&finish_name);
         let result = self.result.clone();
-        lw.register_fn(&finish_name, move |ins| {
+        let finish = SimPlan::node("dsl_result", 0, move |ins| {
             let env = env_of(&ins[0]);
             vec![Value::tuple(vec![
                 result.0.resolve(&env).structural(),
                 result.1.resolve(&env).structural(),
             ])]
         });
-        lw.connect(prev, finish, 0, "env")?;
-        Ok(Fragment {
-            entry,
-            exit: finish,
-        })
+        plan.then(finish, "env")
     }
 }
 
@@ -728,64 +722,26 @@ fn pushed(mut env: Vec<Value>, v: Value) -> Value {
     Value::list(env)
 }
 
-/// Adds a feed node computing a farm's input from the environment.
-fn feed_node(
-    lw: &mut Lowering<'_>,
-    prev: skipper_net::graph::NodeId,
-    role: &str,
-    f: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
-) -> Result<skipper_net::graph::NodeId, skipper_exec::ExecError> {
-    let name = lw.fresh_name(role);
-    let node = lw.add_user_fn(&name);
-    lw.register_fn(&name, move |ins| {
+/// A feed node computing a seeded farm's `(seed, items)` input from the
+/// environment.
+fn feed_node(role: &str, seed: Operand, items: Operand) -> SimPlan {
+    SimPlan::node(role, 0, move |ins| {
         let env = env_of(&ins[0]);
-        vec![f(&env)]
-    });
-    lw.connect(prev, node, 0, "env")?;
-    Ok(node)
+        vec![Value::tuple(vec![seed.resolve(&env), items.resolve(&env)])]
+    })
 }
 
-/// Adds a store node appending a `df`/`tf` farm's result to the carried
+/// A store node appending a `df`/`tf` farm's result to the carried
 /// environment. Port 0 receives the farm's `(state', state')` pair (see
 /// the farm loop-body lowerings in `skipper-exec`), port 1 the
 /// environment fanned around the farm.
-fn store_node(
-    lw: &mut Lowering<'_>,
-    env_src: skipper_net::graph::NodeId,
-    farm_exit: skipper_net::graph::NodeId,
-    role: &str,
-) -> Result<skipper_net::graph::NodeId, skipper_exec::ExecError> {
-    let name = lw.fresh_name(role);
-    let node = lw.add_user_fn(&name);
-    lw.register_fn(&name, |ins| {
+fn store_node(role: &str) -> SimPlan {
+    SimPlan::node(role, 0, |ins| {
         let pair = ins[0]
             .as_tuple()
             .expect("farm loop-body exit is a state pair");
-        let env = env_of(&ins[1]);
-        vec![pushed(env, pair[0].clone())]
-    });
-    lw.connect(farm_exit, node, 0, "state-pair")?;
-    lw.connect(env_src, node, 1, "env")?;
-    Ok(node)
-}
-
-/// As [`store_node`], for `scm` fragments (whose exit carries the merged
-/// value directly).
-fn store_scm_node(
-    lw: &mut Lowering<'_>,
-    env_src: skipper_net::graph::NodeId,
-    merge_exit: skipper_net::graph::NodeId,
-    role: &str,
-) -> Result<skipper_net::graph::NodeId, skipper_exec::ExecError> {
-    let name = lw.fresh_name(role);
-    let node = lw.add_user_fn(&name);
-    lw.register_fn(&name, |ins| {
-        let env = env_of(&ins[1]);
-        vec![pushed(env, ins[0].clone())]
-    });
-    lw.connect(merge_exit, node, 0, "merged")?;
-    lw.connect(env_src, node, 1, "env")?;
-    Ok(node)
+        vec![pushed(env_of(&ins[1]), pair[0].clone())]
+    })
 }
 
 /// A whole compiled program: the frame source, the compiled loop body,

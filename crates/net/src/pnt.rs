@@ -15,14 +15,13 @@ use crate::graph::{GraphError, NodeId, NodeKind, ProcessNetwork};
 
 /// Physical flavour of a farm template (the paper's PNTs are written per
 /// target architecture; Fig. 1 shows the ring one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FarmShape {
     /// Master directly connected to every worker (star/fully-connected
     /// machines).
     Star,
     /// Fig. 1: master and workers on a ring, with `M->W` and `W->M` router
     /// processes on every worker processor.
-    #[default]
     Ring,
 }
 

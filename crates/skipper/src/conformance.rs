@@ -17,11 +17,13 @@
 //! A backend plugs in by implementing [`ConformanceHarness`] — `name`
 //! plus one short method per program case, run fresh and prepared
 //! (nineteen in all), because a `Backend` impl is per program type and a
-//! generic suite cannot quantify over all of them. Implementations for
-//! [`SeqBackend`] (self-check), [`crate::PoolBackend`],
-//! [`crate::ShardBackend`] and [`crate::HostBackend`] live here;
-//! `skipper_exec` provides one for its `SimBackend`. The program cases are deliberately built from plain `fn`
-//! pointers so their types are nameable and lowerable by every backend,
+//! generic suite cannot quantify over all of them. The
+//! [`host_harness!`](crate::host_harness) macro writes them from the
+//! backend's `Backend` impls: for [`SeqBackend`] (self-check),
+//! [`crate::PoolBackend`], [`crate::ShardBackend`] and
+//! [`crate::HostBackend`] here, and for `SimBackend` in `skipper_exec`,
+//! whose runs return a `Result`. The program cases are deliberately built
+//! from plain `fn` pointers so their types are nameable and lowerable by every backend,
 //! and the farm accumulators are commutative-associative (the paper's
 //! stated side condition for farm equivalence).
 //!
@@ -98,7 +100,7 @@ fn scm_comp(chunk: Vec<i64>) -> Vec<i64> {
 
 // The merge sorts, making it insensitive to fragment arrival order: the
 // same case then drives every backend, including simulated ones.
-// Fragment-*order* preservation is pinned separately by the thread/pool
+// Preserving the *order* of fragments is pinned separately by the pool
 // unit tests.
 fn scm_merge(parts: Vec<Vec<i64>>) -> Vec<i64> {
     let mut flat = parts.concat();
@@ -309,116 +311,191 @@ pub trait ConformanceHarness {
     ) -> Vec<(i64, Vec<i64>)>;
 }
 
+/// Implements [`ConformanceHarness`] for a backend type by running each
+/// case through its [`Backend`] impls: fresh cases with `Backend::run`,
+/// the `*_prepared` ones on one `Backend::prepare`d executable.
+///
+/// `host_harness!(Ty, "Name")` is for backends whose runs return the
+/// output itself. A backend whose runs return a `Result` names itself
+/// from `self` and passes an adapter that turns each run's result into
+/// the output (panicking on an error, which the kit reports as a
+/// failure): `host_harness!(Ty, |b| format!("Ty({})", b.n), adapter)`,
+/// where `adapter` is a path to a function generic over the output.
+/// Implements [`ConformanceHarness`] for a backend type by running each
+/// case through its [`Backend`] impls: fresh cases with `Backend::run`,
+/// the `*_prepared` ones on one `Backend::prepare`d executable.
+///
+/// `host_harness!(Ty, "Name")` is for backends whose runs return the
+/// output itself. A backend whose runs return a `Result` names itself
+/// from `self` and passes the path of an adapter, generic over the
+/// output, that unwraps each run's result (panicking on an error, which
+/// the kit reports as a failure):
+/// `host_harness!(Ty, |b| format!("Ty({})", b.n), adapter)`.
+#[macro_export]
 macro_rules! host_harness {
     ($ty:ty, $name:expr) => {
-        impl ConformanceHarness for $ty {
+        $crate::host_harness!($ty, |_b| String::from($name), ::std::convert::identity);
+    };
+    ($ty:ty, |$b:ident| $name:expr, $out:path) => {
+        impl $crate::conformance::ConformanceHarness for $ty {
             fn name(&self) -> String {
-                $name.to_string()
+                let $b = self;
+                $name
             }
 
-            fn run_df(&self, prog: &DfProg, xs: &[i64]) -> i64 {
-                self.run(prog, xs)
+            fn run_df(&self, prog: &$crate::conformance::DfProg, xs: &[i64]) -> i64 {
+                $out($crate::Backend::run(self, prog, xs))
             }
 
-            fn run_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> Vec<i64> {
-                self.run(prog, input)
+            fn run_scm(&self, prog: &$crate::conformance::ScmProg, input: &Vec<i64>) -> Vec<i64> {
+                $out($crate::Backend::run(self, prog, input))
             }
 
-            fn run_tf(&self, prog: &TfProg, roots: Vec<u64>) -> u64 {
-                self.run(prog, roots)
+            fn run_tf(&self, prog: &$crate::conformance::TfProg, roots: Vec<u64>) -> u64 {
+                $out($crate::Backend::run(self, prog, roots))
             }
 
-            fn run_then(&self, prog: &ThenProg, xs: &[i64]) -> (i64, i64) {
-                self.run(prog, xs)
+            fn run_then(&self, prog: &$crate::conformance::ThenProg, xs: &[i64]) -> (i64, i64) {
+                $out($crate::Backend::run(self, prog, xs))
             }
 
-            fn run_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-                self.run(prog, frames)
+            fn run_itermem(
+                &self,
+                prog: &$crate::conformance::LoopProg,
+                frames: Vec<i64>,
+            ) -> (i64, Vec<i64>) {
+                $out($crate::Backend::run(self, prog, frames))
             }
 
-            fn run_itermem_df(&self, prog: &LoopDfProg, frames: Vec<Vec<i64>>) -> (i64, Vec<i64>) {
-                self.run(prog, frames)
+            fn run_itermem_df(
+                &self,
+                prog: &$crate::conformance::LoopDfProg,
+                frames: Vec<Vec<i64>>,
+            ) -> (i64, Vec<i64>) {
+                $out($crate::Backend::run(self, prog, frames))
             }
 
-            fn run_itermem_tf(&self, prog: &LoopTfProg, frames: Vec<Vec<u64>>) -> (u64, Vec<u64>) {
-                self.run(prog, frames)
+            fn run_itermem_tf(
+                &self,
+                prog: &$crate::conformance::LoopTfProg,
+                frames: Vec<Vec<u64>>,
+            ) -> (u64, Vec<u64>) {
+                $out($crate::Backend::run(self, prog, frames))
             }
 
             fn run_nested_loop(
                 &self,
-                prog: &NestedLoopProg,
+                prog: &$crate::conformance::NestedLoopProg,
                 bursts: Vec<Vec<i64>>,
             ) -> (i64, Vec<Vec<i64>>) {
-                self.run(prog, bursts)
+                $out($crate::Backend::run(self, prog, bursts))
             }
 
-            fn run_itermem_then(&self, prog: &LoopThenProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-                self.run(prog, frames)
+            fn run_itermem_then(
+                &self,
+                prog: &$crate::conformance::LoopThenProg,
+                frames: Vec<i64>,
+            ) -> (i64, Vec<i64>) {
+                $out($crate::Backend::run(self, prog, frames))
             }
 
-            fn run_df_prepared(&self, prog: &DfProg, runs: &[Vec<i64>]) -> Vec<i64> {
-                let exec = <Self as Backend<DfProg, &[i64]>>::prepare(self, prog);
-                runs.iter().map(|xs| exec.run(&xs[..])).collect()
+            fn run_df_prepared(
+                &self,
+                prog: &$crate::conformance::DfProg,
+                runs: &[Vec<i64>],
+            ) -> Vec<i64> {
+                let exec = <Self as $crate::Backend<_, &[i64]>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, &x[..])))
+                    .collect()
             }
 
-            fn run_scm_prepared(&self, prog: &ScmProg, runs: &[Vec<i64>]) -> Vec<Vec<i64>> {
-                let exec = <Self as Backend<ScmProg, &Vec<i64>>>::prepare(self, prog);
-                runs.iter().map(|xs| exec.run(xs)).collect()
+            fn run_scm_prepared(
+                &self,
+                prog: &$crate::conformance::ScmProg,
+                runs: &[Vec<i64>],
+            ) -> Vec<Vec<i64>> {
+                let exec = <Self as $crate::Backend<_, &Vec<i64>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x)))
+                    .collect()
             }
 
-            fn run_tf_prepared(&self, prog: &TfProg, runs: &[Vec<u64>]) -> Vec<u64> {
-                let exec = <Self as Backend<TfProg, Vec<u64>>>::prepare(self, prog);
-                runs.iter().map(|roots| exec.run(roots.clone())).collect()
+            fn run_tf_prepared(
+                &self,
+                prog: &$crate::conformance::TfProg,
+                runs: &[Vec<u64>],
+            ) -> Vec<u64> {
+                let exec = <Self as $crate::Backend<_, Vec<u64>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
 
-            fn run_then_prepared(&self, prog: &ThenProg, runs: &[Vec<i64>]) -> Vec<(i64, i64)> {
-                let exec = <Self as Backend<ThenProg, &[i64]>>::prepare(self, prog);
-                runs.iter().map(|xs| exec.run(&xs[..])).collect()
+            fn run_then_prepared(
+                &self,
+                prog: &$crate::conformance::ThenProg,
+                runs: &[Vec<i64>],
+            ) -> Vec<(i64, i64)> {
+                let exec = <Self as $crate::Backend<_, &[i64]>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, &x[..])))
+                    .collect()
             }
 
             fn run_itermem_prepared(
                 &self,
-                prog: &LoopProg,
+                prog: &$crate::conformance::LoopProg,
                 runs: &[Vec<i64>],
             ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as Backend<LoopProg, Vec<i64>>>::prepare(self, prog);
-                runs.iter().map(|frames| exec.run(frames.clone())).collect()
+                let exec = <Self as $crate::Backend<_, Vec<i64>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
 
             fn run_itermem_df_prepared(
                 &self,
-                prog: &LoopDfProg,
+                prog: &$crate::conformance::LoopDfProg,
                 runs: &[Vec<Vec<i64>>],
             ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as Backend<LoopDfProg, Vec<Vec<i64>>>>::prepare(self, prog);
-                runs.iter().map(|frames| exec.run(frames.clone())).collect()
+                let exec = <Self as $crate::Backend<_, Vec<Vec<i64>>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
 
             fn run_itermem_tf_prepared(
                 &self,
-                prog: &LoopTfProg,
+                prog: &$crate::conformance::LoopTfProg,
                 runs: &[Vec<Vec<u64>>],
             ) -> Vec<(u64, Vec<u64>)> {
-                let exec = <Self as Backend<LoopTfProg, Vec<Vec<u64>>>>::prepare(self, prog);
-                runs.iter().map(|frames| exec.run(frames.clone())).collect()
+                let exec = <Self as $crate::Backend<_, Vec<Vec<u64>>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
 
             fn run_nested_loop_prepared(
                 &self,
-                prog: &NestedLoopProg,
+                prog: &$crate::conformance::NestedLoopProg,
                 runs: &[Vec<Vec<i64>>],
             ) -> Vec<(i64, Vec<Vec<i64>>)> {
-                let exec = <Self as Backend<NestedLoopProg, Vec<Vec<i64>>>>::prepare(self, prog);
-                runs.iter().map(|bursts| exec.run(bursts.clone())).collect()
+                let exec = <Self as $crate::Backend<_, Vec<Vec<i64>>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
 
             fn run_itermem_then_prepared(
                 &self,
-                prog: &LoopThenProg,
+                prog: &$crate::conformance::LoopThenProg,
                 runs: &[Vec<i64>],
             ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as Backend<LoopThenProg, Vec<i64>>>::prepare(self, prog);
-                runs.iter().map(|frames| exec.run(frames.clone())).collect()
+                let exec = <Self as $crate::Backend<_, Vec<i64>>>::prepare(self, prog);
+                runs.iter()
+                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
+                    .collect()
             }
         }
     };
