@@ -19,24 +19,21 @@
 //! asked for an unknown experiment id or backend.
 
 use skipper_bench::experiments as ex;
+use skipper_bench::say;
 use std::process::ExitCode;
 
 fn print_index() {
-    println!("available experiments:");
+    say!("available experiments:");
     for (id, title, _) in ex::INDEX {
-        println!("  {id:<4} {title}");
+        say!("  {id:<4} {title}");
     }
-    println!("  all  run every experiment in order");
-    println!("options:");
-    println!(
-        "  --backend {{seq,pool,shard,dist,sim}}  host-side execution strategy (default pool)"
-    );
-    println!(
+    say!("  all  run every experiment in order");
+    say!("options:");
+    say!("  --backend {{seq,pool,shard,dist,sim}}  host-side execution strategy (default pool)");
+    say!(
         "  --streams N                      stream count for the serving experiment (default 128)"
     );
-    println!(
-        "  --smoke                          small-geometry CI scale, speedup floors off (E19)"
-    );
+    say!("  --smoke                          small-geometry CI scale, speedup floors off (E19)");
 }
 
 fn main() -> ExitCode {

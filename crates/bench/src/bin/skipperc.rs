@@ -25,16 +25,9 @@ use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use skipper::{Backend, HostBackend, Workers};
-
-/// `println!` that shrugs off a closed stdout (e.g. `skipperc … | head`):
-/// the no-panic contract covers the whole driver, SIGPIPE included.
-macro_rules! say {
-    ($($t:tt)*) => {{
-        use std::io::Write;
-        let _ = writeln!(std::io::stdout(), $($t)*);
-    }};
-}
 use skipper_apps::kernels::app_registry;
+// The no-panic contract covers the whole driver, a closed stdout included.
+use skipper_bench::say;
 use skipper_exec::{SimBackend, Value};
 use skipper_lang::compile_source;
 

@@ -21,7 +21,7 @@ use transvision::cost::MS;
 use transvision::stream::FrameClock;
 
 fn header(id: &str, title: &str) {
-    println!("\n=== {id}: {title} ===");
+    say!("\n=== {id}: {title} ===");
 }
 
 /// The execution strategy selected with the CLI's `--backend` flag for
@@ -232,12 +232,12 @@ pub fn e1() {
         .count();
     let mw = net.nodes_where(|k| matches!(k, NodeKind::RouterMw)).count();
     let wm = net.nodes_where(|k| matches!(k, NodeKind::RouterWm)).count();
-    println!("process            count   (paper Fig. 1)");
-    println!("Master             {masters:>5}   1");
-    println!("Worker<comp>       {workers:>5}   n = 8");
-    println!("M->W routers       {mw:>5}   n = 8");
-    println!("W->M routers       {wm:>5}   n = 8");
-    println!("edges              {:>5}", net.edges().len());
+    say!("process            count   (paper Fig. 1)");
+    say!("Master             {masters:>5}   1");
+    say!("Worker<comp>       {workers:>5}   n = 8");
+    say!("M->W routers       {mw:>5}   n = 8");
+    say!("W->M routers       {wm:>5}   n = 8");
+    say!("edges              {:>5}", net.edges().len());
     // Map the star variant (the executable one) onto a ring(9).
     let mut star = ProcessNetwork::new("fig1-star");
     let sinp = star.add_node(NodeKind::Input("xs".into()), "xs");
@@ -264,7 +264,7 @@ pub fn e1() {
     let arch = Architecture::ring_t9000(9);
     let sched = skipper_syndex::schedule::schedule(&star, &arch).expect("schedulable");
     let used: std::collections::HashSet<_> = sched.mapping.iter().collect();
-    println!(
+    say!(
         "star variant mapped onto ring(9): {} processors used, predicted makespan {:.2} ms",
         used.len(),
         sched.makespan_ns as f64 / MS as f64
@@ -281,12 +281,12 @@ pub fn e2() {
     );
     let (_, exec) = pipeline::prepare_mini_tracker(&SimBackend::ring(3)).expect("compiles");
     let net = exec.statics().expect("prepared").net();
-    println!(
+    say!(
         "source     : {} bytes of Skipper-ML",
         pipeline::MINI_TRACKER_ML.len()
     );
-    println!("type check : ok (skeleton signatures of paper section 2)");
-    println!(
+    say!("type check : ok (skeleton signatures of paper section 2)");
+    say!(
         "expansion  : {} processes, {} channels, {} farm instance(s)",
         net.len(),
         net.edges().len(),
@@ -299,7 +299,7 @@ pub fn e2() {
         let (out, report) =
             pipeline::simulate_mini_tracker(&SimBackend::ring(nprocs), frames).expect("runs");
         let eq = if out == emu { "==" } else { "!=" };
-        println!(
+        say!(
             "executive on {nprocs} proc(s): outputs {eq} emulation, makespan {:.3} ms, {} messages",
             report.sim.end_ns as f64 / MS as f64,
             report.sim.delivered,
@@ -334,20 +334,20 @@ pub fn e3() {
     let clock = FrameClock::hz(25.0);
     let track = report.mean_latency_in(Mode::Tracking).unwrap_or(0);
     let reinit = report.mean_latency_in(Mode::Init).unwrap_or(0);
-    println!("phase            latency (ms)   paper (ms)   frames kept");
-    println!(
+    say!("phase            latency (ms)   paper (ms)   frames kept");
+    say!(
         "tracking         {:>10.1}   {:>10}   1 in {}",
         track as f64 / MS as f64,
         30,
         clock.decimation(track)
     );
-    println!(
+    say!(
         "reinitialisation {:>10.1}   {:>10}   1 in {}",
         reinit as f64 / MS as f64,
         110,
         clock.decimation(reinit)
     );
-    println!(
+    say!(
         "ratio reinit/tracking: {:.2} (paper: {:.2})",
         reinit as f64 / track.max(1) as f64,
         110.0 / 30.0
@@ -357,7 +357,7 @@ pub fn e3() {
         .iter()
         .filter(|f| f.mode == Mode::Init)
         .count();
-    println!(
+    say!(
         "frames: {} total, {} in reinitialisation",
         report.frames.len(),
         reinits
@@ -373,7 +373,7 @@ pub fn e3() {
 /// processors pay, and it is reported alongside.
 pub fn e4() {
     header("E4", "latency vs number of processors (tracking / reinit)");
-    println!("procs   tracking (ms)   reinit (ms)   reinit speedup");
+    say!("procs   tracking (ms)   reinit (ms)   reinit speedup");
     let mut base = None;
     for nprocs in [1usize, 2, 4, 8, 12, 16] {
         let mut scene = Scene::with_vehicles(
@@ -396,7 +396,7 @@ pub fn e4() {
         let track = report.mean_latency_in(Mode::Tracking).unwrap_or(0);
         let reinit = report.mean_latency_in(Mode::Init).unwrap_or(0);
         let b = *base.get_or_insert(reinit as f64);
-        println!(
+        say!(
             "{nprocs:>5}   {:>13.1}   {:>11.1}   {:>14.2}",
             track as f64 / MS as f64,
             reinit as f64 / MS as f64,
@@ -412,10 +412,10 @@ pub fn e5() {
     let hand = run_handcrafted(default_scene(1), 8, 10).expect("handcrafted runs");
     let s = skel.exec.mean_latency_ns() as f64 / MS as f64;
     let h = hand.mean_latency_ns() as f64 / MS as f64;
-    println!("version        mean latency (ms)");
-    println!("skeleton       {s:>17.1}");
-    println!("hand-crafted   {h:>17.1}");
-    println!(
+    say!("version        mean latency (ms)");
+    say!("skeleton       {s:>17.1}");
+    say!("hand-crafted   {h:>17.1}");
+    say!(
         "overhead factor: {:.2} (paper: \"similar performances\")",
         s / h
     );
@@ -433,7 +433,7 @@ pub fn e6() {
         "E6",
         "dynamic farming (df) vs static split (scm) under imbalance",
     );
-    println!("cv      df makespan (ms)   scm makespan (ms)   scm/df");
+    say!("cv      df makespan (ms)   scm makespan (ms)   scm/df");
     for cv in [0.0f64, 0.5, 1.0, 2.0, 4.0] {
         // Item costs shaped like a data-dependent window list, sorted by
         // decreasing cost — adversarial for static contiguous chunking.
@@ -441,9 +441,9 @@ pub fn e6() {
         items.sort_unstable_by(|a, b| b.cmp(a));
         let df = sim_df_makespan(&items) / MS as f64;
         let scm = sim_scm_makespan(&items) / MS as f64;
-        println!("{cv:>4.1}   {df:>16.2}   {scm:>17.2}   {:>6.2}", scm / df);
+        say!("{cv:>4.1}   {df:>16.2}   {scm:>17.2}   {:>6.2}", scm / df);
     }
-    println!("(scm/df > 1 means dynamic balancing wins)");
+    say!("(scm/df > 1 means dynamic balancing wins)");
 }
 
 /// Simulated makespan of a 4-worker `df` farm over `items` (work units).
@@ -614,12 +614,12 @@ pub fn e7() {
     let emu = pipeline::emulate_mini_tracker(frames).expect("emulation succeeds");
     let (out, report) =
         pipeline::simulate_mini_tracker(&SimBackend::ring(3), frames).expect("simulation succeeds");
-    println!("iteration   displayed value   latency (us)");
+    say!("iteration   displayed value   latency (us)");
     for (k, (v, lat)) in out.iter().zip(&report.latencies_ns).enumerate() {
-        println!("{k:>9}   {v:>15}   {:>12.1}", *lat as f64 / 1e3);
+        say!("{k:>9}   {v:>15}   {:>12.1}", *lat as f64 / 1e3);
     }
     assert_eq!(out, emu);
-    println!(
+    say!(
         "simulated outputs equal the Fig. 4 executable specification: {}",
         out == emu
     );
@@ -637,9 +637,9 @@ pub fn e8() {
     let par = run_tracker_sim(Arc::clone(&scene), 8, frames).expect("parallel runs");
     let a: Vec<_> = seq.frames.iter().map(|f| (f.mode, f.marks)).collect();
     let b: Vec<_> = par.frames.iter().map(|f| (f.mode, f.marks)).collect();
-    println!("frames compared : {frames}");
-    println!("identical       : {}", a == b);
-    println!(
+    say!("frames compared : {frames}");
+    say!("identical       : {}", a == b);
+    say!(
         "sequential mean latency {:.1} ms, parallel {:.1} ms",
         seq.exec.mean_latency_ns() as f64 / MS as f64,
         par.exec.mean_latency_ns() as f64 / MS as f64
@@ -655,18 +655,18 @@ pub fn e9() {
     let expected = ccl::count_components_seq(&img);
     let chosen = host_backend();
     if backend() == BackendChoice::Sim {
-        println!("(image payloads are host-only; --backend sim falls back to seq emulation)");
+        say!("(image payloads are host-only; --backend sim falls back to seq emulation)");
     }
-    println!("backend: {}", chosen.name());
-    println!("components (sequential reference): {expected}");
-    println!("bands   components   wall time (ms)   speedup");
+    say!("backend: {}", chosen.name());
+    say!("components (sequential reference): {expected}");
+    say!("bands   components   wall time (ms)   speedup");
     let mut base = None;
     for n in [1usize, 2, 4, 8] {
         let t0 = Instant::now();
         let count = ccl::count_components_on(&chosen, &img, n);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         let b = *base.get_or_insert(dt);
-        println!("{n:>5}   {count:>10}   {dt:>14.1}   {:>7.2}", b / dt);
+        say!("{n:>5}   {count:>10}   {dt:>14.1}   {:>7.2}", b / dt);
         assert_eq!(count, expected);
     }
 }
@@ -680,9 +680,9 @@ pub fn e10() {
     header("E10", "road following: white-line detection (scm, 4 bands)");
     let chosen = host_backend();
     if backend() == BackendChoice::Sim {
-        println!("(image payloads are host-only; --backend sim falls back to seq emulation)");
+        say!("(image payloads are host-only; --backend sim falls back to seq emulation)");
     }
-    println!(
+    say!(
         "backend: {} (program prepared once for the whole stream)",
         chosen.name()
     );
@@ -696,15 +696,15 @@ pub fn e10() {
         truths.push((off, curv, truth));
     }
     let lines = road::detect_lines_stream_on(&chosen, &frames, 4);
-    println!("frame   offset(px)   curvature   est bottom x   true bottom x   err(px)");
+    say!("frame   offset(px)   curvature   est bottom x   true bottom x   err(px)");
     let mut worst = 0.0f64;
     for (k, (line, &(off, curv, truth))) in lines.iter().zip(&truths).enumerate() {
         let est = line.as_ref().expect("line found").x_at(383.0);
         let err = (est - truth).abs();
         worst = worst.max(err);
-        println!("{k:>5}   {off:>10.1}   {curv:>9.2}   {est:>12.1}   {truth:>13.1}   {err:>7.2}");
+        say!("{k:>5}   {off:>10.1}   {curv:>9.2}   {est:>12.1}   {truth:>13.1}   {err:>7.2}");
     }
-    println!("worst-case error: {worst:.2} px");
+    say!("worst-case error: {worst:.2} px");
 }
 
 /// E11 — the tf skeleton: divide-and-conquer region splitting.
@@ -737,7 +737,7 @@ pub fn e11() {
         }
     };
     let chosen = host_backend();
-    println!(
+    say!(
         "backend: {}",
         if backend() == BackendChoice::Sim {
             "sim (ring of workers+1 T9000s)"
@@ -745,7 +745,7 @@ pub fn e11() {
             chosen.name()
         }
     );
-    println!("workers   leaf regions   wall time (ms)");
+    say!("workers   leaf regions   wall time (ms)");
     let mut counts = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         use skipper::Backend;
@@ -761,7 +761,7 @@ pub fn e11() {
             chosen.run(&tf, vec![(0, 0, 256, 256)])
         };
         let dt = t0.elapsed().as_secs_f64() * 1e3;
-        println!("{workers:>7}   {leaves:>12}   {dt:>14.2}");
+        say!("{workers:>7}   {leaves:>12}   {dt:>14.2}");
         counts.push(leaves);
     }
     assert!(
@@ -823,13 +823,13 @@ pub fn e12() {
             checked += 1;
         }
     }
-    println!("random graphs            : {cases}");
-    println!("AAA <= round-robin       : {wins}/{cases}");
-    println!(
+    say!("random graphs            : {cases}");
+    say!("AAA <= round-robin       : {wins}/{cases}");
+    say!(
         "mean makespan ratio RR/AAA: {:.2}",
         total_ratio / cases as f64
     );
-    println!("executives deadlock-free : {checked}/{checked}");
+    say!("executives deadlock-free : {checked}/{checked}");
 }
 
 /// E14 — the paper's flagship regime end-to-end: the real-time tracking
@@ -871,12 +871,12 @@ pub fn e14() {
     let host = host_backend();
     // The host tracker is prepared once, outside the machine-size sweep.
     let host_exec = Backend::<_, Vec<Vec<u64>>>::prepare(&host, &tracker);
-    println!(
+    say!(
         "frames: {}, windows/frame: 9, host backend: {}",
         frames.len(),
         host.name()
     );
-    println!("nprocs   predicted/frame (us)   simulated/frame (us)   host (us/frame)");
+    say!("nprocs   predicted/frame (us)   simulated/frame (us)   host (us/frame)");
     for nprocs in [2usize, 3, 5] {
         let sim = SimBackend::ring(nprocs).with_farm_shape(FarmShape::Ring);
         // One prepared loop executable per machine size: its schedule is
@@ -899,12 +899,12 @@ pub fn e14() {
         let host_out = host_exec.run(frames.clone());
         let host_us = t0.elapsed().as_secs_f64() * 1e6 / frames.len() as f64;
         assert_eq!(host_out, golden);
-        println!(
+        say!(
             "{nprocs:>6}   {plan_us:>20.1}   {:>20.1}   {host_us:>15.1}",
             report.mean_latency_ns() as f64 / 1e3,
         );
     }
-    println!("(simulated results bit-equal to sequential emulation on every ring size)");
+    say!("(simulated results bit-equal to sequential emulation on every ring size)");
 }
 
 fn amort_window(u: &u64) -> u64 {
@@ -956,10 +956,8 @@ pub fn e15() {
         .iter()
         .map(|f| SeqBackend.run(&farm, &f[..]))
         .collect();
-    println!("frames: {FRAMES}, windows/frame: 16");
-    println!(
-        "path            prepare (us)   fresh (us/frame)   prepared (us/frame)   fresh/prepared"
-    );
+    say!("frames: {FRAMES}, windows/frame: 16");
+    say!("path            prepare (us)   fresh (us/frame)   prepared (us/frame)   fresh/prepared");
     if backend() == BackendChoice::Sim {
         let sim = SimBackend::ring(4);
         // Fresh path: every frame pays lowering + scheduling + macro-code
@@ -978,7 +976,7 @@ pub fn e15() {
             assert_eq!(&exec.run(&f[..]).expect("prepared farm simulates"), g);
         }
         let prepared = t0.elapsed().as_secs_f64() * 1e6 / FRAMES as f64;
-        println!(
+        say!(
             "sim (ring 4)    {prepare_us:>12.1}   {fresh:>16.1}   {prepared:>19.1}   {:>14.2}",
             fresh / prepared
         );
@@ -1005,7 +1003,7 @@ pub fn e15() {
             assert_eq!(&exec.run(&f[..]), g);
         }
         let prepared = t0.elapsed().as_secs_f64() * 1e6 / FRAMES as f64;
-        println!(
+        say!(
             "pool ({} thr)    {prepare_us:>12.1}   {fresh:>16.1}   {prepared:>19.1}   {:>14.2}",
             pool.threads(),
             fresh / prepared
@@ -1016,7 +1014,7 @@ pub fn e15() {
              the per-frame engine-setup path ({fresh:.1} us) on a {FRAMES}-frame stream"
         );
     }
-    println!("(fresh/prepared > 1 is the amortisation the prepared pipeline buys)");
+    say!("(fresh/prepared > 1 is the amortisation the prepared pipeline buys)");
 }
 
 /// The E16 loop-body program type: a 2-way `scm` over `(state, frame)`
@@ -1151,19 +1149,19 @@ pub fn run_serving_experiment(
         assert_eq!(outcome.streams[s].outputs, outputs, "stream {s} outputs");
     }
     let report = outcome.report;
-    println!(
+    say!(
         "streams: {n_streams}, frames/stream: {frames_per_stream}, workers: {}, batch cap: {}",
         backend.threads(),
         config.max_batch
     );
-    println!(
+    say!(
         "served: {}, batches: {} ({:.1} frames/batch), throughput: {:.0} frames/s",
         report.served,
         report.batches,
         report.served as f64 / report.batches.max(1) as f64,
         report.throughput_fps()
     );
-    println!(
+    say!(
         "frame latency: p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, mean {:.1} us",
         report.latency_percentile_ns(50.0) as f64 / 1e3,
         report.latency_percentile_ns(95.0) as f64 / 1e3,
@@ -1188,7 +1186,7 @@ pub fn run_serving_experiment(
         .map(|s| (s.state, s.outputs.clone()))
         .collect();
     let output_hash = skipper::receipt::wire_hash(&results);
-    println!("receipt: input 0x{input_hash:016x}, output 0x{output_hash:016x}");
+    say!("receipt: input 0x{input_hash:016x}, output 0x{output_hash:016x}");
     if let Some(path) = json_path {
         let json = serving_json(
             backend.threads(),
@@ -1199,7 +1197,7 @@ pub fn run_serving_experiment(
             output_hash,
         );
         std::fs::write(path, json).expect("write BENCH_serving.json");
-        println!("wrote {}", path.display());
+        say!("wrote {}", path.display());
     }
     report
 }
@@ -1218,7 +1216,7 @@ pub fn e16() {
         40,
         Some(std::path::Path::new("BENCH_serving.json")),
     );
-    println!("(block admission: lossless backpressure; outputs checked against sequential folds)");
+    say!("(block admission: lossless backpressure; outputs checked against sequential folds)");
 }
 
 /// Renders the E17 report as the `BENCH_dist.json` document (hand
@@ -1351,21 +1349,23 @@ pub fn run_dist_experiment(
             .map(|&(_, r)| r)
             .collect::<Vec<RunReceipt>>(),
     );
-    println!(
+    say!(
         "items/frame: {items_per_frame}, frames: {frames}, farm degree: {DEGREE}, \
          pool threads: {}, shards: {SHARDS}",
         pool.threads()
     );
-    println!("pool : {pool_fps:>10.1} frames/s");
-    println!("shard: {shard_fps:>10.1} frames/s");
+    say!("pool : {pool_fps:>10.1} frames/s");
+    say!("shard: {shard_fps:>10.1} frames/s");
     match dist_stats {
-        Some(fps) => println!("dist : {fps:>10.1} frames/s  ({DIST_WORKERS} worker processes)"),
-        None => println!("dist : skipped (skipper-worker binary not found)"),
+        Some(fps) => say!("dist : {fps:>10.1} frames/s  ({DIST_WORKERS} worker processes)"),
+        None => say!("dist : skipped (skipper-worker binary not found)"),
     }
-    println!(
+    say!(
         "receipt (folded over {frames} frames): input 0x{:016x}, trace 0x{:016x}, \
          output 0x{:016x}",
-        folded.input_hash, folded.trace_hash, folded.output_hash
+        folded.input_hash,
+        folded.trace_hash,
+        folded.output_hash
     );
     if let Some(path) = json_path {
         let json = dist_json(
@@ -1381,7 +1381,7 @@ pub fn run_dist_experiment(
             &folded,
         );
         std::fs::write(path, json).expect("write BENCH_dist.json");
-        println!("wrote {}", path.display());
+        say!("wrote {}", path.display());
     }
     dist_stats.is_some()
 }
@@ -1397,7 +1397,7 @@ pub fn e17() {
         "distributed farming: pool vs shard vs worker processes",
     );
     run_dist_experiment(4096, 64, Some(std::path::Path::new("BENCH_dist.json")));
-    println!("(equal receipts = equal input, canonical schedule and output on every rung)");
+    say!("(equal receipts = equal input, canonical schedule and output on every rung)");
 }
 
 /// Renders the E18 report as the `BENCH_zero_copy.json` document (hand
@@ -1479,7 +1479,7 @@ pub fn run_zero_copy_experiment(
         assert_eq!(deep_sum, expected, "{name}: deep-copy scan checksum");
         let zero_fps = frames as f64 / zero_t.as_secs_f64().max(1e-9);
         let deep_fps = frames as f64 / deep_t.as_secs_f64().max(1e-9);
-        println!(
+        say!(
             "{name:<5} {width}x{height}, {frames} frames, {bands} bands: \
              zero-copy {zero_fps:>8.1} frames/s, deep-copy {deep_fps:>8.1} frames/s \
              ({:.2}x)",
@@ -1507,7 +1507,7 @@ pub fn run_zero_copy_experiment(
             expected,
         );
         std::fs::write(path, json).expect("write BENCH_zero_copy.json");
-        println!("wrote {}", path.display());
+        say!("wrote {}", path.display());
     }
     pool_speedup
 }
@@ -1561,16 +1561,16 @@ pub fn e18() {
     let tiled_labels = label_components_tiled(&blobs, Connectivity::Eight, 8);
     let tiled_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(tiled_labels, seq_labels, "tiled CCL must match sequential");
-    println!(
+    say!(
         "1080p pipelines on {}: ccl {components} components in {ccl_ms:.1} ms, \
          road lane offset {measured:.1}px (truth {true_offset:.1}px) in {road_ms:.1} ms",
         backend.name()
     );
-    println!(
+    say!(
         "1080p tiled CCL (8 strips): {tiled_ms:.1} ms vs {seq_ms:.1} ms sequential, \
          labels byte-identical"
     );
-    println!("(zero-copy pool speedup {speedup:.2}x; acceptance floor 2.0x)");
+    say!("(zero-copy pool speedup {speedup:.2}x; acceptance floor 2.0x)");
 }
 
 /// Renders the E19 report as the `BENCH_arena.json` document (hand
@@ -1726,12 +1726,12 @@ pub fn run_arena_experiment(
     );
     let ccl_speedup = ccl_arena_fps / ccl_copy_fps.max(1e-9);
     let road_speedup = road_arena_fps / road_copy_fps.max(1e-9);
-    println!(
+    say!(
         "ccl  {width}x{height}, {frames} frames, {bands} bands: \
          arena {ccl_arena_fps:>8.1} frames/s, copy-per-band {ccl_copy_fps:>8.1} frames/s \
          ({ccl_speedup:.2}x)"
     );
-    println!(
+    say!(
         "road {width}x{height}, {frames} frames, {bands} bands: \
          arena {road_arena_fps:>8.1} frames/s, copy-per-band {road_copy_fps:>8.1} frames/s \
          ({road_speedup:.2}x)"
@@ -1765,7 +1765,7 @@ pub fn run_arena_experiment(
             components,
         );
         std::fs::write(path, json).expect("write BENCH_arena.json");
-        println!("wrote {}", path.display());
+        say!("wrote {}", path.display());
     }
     (ccl_speedup, road_speedup)
 }
@@ -1794,7 +1794,7 @@ pub fn e19() {
             None,
             Some(std::path::Path::new("BENCH_arena.json")),
         );
-        println!("(smoke geometry, ungated: ccl {ccl_speedup:.2}x, road {road_speedup:.2}x)");
+        say!("(smoke geometry, ungated: ccl {ccl_speedup:.2}x, road {road_speedup:.2}x)");
         return;
     }
     // Gate on the best of up to three full measurements: the speedup
@@ -1821,7 +1821,7 @@ pub fn e19() {
         if best_ccl >= CCL_FLOOR && best_road >= ROAD_FLOOR {
             break;
         }
-        println!(
+        say!(
             "(attempt {}: best so far ccl {best_ccl:.2}x, road {best_road:.2}x — re-measuring)",
             attempt + 1
         );
@@ -1837,7 +1837,7 @@ pub fn e19() {
          (best of 3: {best_road:.2}x)"
     );
     run_arena_experiment(3840, 2160, 6, 8, None, None, None);
-    println!(
+    say!(
         "(1080p arena speedups: ccl {best_ccl:.2}x, road {best_road:.2}x; \
          gated floors {CCL_FLOOR}x / {ROAD_FLOOR}x, best of up to three \
          measurements — road's copy baseline is allocator-jitter bimodal on a \

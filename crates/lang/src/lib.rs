@@ -36,8 +36,6 @@ pub mod ast;
 pub mod compile;
 pub mod diag;
 pub mod eval;
-#[cfg(test)]
-mod expand;
 pub mod parser;
 pub mod token;
 pub mod types;

@@ -63,7 +63,7 @@
 //! | Backend | Crate | Dispatch | Use it for |
 //! |---|---|---|---|
 //! | [`SeqBackend`] | `skipper` | — | debugging, golden results, reference semantics |
-//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller helps | parallel runs on the host CPU: a persistent work-stealing pool, no thread spawn per run |
+//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller runs job 0 and helps | parallel runs on the host CPU: a persistent work-stealing pool, no thread spawn per run |
 //! | [`crate::ShardBackend`] | `skipper` | N lanes, one pool each | partition-routed runs over independent pools, the rehearsal of distribution |
 //! | `SimBackend` | `skipper-exec` | — (lowers the program) | the paper pipeline: latency/scaling studies on a modelled machine |
 //!
@@ -144,7 +144,7 @@ where
 ///
 /// | Dispatcher | lanes | a lane's jobs run on |
 /// |---|---|---|
-/// | [`crate::PoolBackend`] | 1 | the persistent pool; the caller helps |
+/// | [`crate::PoolBackend`] | 1 | the caller (job 0) and the persistent pool |
 /// | [`crate::ShardBackend`] | N | shard `lane`'s pool; the coordinator parks |
 ///
 /// Lanes run concurrently (lane 0 on the calling thread, the others on
@@ -411,11 +411,12 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
-    /// A farm of each shape over units 0..8 whose unit 3 panics when
-    /// `bomb` is set, run through `d` (declaratively when `None`).
+    /// A farm of each shape over units 0..8, or over unit 3 alone, whose
+    /// unit 3 panics when `bomb` is set, run through `d` (declaratively
+    /// when `None`).
     type PanicCase = (&'static str, fn(Option<&dyn Dispatch>, bool) -> u64);
 
-    const PANIC_CASES: [PanicCase; 3] = [
+    const PANIC_CASES: [PanicCase; 6] = [
         ("df", |d, bomb| {
             let farm = df(
                 2,
@@ -451,6 +452,43 @@ mod tests {
                 0u64,
             );
             run_with(&prog, d, (0..8).collect::<Vec<u64>>())
+        }),
+        // One-unit rounds: a single job, which the pool runs on the caller.
+        ("df, one unit", |d, bomb| {
+            let farm = df(
+                2,
+                move |x: &u64| {
+                    assert!(!(bomb && *x == 3), "boom");
+                    *x
+                },
+                |z: u64, y| z + y,
+                0u64,
+            );
+            run_with(&farm, d, &[3u64][..])
+        }),
+        ("scm, one unit", |d, bomb| {
+            let prog = scm(
+                2,
+                |n: &u64, _| vec![*n],
+                move |x: u64| {
+                    assert!(!(bomb && x == 3), "boom");
+                    x
+                },
+                |ps: Vec<u64>| ps.iter().sum::<u64>(),
+            );
+            run_with(&prog, d, &3)
+        }),
+        ("tf, one unit", |d, bomb| {
+            let prog = tf(
+                1,
+                move |t: u64| {
+                    assert!(!(bomb && t == 3), "boom");
+                    (Vec::new(), Some(t))
+                },
+                |z: u64, o| z + o,
+                0u64,
+            );
+            run_with(&prog, d, vec![3u64])
         }),
     ];
 

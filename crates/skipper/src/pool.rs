@@ -449,19 +449,28 @@ impl Default for PoolBackend {
     }
 }
 
-/// The pool's lane runs a round's jobs on the persistent workers, and
-/// the calling thread helps run them while it waits.
+/// The pool's lane runs a round's jobs on the persistent workers and the
+/// calling thread: the caller runs job 0 itself, after queueing jobs
+/// 1.. on the pool, then helps run queued work while it waits. A
+/// one-job round therefore never touches the pool — no queue push, no
+/// wake-up, no scope — and a panic in job 0 still reaches the caller
+/// only once the round's other jobs have finished.
 impl Dispatch for PoolBackend {
     fn lanes(&self) -> usize {
         1
     }
 
     fn run_jobs(&self, _lane: usize, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
-        self.pool.scope(|s| {
-            for j in 0..jobs {
-                s.spawn(move || job(j));
-            }
-        });
+        match jobs {
+            0 => {}
+            1 => job(0),
+            _ => self.pool.scope(|s| {
+                for j in 1..jobs {
+                    s.spawn(move || job(j));
+                }
+                job(0);
+            }),
+        }
     }
 }
 
@@ -677,6 +686,28 @@ mod tests {
         let total = pool.run(&farm, &xs[..]);
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(total, xs.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn one_job_round_runs_on_the_calling_thread() {
+        let pool = PoolBackend::configured(Workers::exact(2));
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        let record = |j: usize| {
+            ran_on
+                .lock()
+                .unwrap()
+                .push((j, std::thread::current().id()))
+        };
+        pool.run_jobs(0, 1, &record);
+        assert_eq!(*ran_on.lock().unwrap(), vec![(0, caller)]);
+        // In a wider round the caller runs job 0 itself.
+        ran_on.lock().unwrap().clear();
+        pool.run_jobs(0, 3, &record);
+        let mut ran = ran_on.into_inner().unwrap();
+        ran.sort_by_key(|r| r.0);
+        assert_eq!(ran.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(ran[0].1, caller);
     }
 
     #[test]

@@ -33,9 +33,15 @@
 //!    Settling returns each state to its lane, records the outputs and
 //!    latencies (completion − arrival) and frees admission capacity.
 //!
-//! When nothing is ready the loop sleeps until the next arrival; when
-//! nothing is pending it returns. The trade-off of rounds: a round lasts
-//! as long as its slowest batch, and nothing is admitted while it runs.
+//! When nothing is ready the loop waits for the next arrival; when
+//! nothing is pending it returns. The wait must end on time, and an OS
+//! sleep wakes late by the thread's timer slack (50 µs by default on
+//! Linux) — half of a small frame's latency. So the loop learns that
+//! overshoot (a decaying maximum of how late its sleeps woke), sleeps the
+//! gap minus it and spins the rest. No frame is admitted before its
+//! arrival time; the price is the engine thread spinning for about one
+//! timer slack per idle wait. The trade-off of rounds: a round lasts as
+//! long as its slowest batch, and nothing is admitted while it runs.
 //!
 //! Frame payloads are **never cloned** inside the engine: a frame is
 //! moved from its source into the request and lent to the round by
@@ -407,6 +413,42 @@ impl<Z, B, Y> Engine<Z, B, Y> {
     }
 }
 
+/// The longest single sleep of the idle wait: a far-off arrival is
+/// approached in steps, each refreshing the learned slack.
+const SLEEP_CAP_NS: u64 = 1_000_000;
+
+/// The engine's idle wait: returns once `now_ns() >= at`, or after one
+/// capped sleep when `at` is further off than [`SLEEP_CAP_NS`].
+///
+/// An OS sleep wakes late by up to the thread's timer slack (50 µs by
+/// default on Linux), so sleeping the whole gap would make every frame
+/// that arrives while the engine idles pay that slack before it is
+/// admitted. Instead the wait sleeps the gap minus `slack`, the overshoot
+/// learned so far, and spins out the rest. `slack` is a decaying maximum
+/// of the observed overshoot: each wait sets it to
+/// `max(over, slack − slack/8)`, capped at [`SLEEP_CAP_NS`], where `over`
+/// is how late this wait's sleep woke (0 when it did not sleep, so a
+/// slack inflated by one preempted sleep decays even when every gap is
+/// shorter than it). Returns the updated slack.
+fn wait_until(at: u64, slack: u64, now_ns: &impl Fn() -> u64) -> u64 {
+    let start = now_ns();
+    let sleep = at.saturating_sub(start).saturating_sub(slack);
+    let ask = sleep.min(SLEEP_CAP_NS);
+    let mut over = 0;
+    if ask > 0 {
+        std::thread::sleep(Duration::from_nanos(ask));
+        over = (now_ns() - start).saturating_sub(ask);
+    }
+    // After a capped sleep the arrival is still far off: the next pass
+    // waits again rather than spinning out the remainder.
+    if ask == sleep {
+        while now_ns() < at {
+            std::hint::spin_loop();
+        }
+    }
+    over.max(slack - slack / 8).min(SLEEP_CAP_NS)
+}
+
 /// Serves every stream to completion over `backend` and returns
 /// per-stream results plus aggregate metrics.
 ///
@@ -417,7 +459,11 @@ impl<Z, B, Y> Engine<Z, B, Y> {
 /// different streams. The loop itself runs on the calling thread, in
 /// passes of admit → collect → batch → round and settle (see the
 /// [module docs](self)); a round lasts as long as its slowest batch, and
-/// nothing is admitted while it runs.
+/// nothing is admitted while it runs. Between rounds the loop waits for
+/// the next arrival by sleeping the gap minus the sleep overshoot it has
+/// learned and spinning the rest, so an idle engine admits a frame at its
+/// arrival time rather than one timer slack later, at the cost of
+/// spinning about that long per idle wait.
 ///
 /// Per-stream outputs are exactly those of a sequential prepared
 /// `itermem` run over the admitted frames (the serving conformance axis);
@@ -482,6 +528,7 @@ where
         report: ServeReport::default(),
     };
     let mut round = Vec::new();
+    let mut slack = 0;
     loop {
         let now = now_ns();
         engine.admit(now, &config);
@@ -493,14 +540,11 @@ where
                 .filter_map(|(i, lane)| lane.request(i)),
         );
         if round.is_empty() {
-            // Nothing ready: sleep until the next arrival (capped so the
-            // clock stays live), or finish when nothing is pending. Heads
-            // are peeked by the admission pass.
+            // Nothing ready: wait for the next arrival, or finish when
+            // nothing is pending. Heads are peeked by the admission pass.
             let heads = engine.lanes.iter().filter_map(|l| l.head.as_ref());
             match heads.map(|h| h.at_ns).min() {
-                Some(at) => std::thread::sleep(Duration::from_nanos(
-                    at.saturating_sub(now).clamp(1, 1_000_000),
-                )),
+                Some(at) => slack = wait_until(at, slack, &now_ns),
                 None => break,
             }
             continue;
@@ -814,6 +858,46 @@ mod tests {
         assert_eq!(outcome.streams[0].state, z_ref);
         assert_eq!(outcome.streams[0].outputs, y_ref);
         assert!(outcome.report.elapsed_ns >= 2_000_000);
+    }
+
+    #[test]
+    fn no_frame_runs_before_its_arrival() {
+        // The idle wait sleeps short of each arrival and spins the rest;
+        // it must never let a frame run early. Gaps span a nanosecond, a
+        // few µs (shorter than any learned slack), hundreds of µs and a
+        // capped sleep beyond 1 ms.
+        let ran = std::sync::Mutex::new(Vec::new());
+        let body = crate::program::pure(|&(z, b): &(u64, u64)| {
+            ran.lock().unwrap().push((b, Instant::now()));
+            (z + b, z + b)
+        });
+        let offsets: [&[u64]; 3] = [
+            &[1, 2_500_000],
+            &[5_000, 9_000, 300_000, 301_000],
+            &[0, 150_000, 700_000, 1_400_000],
+        ];
+        let mut due = Vec::new();
+        let streams = (offsets.iter().enumerate())
+            .map(|(s, ats)| {
+                let frames = (ats.iter().enumerate())
+                    .map(|(k, &at)| {
+                        let id = (s * 100 + k) as u64;
+                        due.push((id, at));
+                        TimedFrame::at(at, id)
+                    })
+                    .collect();
+                StreamSpec::timed(0u64, frames)
+            })
+            .collect();
+        let before = Instant::now();
+        let outcome = serve(&backend(), &body, streams, ServeConfig::default());
+        assert_eq!(outcome.report.served, due.len() as u64);
+        let ran = ran.into_inner().unwrap();
+        for (id, at_ns) in due {
+            let (_, run_at) = ran.iter().find(|r| r.0 == id).expect("frame ran");
+            let since = run_at.duration_since(before).as_nanos() as u64;
+            assert!(since >= at_ns, "frame {id} ran at {since} ns, due {at_ns}");
+        }
     }
 
     #[test]
