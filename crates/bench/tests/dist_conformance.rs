@@ -52,16 +52,44 @@ fn a_single_worker_fleet_still_conforms() {
 fn sharded_df_receipts_equal_pool_receipts_at_edge_sizes() {
     use skipper::conformance::df_case;
     use skipper::{receipted, Backend};
+    // One fleet caches one round plan: every change of item count must
+    // replan, and every return to a count must route and trace as a
+    // fresh fleet would.
     let dist = fleet(2);
     let pool = PoolBackend::new();
-    for n in [0usize, 1, 3, 4097] {
-        let xs: Vec<i64> = (0..n as i64).map(|i| i * 7919 % 1000 - 500).collect();
+    let sizes = [4096usize, 1, 0, 4096, 17, 4096, 3, 4097];
+    for (frame, n) in sizes.into_iter().enumerate() {
+        let xs: Vec<i64> = (0..n as i64)
+            .map(|i| (i + frame as i64) * 7919 % 1000 - 500)
+            .collect();
         let prog = df_case(4);
         let want = receipted(&xs[..], || pool.run(&prog, &xs[..]));
         let got = dist
             .run_df_sharded(4, &xs)
             .expect("the fleet runs the farm");
-        assert_eq!(got, want, "{n} item(s)");
+        assert_eq!(got, want, "frame {frame}: {n} item(s)");
     }
     dist.shutdown().expect("orderly fleet shutdown");
+}
+
+#[test]
+fn a_shut_down_fleet_returns_errors_and_stays_usable() {
+    use skipper::wire::ToWire;
+    let dist = fleet(2);
+    dist.shutdown().expect("orderly fleet shutdown");
+    let xs: Vec<i64> = (0..64).collect();
+    let shut = "dist protocol violation: fleet is shut down";
+    for _ in 0..2 {
+        let err = dist.run_case("df", 4, &xs.to_wire()).unwrap_err();
+        assert_eq!(err.to_string(), shut);
+        for items in [&xs[..], &[]] {
+            let err = dist.run_df_sharded(4, items).unwrap_err();
+            assert_eq!(err.to_string(), shut);
+        }
+    }
+    // The master lock is not poisoned: the fleet still answers.
+    assert_eq!(dist.n_workers(), 0);
+    dist.shutdown()
+        .expect("shutting down an empty fleet is a no-op");
+    drop(dist);
 }

@@ -1862,12 +1862,6 @@ let main = itermem lists loop show 0 ();;
     }
 
     #[test]
-    fn missing_main_reported() {
-        let err = compile_source(&tracker_registry(), "let x = 1;;").unwrap_err();
-        assert!(err.message.contains("no `main`"), "{}", err.message);
-    }
-
-    #[test]
     fn swapped_state_position_is_a_type_error() {
         // Fig. 4's contract is loop : 'c * 'b -> 'c * 'd — the next state
         // comes FIRST in the result pair. A loop returning (output, state)

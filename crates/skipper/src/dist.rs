@@ -421,6 +421,53 @@ struct WorkerLink {
 struct MasterState {
     workers: Vec<WorkerLink>,
     next_id: i64,
+    /// The last farm round's plan (see [`RoundPlan`]); rebuilt only when
+    /// the item count or the fleet size changes.
+    plan: Option<RoundPlan>,
+}
+
+/// The data-independent half of a [`DistBackend::run_df_sharded`] farm
+/// round. An item's partition is a pure function of its index, so the
+/// routing and the canonical trace are fixed by the item count and the
+/// fleet size: the master plans them once and reuses the plan for every
+/// frame of that shape.
+struct RoundPlan {
+    items: usize,
+    /// The indices of the items each worker maps, in item order (worker
+    /// `w` gets item `i` when [`partition`]`(i) % workers == w`).
+    by_worker: Vec<Vec<usize>>,
+    /// The hash of the round's `Assign` events, as [`Trace::hash`] folds
+    /// them.
+    ///
+    /// [`Trace::hash`]: crate::receipt::Trace::hash
+    trace_hash: u64,
+}
+
+impl RoundPlan {
+    fn new(items: usize, workers: usize) -> Self {
+        let mut by_worker = vec![Vec::new(); workers];
+        let mut trace = Fnv64::new();
+        for seq in 0..items as u64 {
+            let part = partition(seq);
+            TraceEvent::Assign { seq, part }.hash_into(&mut trace);
+            by_worker[(part % workers as u64) as usize].push(seq as usize);
+        }
+        RoundPlan {
+            items,
+            by_worker,
+            trace_hash: trace.finish(),
+        }
+    }
+
+    fn fits(&self, items: usize, workers: usize) -> bool {
+        self.items == items && self.by_worker.len() == workers
+    }
+}
+
+/// The typed error for a call on a fleet that [`DistBackend::shutdown`]
+/// has already emptied.
+fn shut_down() -> DistError {
+    DistError::Protocol("fleet is shut down".into())
 }
 
 /// The master of a fleet of worker **processes** speaking the canonical
@@ -528,6 +575,7 @@ impl DistBackend {
             inner: Mutex::new(MasterState {
                 workers,
                 next_id: 0,
+                plan: None,
             }),
         })
     }
@@ -552,6 +600,9 @@ impl DistBackend {
         input: &WireValue,
     ) -> Result<(WireValue, RunReceipt), DistError> {
         let mut master = self.inner.lock().expect("dist master poisoned");
+        if master.workers.is_empty() {
+            return Err(shut_down());
+        }
         let id = master.next_id;
         master.next_id += 1;
         let expected_input_hash = crate::receipt::fnv1a(&wire::canonical_bytes(input));
@@ -599,40 +650,47 @@ impl DistBackend {
     /// every other backend's. Returns the fold plus the master-built
     /// receipt.
     ///
-    /// The master hashes the receipt's input and trace while the
-    /// workers compute: after sending every chunk and before reading
-    /// the first reply, it streams the items' canonical bytes and the
-    /// farm round's `Assign` events (partitions computed once, while
-    /// routing) straight into FNV-1a. Only the output hash waits for
-    /// the fold.
+    /// Routing and trace depend only on the item count and the fleet
+    /// size, so the master plans them once per item count: the
+    /// per-worker index lists and the hash of the round's `Assign`
+    /// events are kept and reused until a frame of another length
+    /// arrives. Per frame the master sends the chunks, then streams the
+    /// items' canonical bytes into the receipt's input hash while the
+    /// workers compute, scatters the replies, folds, and hashes the
+    /// output.
     pub fn run_df_sharded(
         &self,
         degree: usize,
         xs: &[i64],
     ) -> Result<(i64, RunReceipt), DistError> {
+        let mut master = self.inner.lock().expect("dist master poisoned");
+        let MasterState {
+            workers,
+            next_id,
+            plan,
+        } = &mut *master;
+        if workers.is_empty() {
+            return Err(shut_down());
+        }
         // Feed any active receipt scope on this thread too: the master
         // is the dispatcher of the map, so it owns the canonical trace.
         crate::receipt::record_assigns(xs.len());
-        let mut master = self.inner.lock().expect("dist master poisoned");
-        let n = master.workers.len();
-        let mut parts = Vec::with_capacity(xs.len());
-        let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..xs.len() {
-            let part = partition(i as u64);
-            parts.push(part);
-            by_worker[(part % n as u64) as usize].push(i);
-        }
-        let id = master.next_id;
-        master.next_id += 1;
+        let plan = match plan {
+            Some(p) if p.fits(xs.len(), workers.len()) => p,
+            stale => stale.insert(RoundPlan::new(xs.len(), workers.len())),
+        };
+        let id = *next_id;
+        *next_id += 1;
         // Send every chunk first (the workers compute concurrently),
         // then collect the replies.
-        let sent: Vec<(usize, Vec<usize>)> = by_worker
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        for (w, idxs) in &sent {
-            let link = &mut master.workers[*w];
+        let sent = || {
+            plan.by_worker
+                .iter()
+                .enumerate()
+                .filter(|(_, idxs)| !idxs.is_empty())
+        };
+        for (w, idxs) in sent() {
+            let link = &mut workers[w];
             wire::write_frame_with(&mut link.tx, &mut link.scratch, |e| {
                 e.tuple(5);
                 e.str("map-df");
@@ -642,15 +700,11 @@ impl DistBackend {
                 e.ints(idxs.iter().map(|&i| xs[i]));
             })?;
         }
-        // Hash the receipt's input and trace while the workers compute.
+        // Hash the receipt's input while the workers compute.
         let input_hash = wire_hash(xs);
-        let mut trace = Fnv64::new();
-        for (seq, &part) in (0..).zip(&parts) {
-            TraceEvent::Assign { seq, part }.hash_into(&mut trace);
-        }
         let mut outs = vec![0i64; xs.len()];
-        for (w, idxs) in &sent {
-            let doc = reply_doc(&mut master.workers[*w])?;
+        for (w, idxs) in sent() {
+            let doc = reply_doc(&mut workers[w])?;
             match map_ok_reply(doc.clone())? {
                 Some((rid, _)) if rid != id => {
                     return Err(DistError::Protocol(format!(
@@ -684,6 +738,7 @@ impl DistBackend {
                 }
             }
         }
+        let trace_hash = plan.trace_hash;
         drop(master);
         // Fold in item order, seeded with the case's init — exactly the
         // declarative semantics.
@@ -691,7 +746,7 @@ impl DistBackend {
         let z = outs.into_iter().fold(*prog.init(), prog.acc_fn());
         let receipt = RunReceipt {
             input_hash,
-            trace_hash: trace.finish(),
+            trace_hash,
             output_hash: wire_hash(&z),
         };
         Ok((z, receipt))
@@ -715,6 +770,7 @@ impl DistBackend {
             }
         }
         master.workers.clear();
+        master.plan = None;
         Ok(())
     }
 }
@@ -1386,5 +1442,37 @@ mod tests {
             DistError::Worker("unknown case `warp`".into()).to_string(),
             "dist worker error: unknown case `warp`"
         );
+        assert_eq!(
+            shut_down().to_string(),
+            "dist protocol violation: fleet is shut down"
+        );
+    }
+
+    #[test]
+    fn a_round_plan_is_the_canonical_trace_and_partition_routing() {
+        use crate::receipt::Trace;
+        for n in [0usize, 1, 63, 64, 65, 4096] {
+            let events = (0..n as u64)
+                .map(|seq| TraceEvent::Assign {
+                    seq,
+                    part: partition(seq),
+                })
+                .collect();
+            let trace_hash = Trace { events }.hash();
+            for workers in 1..=3 {
+                let plan = RoundPlan::new(n, workers);
+                assert!(plan.fits(n, workers) && !plan.fits(n + 1, workers));
+                assert!(!plan.fits(n, workers + 1));
+                assert_eq!(plan.trace_hash, trace_hash, "{n} item(s)");
+                let mut by_worker = vec![Vec::new(); workers];
+                for i in 0..n {
+                    by_worker[(partition(i as u64) % workers as u64) as usize].push(i);
+                }
+                assert_eq!(
+                    plan.by_worker, by_worker,
+                    "{n} item(s), {workers} worker(s)"
+                );
+            }
+        }
     }
 }

@@ -63,7 +63,10 @@
 //! A whole [`WireValue`] tree is built only where a message's shape is
 //! open: the catalog `job` path, the handshake and error replies. The
 //! dist farm's `map-df` request and `map-ok` reply never build one: the
-//! sender streams its `i64` items through [`Encoder::ints`], and the
+//! sender streams its `i64` items through [`Encoder::ints`], which fills
+//! a stack block of 64 tagged fields and hands the sink one 576-byte
+//! write per block (the same bytes as one [`Encoder::int`] per item, so
+//! neither the fixtures nor [`VERSION`] change), and the
 //! receiver reads them with the cursor's typed reads ([`Cursor::tuple`],
 //! [`Cursor::str`], [`Cursor::int`], [`Cursor::ints`]) straight into a
 //! `Vec<i64>`. A typed read that meets another shape consumes nothing,
@@ -125,6 +128,11 @@ const TAG_STR: u8 = 0x05;
 const TAG_BYTES: u8 = 0x06;
 const TAG_LIST: u8 = 0x07;
 const TAG_TUPLE: u8 = 0x08;
+
+/// Bytes of one encoded `Int`: its tag, then the `i64` LE payload.
+const INT_FIELD: usize = 9;
+/// `Int` fields per sink write in [`Encoder::ints`] (576 bytes).
+const INT_BLOCK: usize = 64;
 
 /// A decoding defect. Every variant's `Display` string is pinned by the
 /// negative fixtures in `tests/fixtures/wire/`.
@@ -277,16 +285,30 @@ impl<'a, S: ByteSink + ?Sized> Encoder<'a, S> {
         self.tagged_len(TAG_TUPLE, arity);
     }
 
-    /// A `List` of `Int`s, streamed from `xs`.
+    /// A `List` of `Int`s, streamed from `xs`. The items are written in
+    /// blocks of 64 tagged fields (576 bytes), one [`ByteSink::put`] per
+    /// block: the same bytes as [`Encoder::list`] followed by one
+    /// [`Encoder::int`] per item, for a 64th of the sink calls.
     pub fn ints<I>(&mut self, xs: I)
     where
         I: IntoIterator<Item = i64>,
         I::IntoIter: ExactSizeIterator,
     {
-        let xs = xs.into_iter();
+        let mut xs = xs.into_iter();
         self.list(xs.len());
-        for x in xs {
-            self.int(x);
+        // Every field's tag byte is already in place; a pass over the
+        // block rewrites only the payloads.
+        let mut block = [TAG_INT; INT_FIELD * INT_BLOCK];
+        loop {
+            let mut len = 0;
+            for (field, x) in block.chunks_exact_mut(INT_FIELD).zip(&mut xs) {
+                field[1..].copy_from_slice(&x.to_le_bytes());
+                len += INT_FIELD;
+            }
+            if len == 0 {
+                return;
+            }
+            self.out.put(&block[..len]);
         }
     }
 
@@ -995,6 +1017,31 @@ mod tests {
             decode_document(&bytes).unwrap_err(),
             WireError::Truncated { need: 1, have: 7 }
         );
+    }
+
+    #[test]
+    fn block_encoded_ints_are_the_per_item_bytes() {
+        use crate::receipt::{fnv1a, wire_hash, Fnv64};
+        let mut lists: Vec<Vec<i64>> = [0usize, 1, 63, 64, 65, 129, 4096]
+            .iter()
+            .map(|&n| (0..n as i64).map(|i| i * -7919 + 3).collect())
+            .collect();
+        lists.push(vec![i64::MIN, i64::MAX]);
+        lists.push((0..130).map(|i| [i64::MIN, i64::MAX, -1][i % 3]).collect());
+        for xs in &lists {
+            let mut want = Vec::new();
+            let mut e = Encoder::new(&mut want);
+            e.list(xs.len());
+            xs.iter().for_each(|&x| e.int(x));
+            let mut got = Vec::new();
+            Encoder::new(&mut got).ints(xs.iter().copied());
+            assert_eq!(got, want, "{} item(s)", xs.len());
+            assert_eq!(got, canonical_bytes(&xs.to_wire()), "{} item(s)", xs.len());
+            let mut h = Fnv64::new();
+            Encoder::new(&mut h).ints(xs.iter().copied());
+            assert_eq!(h.finish(), fnv1a(&want), "{} item(s)", xs.len());
+            assert_eq!(wire_hash(xs), h.finish(), "{} item(s)", xs.len());
+        }
     }
 
     #[test]
