@@ -63,7 +63,7 @@
 //! | Backend | Crate | Dispatch | Use it for |
 //! |---|---|---|---|
 //! | [`SeqBackend`] | `skipper` | — | debugging, golden results, reference semantics |
-//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller runs job 0 and helps | parallel runs on the host CPU: a persistent work-stealing pool, no thread spawn per run |
+//! | [`crate::PoolBackend`] | `skipper` | 1 lane, persistent pool, caller runs job 0 and helps; spins, then parks, between back-to-back rounds | parallel runs on the host CPU: a persistent work-stealing pool, no thread spawn per run |
 //! | [`crate::ShardBackend`] | `skipper` | N lanes, one pool each | partition-routed runs over independent pools, the rehearsal of distribution |
 //! | `SimBackend` | `skipper-exec` | — (lowers the program) | the paper pipeline: latency/scaling studies on a modelled machine |
 //!
@@ -144,7 +144,7 @@ where
 ///
 /// | Dispatcher | lanes | a lane's jobs run on |
 /// |---|---|---|
-/// | [`crate::PoolBackend`] | 1 | the caller (job 0) and the persistent pool |
+/// | [`crate::PoolBackend`] | 1 | the caller (job 0) and the persistent pool; while rounds come back to back, idle workers and the joining caller spin before they park |
 /// | [`crate::ShardBackend`] | N | shard `lane`'s pool; the coordinator parks |
 ///
 /// Lanes run concurrently (lane 0 on the calling thread, the others on
@@ -221,18 +221,24 @@ pub(crate) fn map_units<O: Send>(
     unit: impl Fn(usize) -> O + Sync,
 ) -> Vec<O> {
     let lanes = d.lanes();
-    let mut routes = vec![Vec::new(); lanes];
-    for i in 0..units {
-        routes[lane_of(i, lanes)].push(i);
-    }
+    // Each lane's unit ids; `None` on one lane, which owns every unit and
+    // indexes the range directly.
+    let routes = (lanes > 1).then(|| {
+        let mut routes = vec![Vec::new(); lanes];
+        for i in 0..units {
+            routes[lane_of(i, lanes)].push(i);
+        }
+        routes
+    });
     let slots = Mutex::new((0..units).map(|_| None).collect::<Vec<Option<O>>>());
     each_lane(d, &|lane| {
-        let ids = &routes[lane];
-        if ids.is_empty() {
+        let ids = routes.as_ref().map(|routes| &routes[lane][..]);
+        let count = ids.map_or(units, <[usize]>::len);
+        if count == 0 {
             return;
         }
-        let jobs = degree.min(ids.len());
-        let chunk = chunk_size(ids.len(), jobs);
+        let jobs = degree.min(count);
+        let chunk = chunk_size(count, jobs);
         let next = AtomicUsize::new(0);
         d.run_jobs(lane, jobs, &|_| {
             let mut mine = Vec::new();
@@ -240,10 +246,11 @@ pub(crate) fn map_units<O: Send>(
                 // Relaxed: the cursor only hands out disjoint claims;
                 // results are published through `slots`' lock.
                 let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= ids.len() {
+                if start >= count {
                     break;
                 }
-                for &i in &ids[start..(start + chunk).min(ids.len())] {
+                for k in start..(start + chunk).min(count) {
+                    let i = ids.map_or(k, |ids| ids[k]);
                     mine.push((i, unit(i)));
                 }
             }

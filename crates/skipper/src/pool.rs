@@ -22,6 +22,18 @@
 //!   per-item synchronisation off the hot path). The round itself is the
 //!   one every host backend shares; [`PoolBackend`] only supplies the
 //!   [`Dispatch`] that runs its jobs here.
+//! - **Spin, then park, while the pool is busy.** Each scope entry
+//!   times the interval since the previous one began. While that
+//!   interval is shorter than the spin window (`SPIN_WINDOW`, 50 µs)
+//!   the pool is *hot*: a worker that runs out of jobs polls for new
+//!   ones for one window before it parks, and a joining caller polls
+//!   its scope's pending count for one window before it parks. A round
+//!   on a hot pool then wakes no thread through the kernel (no futex
+//!   wake, no context switch), because `push` and a scope's last job
+//!   notify only a parked thread. A *cold* pool, whose rounds are
+//!   further apart than a window, parks at once and burns no CPU
+//!   between rounds, so processes that share the machine keep its
+//!   cores.
 //! - **Scoped, borrowing jobs.** Skeleton runs borrow their input
 //!   (`&[I]`) and user functions (`&C`), so jobs must be non-`'static`.
 //!   [`WorkerPool::scope`] provides the same guarantee as
@@ -58,9 +70,31 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long an idle worker, or a joining caller, polls before it parks
+/// on a hot pool; also the longest scope-to-scope interval at which the
+/// pool counts as hot. It must sit above the round period of a
+/// back-to-back frame loop and below that of a paced one, where a
+/// spinning thread would only take a core from other processes.
+/// Measured on a 2-vCPU guest with `perfbench`'s workloads: 98 % of
+/// `track_dsl`'s scope intervals are under 50 µs (92 % within
+/// 20–30 µs); of `fleet_df`'s worker processes, about 1 in 10 000 is
+/// (nearly all are 100–500 µs); of `serve_64cam`, none (all ≥ 200 µs).
+/// A park-and-wake round trip between two threads costs about 13 µs
+/// there (`calib_handoff_us`).
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// Polls `done` with spin-loop hints until it holds or `window` has
+/// passed.
+fn spin_until(window: Duration, done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() && start.elapsed() < window {
+        std::hint::spin_loop();
+    }
+}
 
 /// A type-erased unit of work queued on the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -70,16 +104,36 @@ struct Shared {
     /// One job deque per worker thread (round-robin push, owner pops the
     /// front, thieves steal the back).
     queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Sleep/wake bookkeeping: the number of queued-but-unclaimed jobs and
-    /// the shutdown flag, guarded together so wakeups cannot be lost.
+    /// Sleep/wake bookkeeping. The fields of `polled` change only while
+    /// this lock is held, so a worker that checks them under it before
+    /// it parks cannot miss the wake-up that follows a change.
     status: Mutex<Status>,
-    /// Signalled whenever a job is pushed or shutdown begins.
+    /// Signalled when a job is pushed while a worker is parked, and when
+    /// shutdown begins.
     work_cv: Condvar,
+    polled: Polled,
+    /// Whether the last scope began within `SPIN_WINDOW` of the one
+    /// before it. A hint only: it decides whether idle threads spin
+    /// before they park, never whether they wake.
+    hot: AtomicBool,
+}
+
+/// What spinning threads poll, read without the `status` lock. It has a
+/// cache line of its own, so that the polling does not keep taking the
+/// lock's line away from a thread that pushes or takes a job (on a
+/// 2-vCPU guest, sharing it cost `track_dsl` about 0.4 µs of fan-out
+/// per round).
+#[repr(align(64))]
+struct Polled {
+    /// The number of queued-but-unclaimed jobs.
+    ready: AtomicUsize,
+    /// Set when the pool is dropped.
+    shutdown: AtomicBool,
 }
 
 struct Status {
-    ready: usize,
-    shutdown: bool,
+    /// Workers parked on `work_cv`.
+    sleepers: usize,
 }
 
 impl Shared {
@@ -92,8 +146,8 @@ impl Shared {
     /// without its increment, so the decrement here cannot underflow.
     fn take_job(&self, me: usize) -> Option<Job> {
         let n = self.queues.len();
-        let mut status = self.status.lock().expect("pool status poisoned");
-        if status.ready == 0 {
+        let _status = self.status.lock().expect("pool status poisoned");
+        if self.polled.ready.load(Ordering::Relaxed) == 0 {
             return None;
         }
         for k in 0..n {
@@ -107,7 +161,7 @@ impl Shared {
                 }
             };
             if let Some(job) = job {
-                status.ready -= 1;
+                self.polled.ready.fetch_sub(1, Ordering::Relaxed);
                 return Some(job);
             }
         }
@@ -115,23 +169,33 @@ impl Shared {
     }
 }
 
-/// The worker-thread main loop: run jobs while any are queued, sleep on
-/// the condvar otherwise, exit on shutdown.
+/// The worker-thread main loop: run jobs while any are queued; when
+/// none are, poll for one `SPIN_WINDOW` if the pool is hot, then sleep
+/// on the condvar; exit on shutdown.
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     loop {
         if let Some(job) = shared.take_job(me) {
             job();
             continue;
         }
+        if shared.hot.load(Ordering::Relaxed) {
+            // Relaxed: a hint; the checks under the lock below decide.
+            spin_until(SPIN_WINDOW, || {
+                shared.polled.ready.load(Ordering::Relaxed) > 0
+                    || shared.polled.shutdown.load(Ordering::Relaxed)
+            });
+        }
         let mut status = shared.status.lock().expect("pool status poisoned");
         loop {
-            if status.shutdown {
+            if shared.polled.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            if status.ready > 0 {
+            if shared.polled.ready.load(Ordering::Relaxed) > 0 {
                 break;
             }
+            status.sleepers += 1;
             status = shared.work_cv.wait(status).expect("pool status poisoned");
+            status.sleepers -= 1;
         }
     }
 }
@@ -139,8 +203,11 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
 /// Per-[`WorkerPool::scope`] completion state.
 struct ScopeState {
     /// Jobs spawned in this scope that have not finished yet.
-    pending: Mutex<usize>,
-    /// Signalled when `pending` drops to zero.
+    pending: AtomicUsize,
+    /// Whether the scope's caller is parked on `done_cv`; the job that
+    /// takes `pending` to zero checks it under this lock.
+    parked: Mutex<bool>,
+    /// Signalled when `pending` drops to zero while the caller is parked.
     done_cv: Condvar,
     /// The first panic payload raised by a job of this scope.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -157,6 +224,11 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     rr: AtomicUsize,
+    /// When the pool was built: the origin of `last_scope`.
+    epoch: Instant,
+    /// When the latest scope began, in nanoseconds since `epoch`
+    /// (`u64::MAX` before the first).
+    last_scope: AtomicU64,
 }
 
 impl WorkerPool {
@@ -165,11 +237,13 @@ impl WorkerPool {
         let n = threads.get();
         let shared = Arc::new(Shared {
             queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            status: Mutex::new(Status {
-                ready: 0,
-                shutdown: false,
-            }),
+            status: Mutex::new(Status { sleepers: 0 }),
             work_cv: Condvar::new(),
+            polled: Polled {
+                ready: AtomicUsize::new(0),
+                shutdown: AtomicBool::new(false),
+            },
+            hot: AtomicBool::new(false),
         });
         let handles = (0..n)
             .map(|i| {
@@ -184,6 +258,8 @@ impl WorkerPool {
             shared,
             handles,
             rr: AtomicUsize::new(0),
+            epoch: Instant::now(),
+            last_scope: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -192,19 +268,43 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Queues a type-erased job round-robin and wakes a sleeping worker.
+    /// Workers parked on the pool's condvar right now.
+    #[cfg(test)]
+    pub(crate) fn sleepers(&self) -> usize {
+        self.shared
+            .status
+            .lock()
+            .expect("pool status poisoned")
+            .sleepers
+    }
+
+    /// Queues a type-erased job round-robin and wakes the parked workers,
+    /// if any.
     fn push(&self, job: Job) {
         let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         // Lock order `status` → queue, matching `Shared::take_job`.
-        let mut status = self.shared.status.lock().expect("pool status poisoned");
+        let status = self.shared.status.lock().expect("pool status poisoned");
         self.shared.queues[i]
             .lock()
             .expect("pool queue poisoned")
             .push_back(job);
-        status.ready += 1;
-        // notify_all keeps the wake protocol trivially live; skeleton runs
-        // queue at most a handful of coarse jobs, so the cost is noise.
-        self.shared.work_cv.notify_all();
+        self.shared.polled.ready.fetch_add(1, Ordering::Relaxed);
+        // A worker that is not parked is running a job or spinning, and
+        // finds this one without a wake-up: it checks `ready` under this
+        // lock before it parks. Waking every parked worker (not one)
+        // keeps the protocol simple; a round queues a handful of jobs.
+        if status.sleepers > 0 {
+            self.shared.work_cv.notify_all();
+        }
+    }
+
+    /// Marks the pool hot when this scope begins within `SPIN_WINDOW`
+    /// of the previous one, cold otherwise.
+    fn note_scope_entry(&self) {
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        let prev = self.last_scope.swap(now, Ordering::Relaxed);
+        let hot = prev != u64::MAX && now.saturating_sub(prev) < SPIN_WINDOW.as_nanos() as u64;
+        self.shared.hot.store(hot, Ordering::Relaxed);
     }
 
     /// Runs `f` with a [`PoolScope`] on which borrowing jobs can be
@@ -246,8 +346,10 @@ impl WorkerPool {
     where
         F: FnOnce(&PoolScope<'pool, 'scope>) -> R,
     {
+        self.note_scope_entry();
         let state = Arc::new(ScopeState {
-            pending: Mutex::new(0),
+            pending: AtomicUsize::new(0),
+            parked: Mutex::new(false),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         });
@@ -284,10 +386,15 @@ impl WorkerPool {
 
     /// Blocks until every job of `state`'s scope has finished. With
     /// `help` set, queued jobs are run in the meantime instead of
-    /// sleeping; otherwise the caller only waits.
+    /// sleeping; otherwise the caller only waits. On a hot pool the
+    /// caller polls for one `SPIN_WINDOW` before it first parks.
     fn wait_scope(&self, state: &ScopeState, help: bool) {
+        // Acquire pairs with the Release decrement of each finished job,
+        // so their writes are visible once the count reads zero.
+        let done = || state.pending.load(Ordering::Acquire) == 0;
+        let mut spun = false;
         loop {
-            if *state.pending.lock().expect("scope pending poisoned") == 0 {
+            if done() {
                 return;
             }
             if help {
@@ -296,23 +403,27 @@ impl WorkerPool {
                     continue;
                 }
             }
-            let mut pending = state.pending.lock().expect("scope pending poisoned");
-            while *pending != 0 {
-                // The timeout re-checks for stealable jobs: our remaining
-                // jobs may sit queued behind another scope's work.
-                let (guard, timeout) = state
+            if !spun && self.shared.hot.load(Ordering::Relaxed) {
+                spun = true;
+                // A hint, like the worker's spin: new queued work ends the
+                // poll early so a helping caller can take it.
+                spin_until(SPIN_WINDOW, || {
+                    done() || (help && self.shared.polled.ready.load(Ordering::Relaxed) > 0)
+                });
+                continue;
+            }
+            let mut parked = state.parked.lock().expect("scope parked flag poisoned");
+            *parked = true;
+            // The timeout re-checks for stealable jobs: our remaining
+            // jobs may sit queued behind another scope's work.
+            if !done() {
+                parked = state
                     .done_cv
-                    .wait_timeout(pending, Duration::from_millis(1))
-                    .expect("scope pending poisoned");
-                pending = guard;
-                if timeout.timed_out() {
-                    break;
-                }
+                    .wait_timeout(parked, Duration::from_millis(1))
+                    .expect("scope parked flag poisoned")
+                    .0;
             }
-            if *pending == 0 {
-                return;
-            }
-            drop(pending);
+            *parked = false;
         }
     }
 }
@@ -320,8 +431,8 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut status = self.shared.status.lock().expect("pool status poisoned");
-            status.shutdown = true;
+            let _status = self.shared.status.lock().expect("pool status poisoned");
+            self.shared.polled.shutdown.store(true, Ordering::Relaxed);
         }
         self.shared.work_cv.notify_all();
         for handle in self.handles.drain(..) {
@@ -357,7 +468,7 @@ impl<'scope> PoolScope<'_, 'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        *self.state.pending.lock().expect("scope pending poisoned") += 1;
+        self.state.pending.fetch_add(1, Ordering::Relaxed);
         let state = Arc::clone(&self.state);
         let wrapper = move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
@@ -367,10 +478,13 @@ impl<'scope> PoolScope<'_, 'scope> {
                     .expect("pool panic slot")
                     .get_or_insert(payload);
             }
-            let mut pending = state.pending.lock().expect("scope pending poisoned");
-            *pending -= 1;
-            if *pending == 0 {
-                state.done_cv.notify_all();
+            // Release publishes the job's writes to the joining caller.
+            if state.pending.fetch_sub(1, Ordering::Release) == 1 {
+                // The caller sets `parked` and re-checks `pending` under
+                // this lock before it waits, so the wake-up cannot be lost.
+                if *state.parked.lock().expect("scope parked flag poisoned") {
+                    state.done_cv.notify_all();
+                }
             }
         };
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(wrapper);
@@ -455,6 +569,12 @@ impl Default for PoolBackend {
 /// one-job round therefore never touches the pool — no queue push, no
 /// wake-up, no scope — and a panic in job 0 still reaches the caller
 /// only once the round's other jobs have finished.
+///
+/// When rounds come back to back (each begins within the pool's 50 µs
+/// spin window of the previous one), idle workers poll for the next
+/// round's jobs, and the caller for the round's end, before parking: such
+/// a round wakes no thread through the kernel. Rounds further apart park
+/// at once, so a paced or idle pool burns no CPU between them.
 impl Dispatch for PoolBackend {
     fn lanes(&self) -> usize {
         1
@@ -737,6 +857,98 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Runs one farm round on `pool`, a `df`, an `scm` or a `tf` one by
+    /// `round`, and checks it against `SeqBackend`'s result.
+    fn round_matches_seq(pool: &PoolBackend, round: u64) {
+        match round % 3 {
+            0 => {
+                let farm = df(4, |x: &u64| x * x + round, |z: u64, y| z + y, 0u64);
+                let xs: Vec<u64> = (0..16).collect();
+                assert_eq!(pool.run(&farm, &xs[..]), SeqBackend.run(&farm, &xs[..]));
+            }
+            1 => {
+                let split = scm(
+                    3,
+                    |n: &u64, k| (0..k as u64).map(|i| n + i).collect::<Vec<_>>(),
+                    |x: u64| x * 3,
+                    |ps: Vec<u64>| ps.iter().sum::<u64>(),
+                );
+                assert_eq!(pool.run(&split, &round), SeqBackend.run(&split, &round));
+            }
+            _ => {
+                let tree = tf(
+                    2,
+                    |d: u64| match d {
+                        0 => (vec![], Some(1u64)),
+                        _ => (vec![d - 1, d - 1], None),
+                    },
+                    |z: u64, o| z + o,
+                    round,
+                );
+                assert_eq!(pool.run(&tree, vec![3]), SeqBackend.run(&tree, vec![3]));
+            }
+        }
+    }
+
+    #[test]
+    fn the_wake_protocol_survives_hot_and_cold_rounds() {
+        // Runs on a helper thread so that a lost wake-up fails the test
+        // instead of stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let gap = 4 * SPIN_WINDOW;
+            for threads in [1, 4] {
+                let pool = PoolBackend::configured(Workers::exact(threads));
+                let hot = || pool.pool().shared.hot.load(Ordering::Relaxed);
+                // Back-to-back rounds: the pool turns hot, and its workers
+                // spin between rounds. An empty scope just before each
+                // round keeps the pool hot however long a round takes in
+                // this build profile.
+                let mut hot_rounds = 0;
+                for round in 0..1500 {
+                    pool.pool().scope(|_| {});
+                    round_matches_seq(&pool, round);
+                    hot_rounds += usize::from(hot());
+                }
+                assert!(hot_rounds > 0, "{threads} threads: no round ran hot");
+                // Rounds further apart than the window: the pool is cold,
+                // and every round wakes parked workers.
+                for round in 0..60 {
+                    std::thread::sleep(gap);
+                    round_matches_seq(&pool, round);
+                    assert!(!hot(), "{threads} threads: a round after a gap ran hot");
+                }
+                // Bursts: workers switch between spinning and parking.
+                for round in 0..20 {
+                    for k in 0..75 {
+                        round_matches_seq(&pool, round * 75 + k);
+                    }
+                    std::thread::sleep(gap);
+                }
+            }
+            done.send(()).expect("the test thread waits");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every round returned and matched SeqBackend");
+    }
+
+    #[test]
+    fn a_cold_pool_parks_its_workers() {
+        let pool = PoolBackend::configured(Workers::exact(4));
+        for round in 0..600 {
+            pool.pool().scope(|_| {});
+            round_matches_seq(&pool, round);
+        }
+        // Idle workers spin for at most one window, then park; a loaded
+        // machine gets a generous time to schedule them.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.pool().sleepers() < pool.threads() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(pool.pool().sleepers(), pool.threads());
     }
 
     #[test]
