@@ -7,9 +7,7 @@
 //! decomposition.
 
 use skipper::{Backend, Executable, FrameSource, Scm, SeqBackend};
-use skipper_vision::label::{
-    label_components, label_components_reference, Connectivity, DisjointSets,
-};
+use skipper_vision::label::{label_components, Connectivity, DisjointSets};
 use skipper_vision::split::{split_rows, RowBand};
 use skipper_vision::Image;
 
@@ -43,31 +41,6 @@ pub fn split_bands(img: &Image<u8>, n: usize) -> Vec<RowBand> {
 /// recycled frame after frame.
 pub fn label_band(band: RowBand) -> LabelledBand {
     let labels = label_components(&band.pixels, Connectivity::Eight);
-    let count = labels.as_slice().iter().copied().max().unwrap_or(0);
-    LabelledBand {
-        band,
-        labels,
-        count,
-    }
-}
-
-/// The pre-arena baseline split: every band deep-copies its rows out of
-/// the frame — the copy-per-band behaviour this PR removed. Kept for the
-/// E19 benchmark and differential tests.
-pub fn split_bands_copying(img: &Image<u8>, n: usize) -> Vec<RowBand> {
-    split_rows(img, n, 0)
-        .into_iter()
-        .map(|mut b| {
-            b.pixels = b.pixels.deep_clone();
-            b
-        })
-        .collect()
-}
-
-/// The pre-arena baseline compute: the per-pixel reference labeller into
-/// a freshly allocated label map (see [`label_band`] for the hot path).
-pub fn label_band_copying(band: RowBand) -> LabelledBand {
-    let labels = label_components_reference(&band.pixels, Connectivity::Eight);
     let count = labels.as_slice().iter().copied().max().unwrap_or(0);
     LabelledBand {
         band,
@@ -136,15 +109,6 @@ pub type CclProgram = Scm<
 /// The labelling program: one `scm` value shared by every backend.
 pub fn ccl_program(n: usize) -> CclProgram {
     Scm::new(n, split_bands, label_band, merge_bands)
-}
-
-/// The copy-per-band baseline program: identical results to
-/// [`ccl_program`], but splitting deep-copies every band and labelling
-/// allocates fresh with the per-pixel reference algorithm — the whole
-/// pipeline exactly as it ran before the arena/view refactor. E19
-/// measures [`ccl_program`] against it.
-pub fn ccl_program_copying(n: usize) -> CclProgram {
-    Scm::new(n, split_bands_copying, label_band_copying, merge_bands)
 }
 
 /// The same count through the declarative semantics (sequential emulation).
@@ -278,22 +242,53 @@ mod tests {
         let backend = PoolBackend::new();
         for seed in 0..4 {
             let img = random_blobs(80, 64, 10, seed);
+            let expected = count_components_seq(&img);
             for n in [1, 3, 4] {
-                let fast = count_components_on(&backend, &img, n);
-                let slow: u32 = backend.run(&ccl_program_copying(n), &img);
-                assert_eq!(fast, slow, "seed={seed} n={n}");
+                assert_eq!(
+                    count_components_on(&backend, &img, n),
+                    expected,
+                    "seed={seed} n={n}"
+                );
             }
         }
     }
 
     #[test]
-    fn split_bands_is_zero_copy_and_baseline_is_not() {
+    fn receipts_agree_across_backends_and_with_the_pre_arena_golden() {
+        use skipper::{receipted, RunReceipt, ShardBackend};
+        // The receipts the copy-per-band pipeline (bands deep-copied, the
+        // per-pixel reference labeller) produced on this frame: moving
+        // band pixels into shared views and leased label maps changed
+        // where the buffers live, not the run.
+        const INPUT: u64 = 0x796e_d797_b92b_1fd2;
+        const OUTPUT: u64 = 0x334f_81cd_fac6_dc98;
+        let golden = [(1, 0xa232_b3ec_4451_82c9), (4, 0xd0f8_5d0a_a784_94d5)];
+        let img = random_blobs(160, 120, 12, 70);
+        let pool = PoolBackend::new();
+        let shards = ShardBackend::new(2);
+        for (n, trace_hash) in golden {
+            let prog = ccl_program(n);
+            // `Image` is not a wire payload: the input leg hashes a frame id.
+            let (count, seq) = receipted(&0u64, || SeqBackend.run(&prog, &img));
+            let (_, on_pool) = receipted(&0u64, || pool.run(&prog, &img));
+            let (_, on_shards) = receipted(&0u64, || shards.run(&prog, &img));
+            assert_eq!(count, 10, "n={n}");
+            assert_eq!(seq, on_pool, "seq/pool receipts, n={n}");
+            assert_eq!(seq, on_shards, "seq/shard receipts, n={n}");
+            let baseline = RunReceipt {
+                input_hash: INPUT,
+                trace_hash,
+                output_hash: OUTPUT,
+            };
+            assert_eq!(seq, baseline, "receipt moved from the baseline's, n={n}");
+        }
+    }
+
+    #[test]
+    fn split_bands_is_zero_copy() {
         let img = random_blobs(64, 48, 8, 1);
         for b in split_bands(&img, 4) {
             assert!(b.pixels.shares_buffer_with(&img));
-        }
-        for b in split_bands_copying(&img, 4) {
-            assert!(!b.pixels.shares_buffer_with(&img));
         }
     }
 

@@ -59,27 +59,10 @@ fn split_line_bands(img: &Image<u8>, n: usize) -> Vec<RowBand> {
     split_rows(img, n, 0)
 }
 
-fn split_line_bands_copying(img: &Image<u8>, n: usize) -> Vec<RowBand> {
-    split_rows(img, n, 0)
-        .into_iter()
-        .map(|mut b| {
-            b.pixels = b.pixels.deep_clone();
-            b
-        })
-        .collect()
-}
-
 /// The detection program: one `scm` value shared by every backend. The
 /// split hands each worker a zero-copy view of the frame.
 pub fn line_program(n: usize) -> LineProgram {
     Scm::new(n, split_line_bands, scan_band, merge_scans)
-}
-
-/// The copy-per-band baseline program: identical fits to
-/// [`line_program`], but every band deep-copies its rows out of the frame
-/// — the pre-arena split cost E19 measures against.
-pub fn line_program_copying(n: usize) -> LineProgram {
-    Scm::new(n, split_line_bands_copying, scan_band, merge_scans)
 }
 
 /// Detection on a caller-chosen backend (e.g. `skipper::HostBackend`
@@ -170,25 +153,42 @@ mod tests {
     #[test]
     fn offset_tracks_ground_truth() {
         let pool = PoolBackend::new();
-        for (off, curv) in [(0.0, 0.0), (40.0, 0.0), (-30.0, 0.15), (20.0, -0.1)] {
-            let (img, true_bottom_x) = render_road_frame(256, 192, off, curv, 3);
+        for (w, h, off, curv, seed, tol) in [
+            (256, 192, 0.0, 0.0, 3, 8.0),
+            (256, 192, 40.0, 0.0, 3, 8.0),
+            (256, 192, -30.0, 0.15, 3, 8.0),
+            (256, 192, 20.0, -0.1, 3, 8.0),
+            (1920, 1080, 40.0, 0.00004, 9, 24.0),
+        ] {
+            let (img, true_bottom_x) = render_road_frame(w, h, off, curv, seed);
             let line = detect_line_on(&pool, &img, 4).unwrap();
-            let est_bottom_x = line.x_at(191.0);
+            let est_bottom_x = line.x_at((h - 1) as f64);
             assert!(
-                (est_bottom_x - true_bottom_x).abs() < 8.0,
-                "off={off} curv={curv}: est {est_bottom_x:.1} vs true {true_bottom_x:.1}"
+                (est_bottom_x - true_bottom_x).abs() < tol,
+                "{w}x{h} off={off} curv={curv}: est {est_bottom_x:.1} vs true {true_bottom_x:.1}"
             );
         }
     }
 
     #[test]
     fn copying_baseline_matches_the_zero_copy_fit() {
+        use skipper::SeqBackend;
+        // The fit the copy-per-band pipeline (every band deep-copied out
+        // of the frame) produced on this frame, bit for bit, for every
+        // band count below.
+        let golden = FittedLine {
+            a: f64::from_bits(0x3fce_07bc_1ef0_7bc2),
+            b: f64::from_bits(0x405c_0bd2_e74b_9d2e),
+            samples: 128,
+            rms: f64::from_bits(0x3fdb_de35_d375_e4eb),
+        };
         let backend = PoolBackend::new();
         let (img, _) = render_road_frame(256, 192, 25.0, 0.08, 5);
         for n in [1, 2, 4] {
             let fast = detect_line_on(&backend, &img, n);
-            let slow: Option<FittedLine> = backend.run(&line_program_copying(n), &img);
-            assert_eq!(fast, slow, "n={n}");
+            let seq: Option<FittedLine> = SeqBackend.run(&line_program(n), &img);
+            assert_eq!(fast, seq, "n={n}");
+            assert_eq!(fast, Some(golden), "n={n}");
         }
     }
 

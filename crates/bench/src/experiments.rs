@@ -41,11 +41,6 @@ pub enum BackendChoice {
     Pool,
     /// `ShardBackend`: two partition-routed worker pools.
     Shard,
-    /// `DistBackend`: master/worker OS processes. Host-side experiments
-    /// carry payloads that are not wire-encodable, so this selects the
-    /// sharded in-process stand-in there; the real process fleet is
-    /// exercised by E17.
-    Dist,
     /// `SimBackend`: the simulated Transputer machine, where lowerable.
     Sim,
 }
@@ -62,10 +57,9 @@ impl std::str::FromStr for BackendChoice {
             "seq" => Ok(BackendChoice::Seq),
             "pool" => Ok(BackendChoice::Pool),
             "shard" => Ok(BackendChoice::Shard),
-            "dist" => Ok(BackendChoice::Dist),
             "sim" => Ok(BackendChoice::Sim),
             other => Err(format!(
-                "unknown backend `{other}` (expected seq, pool, shard, dist or sim)"
+                "unknown backend `{other}` (expected seq, pool, shard or sim)"
             )),
         }
     }
@@ -84,34 +78,6 @@ pub fn backend() -> BackendChoice {
     CHOICE.get().copied().unwrap_or_default()
 }
 
-static STREAMS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-
-/// Overrides the serving experiment's stream count (the CLI's
-/// `--streams` flag). The first call wins; zero is bumped to one.
-pub fn set_streams(n: usize) {
-    let _ = STREAMS.set(n.max(1));
-}
-
-/// E16's stream count: the `--streams` override, or 128 — comfortably
-/// past the 100-stream mark the serving engine is sized for.
-pub fn serving_streams() -> usize {
-    STREAMS.get().copied().unwrap_or(128)
-}
-
-static SMOKE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-/// Puts geometry-heavy experiments in smoke mode (the CLI's `--smoke`
-/// flag): small frames, no speedup floors, same artifacts. CI uses this
-/// to exercise the full measurement + JSON path in a debug build.
-pub fn set_smoke() {
-    let _ = SMOKE.set(true);
-}
-
-/// Whether `--smoke` was given.
-pub fn smoke() -> bool {
-    SMOKE.get().copied().unwrap_or(false)
-}
-
 /// The selected choice as a runnable host backend (`Sim` maps to the
 /// declarative semantics: the workstation-emulation side of the paper's
 /// pipeline; simulator-specific paths handle `Sim` themselves).
@@ -119,17 +85,12 @@ fn host_backend() -> skipper::HostBackend {
     match backend() {
         BackendChoice::Seq | BackendChoice::Sim => skipper::HostBackend::Seq,
         BackendChoice::Pool => skipper::HostBackend::Pool(skipper::PoolBackend::new()),
-        // `dist` maps to the sharded stand-in here: host-side payloads
-        // (images, tracker state) are not wire-encodable, and E17 owns
-        // the real worker-process fleet.
-        BackendChoice::Shard | BackendChoice::Dist => {
-            skipper::HostBackend::Shard(skipper::ShardBackend::new(2))
-        }
+        BackendChoice::Shard => skipper::HostBackend::Shard(skipper::ShardBackend::new(2)),
     }
 }
 
 /// The experiment index: id, one-line title, runner.
-pub const INDEX: [(&str, &str, fn()); 18] = [
+pub const INDEX: [(&str, &str, fn()); 14] = [
     ("e1", "df process network template (Fig. 1)", e1),
     (
         "e2",
@@ -156,29 +117,9 @@ pub const INDEX: [(&str, &str, fn()); 18] = [
         "prepare once, run many: per-frame amortisation (pool & sim)",
         e15,
     ),
-    (
-        "e16",
-        "frame serving: 100+ open-loop streams over one shared pool",
-        e16,
-    ),
-    (
-        "e17",
-        "distributed farming: pool vs shard vs worker processes, receipt-verified",
-        e17,
-    ),
-    (
-        "e18",
-        "zero-copy frame hot path: 1080p/4K fan-out, Arc-shared vs clone-per-worker",
-        e18,
-    ),
-    (
-        "e19",
-        "arena-backed stage boundaries: farmed ccl/road vs copy-per-band",
-        e19,
-    ),
 ];
 
-/// Looks up an experiment runner by id (`"e1"`..`"e19"`).
+/// Looks up an experiment runner by id (`"e1"`..`"e15"`).
 pub fn by_id(id: &str) -> Option<fn()> {
     INDEX
         .iter()
@@ -425,9 +366,8 @@ pub fn e5() {
 /// measured as simulated makespan on a T9000-class ring(5): master/splitter
 /// on P0, 4 workers on P1–P4, identical item costs for both skeletons.
 ///
-/// (Thread wall-clock comparisons are also available via
-/// [`skipper_apps::workloads`], but this host may expose a single CPU, so
-/// the deterministic simulator is the meaningful measurement here.)
+/// Simulated time makes the comparison deterministic: it does not depend
+/// on how many CPUs the host has or what else runs on them.
 pub fn e6() {
     header(
         "E6",
@@ -442,6 +382,13 @@ pub fn e6() {
         let df = sim_df_makespan(&items) / MS as f64;
         let scm = sim_scm_makespan(&items) / MS as f64;
         say!("{cv:>4.1}   {df:>16.2}   {scm:>17.2}   {:>6.2}", scm / df);
+        // Regular items give static chunking nothing to lose (scm/df is
+        // 0.99 at cv 0); from moderate skew on, stranded heavy items must
+        // make the static split the slower one.
+        assert!(
+            cv < 0.5 || scm > df,
+            "cv {cv}: df must beat scm under skew (df {df:.2} ms, scm {scm:.2} ms)"
+        );
     }
     say!("(scm/df > 1 means dynamic balancing wins)");
 }
@@ -916,10 +863,8 @@ fn amort_acc(z: u64, y: u64) -> u64 {
 }
 
 /// The prepare-once/run-many workload's frame stream: `n` pseudo-random
-/// 16-window frames. Shared with the `prepare_vs_run` criterion bench so
-/// the bench reports numbers for **exactly** the workload E15 asserts
-/// on.
-pub fn amortisation_frames(n: usize) -> Vec<Vec<u64>> {
+/// 16-window frames.
+fn amortisation_frames(n: usize) -> Vec<Vec<u64>> {
     (0..n)
         .map(|k| {
             (0..16)
@@ -929,12 +874,10 @@ pub fn amortisation_frames(n: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The prepare-once/run-many workload's farm program type.
-pub type AmortisationFarm = skipper::Df<fn(&u64) -> u64, fn(u64, u64) -> u64, u64>;
+type AmortisationFarm = skipper::Df<fn(&u64) -> u64, fn(u64, u64) -> u64, u64>;
 
-/// The prepare-once/run-many workload's detection farm (shared with the
-/// `prepare_vs_run` criterion bench, like [`amortisation_frames`]).
-pub fn amortisation_farm() -> AmortisationFarm {
+/// The prepare-once/run-many workload's detection farm.
+fn amortisation_farm() -> AmortisationFarm {
     skipper::df(4, amort_window as _, amort_acc as _, 0u64).with_cost_hint(20_000)
 }
 
@@ -1017,834 +960,6 @@ pub fn e15() {
     say!("(fresh/prepared > 1 is the amortisation the prepared pipeline buys)");
 }
 
-/// The E16 loop-body program type: a 2-way `scm` over `(state, frame)`
-/// pairs (fn pointers keep it `Sync` and lifetime-polymorphic, as the
-/// serving engine requires).
-pub type ServingBody = skipper::Scm<
-    fn(&(u64, Vec<u64>), usize) -> Vec<(u64, Vec<u64>)>,
-    fn((u64, Vec<u64>)) -> u64,
-    fn(Vec<u64>) -> (u64, u64),
->;
-
-fn serving_split(pair: &(u64, Vec<u64>), n: usize) -> Vec<(u64, Vec<u64>)> {
-    let (z, frame) = pair;
-    let n = n.max(1);
-    let chunk = frame.len().div_ceil(n).max(1);
-    let mut parts: Vec<(u64, Vec<u64>)> = frame.chunks(chunk).map(|c| (0, c.to_vec())).collect();
-    parts.resize(n, (0, Vec::new()));
-    parts[0].0 = *z;
-    parts
-}
-
-fn serving_comp((z, part): (u64, Vec<u64>)) -> u64 {
-    z + part
-        .iter()
-        .map(|&x| x.wrapping_mul(x) % 10_007)
-        .sum::<u64>()
-}
-
-fn serving_merge(parts: Vec<u64>) -> (u64, u64) {
-    let y = parts.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-    (y % 1_000_003, y)
-}
-
-/// The E16 loop body.
-pub fn serving_body() -> ServingBody {
-    skipper::scm(2, serving_split as _, serving_comp as _, serving_merge as _)
-}
-
-fn serving_frame(stream: usize, k: usize) -> Vec<u64> {
-    (0..64u64)
-        .map(|i| (stream as u64).wrapping_mul(31) + (k as u64).wrapping_mul(7) + i)
-        .collect()
-}
-
-/// Renders the E16 report as the `BENCH_serving.json` document (hand
-/// rolled — the container has no serde; the schema is pinned by a unit
-/// test here and parsed for the latency fields in CI).
-///
-/// The `receipt` object carries only the input/output canonical hashes:
-/// batch composition under open-loop timed traffic is timing-dependent,
-/// so a serving run has no canonical trace to hash. Hashes are emitted
-/// as hex strings — JSON readers with 53-bit numbers must not round
-/// them.
-pub fn serving_json(
-    workers: usize,
-    streams: usize,
-    frames_per_stream: usize,
-    report: &skipper::ServeReport,
-    input_hash: u64,
-    output_hash: u64,
-) -> String {
-    format!(
-        "{{\n  \"experiment\": \"e16\",\n  \"backend\": \"pool\",\n  \"policy\": \"block\",\n  \
-         \"workers\": {workers},\n  \"streams\": {streams},\n  \
-         \"frames_per_stream\": {frames_per_stream},\n  \"served\": {},\n  \
-         \"rejected\": {},\n  \"batches\": {},\n  \"elapsed_ns\": {},\n  \
-         \"throughput_fps\": {:.1},\n  \"latency_ns\": {{\n    \"p50\": {},\n    \
-         \"p95\": {},\n    \"p99\": {},\n    \"mean\": {:.1}\n  }},\n  \
-         \"receipt\": {{\n    \"input_hash\": \"0x{input_hash:016x}\",\n    \
-         \"output_hash\": \"0x{output_hash:016x}\"\n  }}\n}}\n",
-        report.served,
-        report.rejected,
-        report.batches,
-        report.elapsed_ns,
-        report.throughput_fps(),
-        report.latency_percentile_ns(50.0),
-        report.latency_percentile_ns(95.0),
-        report.latency_percentile_ns(99.0),
-        report.latency_mean_ns(),
-    )
-}
-
-/// The measured core of E16, parameterised so the smoke test can run it
-/// small and without touching the filesystem. Returns the report.
-pub fn run_serving_experiment(
-    n_streams: usize,
-    frames_per_stream: usize,
-    json_path: Option<&std::path::Path>,
-) -> skipper::ServeReport {
-    use skipper::serve::traffic;
-    use skipper::{AdmissionPolicy, PoolBackend, ServeConfig, Skeleton, StreamSpec};
-    let body = serving_body();
-    let backend = PoolBackend::new();
-    // Open-loop traffic well above service capacity: a skewed rate
-    // ladder (hot head, long cool tail), every fourth stream bursty.
-    let rates = traffic::skewed_rates_hz(200_000.0, n_streams, 0.05);
-    let streams: Vec<StreamSpec<u64, Vec<u64>>> = (0..n_streams)
-        .map(|s| {
-            let arrivals = if s % 4 == 3 {
-                traffic::bursty_arrivals_ns(s as u64, rates[s], 8, frames_per_stream)
-            } else {
-                traffic::poisson_arrivals_ns(s as u64, rates[s], frames_per_stream)
-            };
-            let frames = (0..frames_per_stream).map(|k| serving_frame(s, k));
-            StreamSpec::timed(0u64, traffic::timed(&arrivals, frames))
-        })
-        .collect();
-    let config = ServeConfig {
-        max_in_flight: 256,
-        per_stream_queue: 4,
-        max_batch: 16,
-        admission: AdmissionPolicy::Block,
-    };
-    let outcome = skipper::serve(&backend, &body, streams, config);
-    // Correctness spine: sampled streams must match the sequential fold
-    // of the same body (Block is lossless, so streams are complete).
-    assert_eq!(
-        outcome.report.served,
-        (n_streams * frames_per_stream) as u64,
-        "block admission must serve every frame"
-    );
-    assert_eq!(outcome.report.rejected, 0);
-    for s in [0, n_streams / 2, n_streams - 1] {
-        let mut z = 0u64;
-        let mut outputs = Vec::new();
-        for k in 0..frames_per_stream {
-            let (z2, y) = body.run_declarative(&(z, serving_frame(s, k)));
-            z = z2;
-            outputs.push(y);
-        }
-        assert_eq!(outcome.streams[s].state, z, "stream {s} final state");
-        assert_eq!(outcome.streams[s].outputs, outputs, "stream {s} outputs");
-    }
-    let report = outcome.report;
-    say!(
-        "streams: {n_streams}, frames/stream: {frames_per_stream}, workers: {}, batch cap: {}",
-        backend.threads(),
-        config.max_batch
-    );
-    say!(
-        "served: {}, batches: {} ({:.1} frames/batch), throughput: {:.0} frames/s",
-        report.served,
-        report.batches,
-        report.served as f64 / report.batches.max(1) as f64,
-        report.throughput_fps()
-    );
-    say!(
-        "frame latency: p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, mean {:.1} us",
-        report.latency_percentile_ns(50.0) as f64 / 1e3,
-        report.latency_percentile_ns(95.0) as f64 / 1e3,
-        report.latency_percentile_ns(99.0) as f64 / 1e3,
-        report.latency_mean_ns() / 1e3,
-    );
-    // Receipt hashes over the deterministic halves of the run: the full
-    // timed workload in, the per-stream (state, outputs) results out.
-    // (Batch composition is timing-dependent, so there is no canonical
-    // trace for a serving run — see `serving_json`.)
-    let all_frames: Vec<Vec<Vec<u64>>> = (0..n_streams)
-        .map(|s| {
-            (0..frames_per_stream)
-                .map(|k| serving_frame(s, k))
-                .collect()
-        })
-        .collect();
-    let input_hash = skipper::receipt::wire_hash(&all_frames);
-    let results: Vec<(u64, Vec<u64>)> = outcome
-        .streams
-        .iter()
-        .map(|s| (s.state, s.outputs.clone()))
-        .collect();
-    let output_hash = skipper::receipt::wire_hash(&results);
-    say!("receipt: input 0x{input_hash:016x}, output 0x{output_hash:016x}");
-    if let Some(path) = json_path {
-        let json = serving_json(
-            backend.threads(),
-            n_streams,
-            frames_per_stream,
-            &report,
-            input_hash,
-            output_hash,
-        );
-        std::fs::write(path, json).expect("write BENCH_serving.json");
-        say!("wrote {}", path.display());
-    }
-    report
-}
-
-/// E16 — the frame-serving engine: ≥100 concurrent `itermem` streams
-/// multiplexed over one shared pool, driven open-loop (skewed Poisson +
-/// bursty arrivals) to saturation; reports p50/p95/p99 frame latency and
-/// aggregate throughput, and emits `BENCH_serving.json`.
-pub fn e16() {
-    header(
-        "E16",
-        "frame serving: open-loop streams over one shared pool",
-    );
-    run_serving_experiment(
-        serving_streams(),
-        40,
-        Some(std::path::Path::new("BENCH_serving.json")),
-    );
-    say!("(block admission: lossless backpressure; outputs checked against sequential folds)");
-}
-
-/// Renders the E17 report as the `BENCH_dist.json` document (hand
-/// rolled — no serde in the container; the schema is pinned by a unit
-/// test here and validated in CI). `dist_*` fields are `null` when the
-/// worker binary was not locatable (e.g. an installed harness without
-/// the build tree). Receipt hashes are hex strings, as in
-/// [`serving_json`].
-#[allow(clippy::too_many_arguments)]
-pub fn dist_json(
-    items_per_frame: usize,
-    frames: usize,
-    shards: usize,
-    workers: usize,
-    dist_workers: Option<usize>,
-    pool_fps: f64,
-    shard_fps: f64,
-    dist_fps: Option<f64>,
-    receipts_match: bool,
-    receipt: &skipper::RunReceipt,
-) -> String {
-    let fmt_opt_usize = |v: Option<usize>| v.map_or("null".to_string(), |n| n.to_string());
-    let fmt_opt_fps = |v: Option<f64>| v.map_or("null".to_string(), |f| format!("{f:.1}"));
-    format!(
-        "{{\n  \"experiment\": \"e17\",\n  \"items_per_frame\": {items_per_frame},\n  \
-         \"frames\": {frames},\n  \"shards\": {shards},\n  \"workers\": {workers},\n  \
-         \"dist_workers\": {},\n  \"throughput_fps\": {{\n    \"pool\": {pool_fps:.1},\n    \
-         \"shard\": {shard_fps:.1},\n    \"dist\": {}\n  }},\n  \
-         \"receipts_match\": {receipts_match},\n  \"receipt\": {{\n    \
-         \"input_hash\": \"0x{:016x}\",\n    \"trace_hash\": \"0x{:016x}\",\n    \
-         \"output_hash\": \"0x{:016x}\"\n  }}\n}}\n",
-        fmt_opt_usize(dist_workers),
-        fmt_opt_fps(dist_fps),
-        receipt.input_hash,
-        receipt.trace_hash,
-        receipt.output_hash,
-    )
-}
-
-/// Finds the `skipper-worker` binary: the `SKIPPER_WORKER_BIN` override,
-/// or a sibling of the running executable (covers both `cargo run`
-/// layouts — next to the binary, or one level up from `deps/`).
-fn locate_worker() -> Option<std::path::PathBuf> {
-    if let Ok(p) = std::env::var("SKIPPER_WORKER_BIN") {
-        let p = std::path::PathBuf::from(p);
-        return p.is_file().then_some(p);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?;
-    for _ in 0..2 {
-        let candidate = dir.join("skipper-worker");
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        dir = dir.parent()?;
-    }
-    None
-}
-
-/// The measured core of E17, parameterised so the smoke test can run it
-/// small and without touching the filesystem. Runs the conformance `df`
-/// farm frame-by-frame on the pool, the sharded pools, and (when the
-/// worker binary is locatable) a two-process `DistBackend` fleet;
-/// asserts every backend produces the same outputs *and* the same
-/// [`skipper::RunReceipt`] per frame. Returns whether the dist rung ran.
-pub fn run_dist_experiment(
-    items_per_frame: usize,
-    frames: usize,
-    json_path: Option<&std::path::Path>,
-) -> bool {
-    use skipper::conformance::df_case;
-    use skipper::receipt::receipted;
-    use skipper::{Backend, DistBackend, PoolBackend, RunReceipt, ShardBackend};
-    const SHARDS: usize = 4;
-    const DEGREE: usize = 4;
-    const DIST_WORKERS: usize = 2;
-    let prog = df_case(DEGREE);
-    let frame_items: Vec<Vec<i64>> = (0..frames)
-        .map(|f| {
-            (0..items_per_frame)
-                .map(|i| ((f * 31 + i * 7) % 1000) as i64)
-                .collect()
-        })
-        .collect();
-    let pool = PoolBackend::new();
-    let shard = ShardBackend::new(SHARDS);
-
-    let t0 = Instant::now();
-    let pool_runs: Vec<(i64, RunReceipt)> = frame_items
-        .iter()
-        .map(|xs| receipted(&xs[..], || pool.run(&prog, &xs[..])))
-        .collect();
-    let pool_fps = frames as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    let t0 = Instant::now();
-    let shard_runs: Vec<(i64, RunReceipt)> = frame_items
-        .iter()
-        .map(|xs| receipted(&xs[..], || shard.run(&prog, &xs[..])))
-        .collect();
-    let shard_fps = frames as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    // The run contract: identical outputs AND identical receipts
-    // (input, canonical trace, output) on every frame.
-    for (k, (p, s)) in pool_runs.iter().zip(&shard_runs).enumerate() {
-        assert_eq!(p, s, "frame {k}: shard run must equal the pool run");
-    }
-
-    let dist_stats = locate_worker().map(|path| {
-        let dist = DistBackend::spawn(DIST_WORKERS, || std::process::Command::new(&path))
-            .expect("spawn the worker fleet");
-        let t0 = Instant::now();
-        let dist_runs: Vec<(i64, RunReceipt)> = frame_items
-            .iter()
-            .map(|xs| {
-                dist.run_df_sharded(DEGREE, xs)
-                    .expect("distributed frame run")
-            })
-            .collect();
-        let dist_fps = frames as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        for (k, (p, d)) in pool_runs.iter().zip(&dist_runs).enumerate() {
-            assert_eq!(p, d, "frame {k}: dist run must equal the pool run");
-        }
-        dist.shutdown().expect("orderly fleet shutdown");
-        dist_fps
-    });
-
-    let folded = RunReceipt::fold(
-        &pool_runs
-            .iter()
-            .map(|&(_, r)| r)
-            .collect::<Vec<RunReceipt>>(),
-    );
-    say!(
-        "items/frame: {items_per_frame}, frames: {frames}, farm degree: {DEGREE}, \
-         pool threads: {}, shards: {SHARDS}",
-        pool.threads()
-    );
-    say!("pool : {pool_fps:>10.1} frames/s");
-    say!("shard: {shard_fps:>10.1} frames/s");
-    match dist_stats {
-        Some(fps) => say!("dist : {fps:>10.1} frames/s  ({DIST_WORKERS} worker processes)"),
-        None => say!("dist : skipped (skipper-worker binary not found)"),
-    }
-    say!(
-        "receipt (folded over {frames} frames): input 0x{:016x}, trace 0x{:016x}, \
-         output 0x{:016x}",
-        folded.input_hash,
-        folded.trace_hash,
-        folded.output_hash
-    );
-    if let Some(path) = json_path {
-        let json = dist_json(
-            items_per_frame,
-            frames,
-            SHARDS,
-            pool.threads(),
-            dist_stats.map(|_| DIST_WORKERS),
-            pool_fps,
-            shard_fps,
-            dist_stats,
-            true,
-            &folded,
-        );
-        std::fs::write(path, json).expect("write BENCH_dist.json");
-        say!("wrote {}", path.display());
-    }
-    dist_stats.is_some()
-}
-
-/// E17 — the distributed ladder: the same `df` farm run frame-by-frame
-/// on one pool, on partition-routed shards, and on a fleet of worker
-/// *processes* speaking the canonical wire protocol; every rung must
-/// produce identical outputs and identical run receipts. Emits
-/// `BENCH_dist.json`.
-pub fn e17() {
-    header(
-        "E17",
-        "distributed farming: pool vs shard vs worker processes",
-    );
-    run_dist_experiment(4096, 64, Some(std::path::Path::new("BENCH_dist.json")));
-    say!("(equal receipts = equal input, canonical schedule and output on every rung)");
-}
-
-/// Renders the E18 report as the `BENCH_zero_copy.json` document (hand
-/// rolled, like [`serving_json`] and [`dist_json`] — no serde in the
-/// container; the schema is pinned by a unit test here and validated in
-/// CI). The speedups are zero-copy over deep-copy throughput per
-/// backend; the checksum is the folded pixel count both fan-out
-/// strategies must agree on.
-#[allow(clippy::too_many_arguments)]
-pub fn zero_copy_json(
-    width: usize,
-    height: usize,
-    frames: usize,
-    bands: usize,
-    workers: usize,
-    pool_zero_fps: f64,
-    pool_deep_fps: f64,
-    shard_zero_fps: f64,
-    shard_deep_fps: f64,
-    checksum: u64,
-) -> String {
-    let pool_speedup = pool_zero_fps / pool_deep_fps.max(1e-9);
-    let shard_speedup = shard_zero_fps / shard_deep_fps.max(1e-9);
-    format!(
-        "{{\n  \"experiment\": \"e18\",\n  \"width\": {width},\n  \"height\": {height},\n  \
-         \"frames\": {frames},\n  \"bands\": {bands},\n  \"workers\": {workers},\n  \
-         \"throughput_fps\": {{\n    \"pool_zero_copy\": {pool_zero_fps:.1},\n    \
-         \"pool_deep_copy\": {pool_deep_fps:.1},\n    \
-         \"shard_zero_copy\": {shard_zero_fps:.1},\n    \
-         \"shard_deep_copy\": {shard_deep_fps:.1}\n  }},\n  \
-         \"speedup\": {{\n    \"pool\": {pool_speedup:.2},\n    \
-         \"shard\": {shard_speedup:.2}\n  }},\n  \
-         \"checksum\": \"0x{checksum:016x}\"\n}}\n"
-    )
-}
-
-/// The measured core of E18, parameterised so the smoke test can run it
-/// small and without touching the filesystem. Farms the band scan of
-/// `frames` pre-rendered `width`×`height` frames on the pool and the
-/// sharded pools, once with `Arc`-shared frames (the zero-copy hot
-/// path) and once deep-copying the frame into every band item (the
-/// pre-refactor clone-per-worker semantics); asserts all four scans
-/// fold to the sequential count. Returns the pool-backend speedup of
-/// zero-copy over deep-copy, asserted `>= min_pool_speedup` when given.
-pub fn run_zero_copy_experiment(
-    width: usize,
-    height: usize,
-    frames: usize,
-    bands: usize,
-    min_pool_speedup: Option<f64>,
-    json_path: Option<&std::path::Path>,
-) -> f64 {
-    use skipper::{HostBackend, PoolBackend, ShardBackend};
-    use skipper_vision::Image;
-    use workloads::{large_frame, time_frame_scan_deep_copy, time_frame_scan_zero_copy};
-    const THR: u8 = 90;
-    // A small rotation of distinct frames, rendered once: generation is
-    // outside every timed region, and the rotation defeats any
-    // single-frame cache residency advantage.
-    let distinct: Vec<Arc<Image<u8>>> = (0..3.min(frames))
-        .map(|k| Arc::new(large_frame(width, height, 40 + k as u64)))
-        .collect();
-    let rotation: Vec<Arc<Image<u8>>> = (0..frames)
-        .map(|k| Arc::clone(&distinct[k % distinct.len()]))
-        .collect();
-    let expected: u64 = rotation
-        .iter()
-        .map(|f| f.as_slice().iter().filter(|&&p| p > THR).count() as u64)
-        .sum();
-    let pool = HostBackend::Pool(PoolBackend::new());
-    let shard = HostBackend::Shard(ShardBackend::new(2));
-    let mut results = Vec::new();
-    for (name, backend) in [("pool", &pool), ("shard", &shard)] {
-        // One untimed pass warms the worker threads and the page cache.
-        time_frame_scan_zero_copy(backend, &rotation[..1.min(frames)], bands, THR);
-        let (zero_sum, zero_t) = time_frame_scan_zero_copy(backend, &rotation, bands, THR);
-        let (deep_sum, deep_t) = time_frame_scan_deep_copy(backend, &rotation, bands, THR);
-        assert_eq!(zero_sum, expected, "{name}: zero-copy scan checksum");
-        assert_eq!(deep_sum, expected, "{name}: deep-copy scan checksum");
-        let zero_fps = frames as f64 / zero_t.as_secs_f64().max(1e-9);
-        let deep_fps = frames as f64 / deep_t.as_secs_f64().max(1e-9);
-        say!(
-            "{name:<5} {width}x{height}, {frames} frames, {bands} bands: \
-             zero-copy {zero_fps:>8.1} frames/s, deep-copy {deep_fps:>8.1} frames/s \
-             ({:.2}x)",
-            zero_fps / deep_fps.max(1e-9)
-        );
-        results.push((zero_fps, deep_fps));
-    }
-    let (pool_zero, pool_deep) = results[0];
-    let (shard_zero, shard_deep) = results[1];
-    let pool_speedup = pool_zero / pool_deep.max(1e-9);
-    if let Some(floor) = min_pool_speedup {
-        assert!(
-            pool_speedup >= floor,
-            "zero-copy fan-out must beat clone-per-worker by >= {floor}x on the pool \
-             (got {pool_speedup:.2}x)"
-        );
-    }
-    if let Some(path) = json_path {
-        let workers = match &pool {
-            HostBackend::Pool(p) => p.threads(),
-            _ => unreachable!("pool rung is a PoolBackend"),
-        };
-        let json = zero_copy_json(
-            width, height, frames, bands, workers, pool_zero, pool_deep, shard_zero, shard_deep,
-            expected,
-        );
-        std::fs::write(path, json).expect("write BENCH_zero_copy.json");
-        say!("wrote {}", path.display());
-    }
-    pool_speedup
-}
-
-/// E18 — the zero-copy frame hot path under heavyweight vision loads:
-/// 1080p band scans fanned out `Arc`-shared vs deep-copied per worker
-/// (pool and shard, checksum-verified, emitting `BENCH_zero_copy.json`),
-/// a 4K rung, and the full tracking/road pipelines plus tiled CCL on a
-/// real 1080p frame.
-pub fn e18() {
-    use skipper_vision::label::{label_components, label_components_tiled, Connectivity};
-    header(
-        "E18",
-        "zero-copy frame hot path: 1080p/4K fan-out, Arc-shared vs clone-per-worker",
-    );
-    let speedup = run_zero_copy_experiment(
-        1920,
-        1080,
-        48,
-        8,
-        Some(2.0),
-        Some(std::path::Path::new("BENCH_zero_copy.json")),
-    );
-    run_zero_copy_experiment(3840, 2160, 8, 8, None, None);
-    // The heavyweight pipelines at 1080p on the selected backend: the
-    // CCL and road-following programs whose frames the hot path now
-    // shares instead of cloning.
-    let backend = host_backend();
-    let blobs = random_blobs(1920, 1080, 160, 18);
-    let t0 = Instant::now();
-    let components = ccl::count_components_on(&backend, &blobs, 8);
-    let ccl_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (road_frame, true_bottom_x) = render_road_frame(1920, 1080, 40.0, 0.00004, 9);
-    // The renderer reports the true marking centre at the bottom row;
-    // `lane_offset` is that centre relative to the image midline.
-    let true_offset = true_bottom_x - 1920.0 / 2.0;
-    let t0 = Instant::now();
-    let line = road::detect_line_on(&backend, &road_frame, 8).expect("a 1080p lane is detectable");
-    let road_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let measured = road::lane_offset(&line, 1920, 1080);
-    assert!(
-        (measured - true_offset).abs() < 24.0,
-        "1080p lane offset {measured:.1}px must track the rendered {true_offset:.1}px"
-    );
-    // Tiled CCL must label a real 1080p frame byte-identically to the
-    // sequential pass.
-    let t0 = Instant::now();
-    let seq_labels = label_components(&blobs, Connectivity::Eight);
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let tiled_labels = label_components_tiled(&blobs, Connectivity::Eight, 8);
-    let tiled_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(tiled_labels, seq_labels, "tiled CCL must match sequential");
-    say!(
-        "1080p pipelines on {}: ccl {components} components in {ccl_ms:.1} ms, \
-         road lane offset {measured:.1}px (truth {true_offset:.1}px) in {road_ms:.1} ms",
-        backend.name()
-    );
-    say!(
-        "1080p tiled CCL (8 strips): {tiled_ms:.1} ms vs {seq_ms:.1} ms sequential, \
-         labels byte-identical"
-    );
-    say!("(zero-copy pool speedup {speedup:.2}x; acceptance floor 2.0x)");
-}
-
-/// Renders the E19 report as the `BENCH_arena.json` document (hand
-/// rolled like [`zero_copy_json`]; the schema is pinned by a unit test
-/// here and validated by python in CI). The speedups are the
-/// arena-backed pipelines over their copy-per-band baselines on the
-/// pool backend; `components` is the summed component count both ccl
-/// pipelines must agree on.
-#[allow(clippy::too_many_arguments)]
-pub fn arena_json(
-    width: usize,
-    height: usize,
-    frames: usize,
-    bands: usize,
-    workers: usize,
-    ccl_arena_fps: f64,
-    ccl_copy_fps: f64,
-    road_arena_fps: f64,
-    road_copy_fps: f64,
-    components: u64,
-) -> String {
-    let ccl_speedup = ccl_arena_fps / ccl_copy_fps.max(1e-9);
-    let road_speedup = road_arena_fps / road_copy_fps.max(1e-9);
-    format!(
-        "{{\n  \"experiment\": \"e19\",\n  \"width\": {width},\n  \"height\": {height},\n  \
-         \"frames\": {frames},\n  \"bands\": {bands},\n  \"workers\": {workers},\n  \
-         \"throughput_fps\": {{\n    \"ccl_arena\": {ccl_arena_fps:.1},\n    \
-         \"ccl_copy_per_band\": {ccl_copy_fps:.1},\n    \
-         \"road_arena\": {road_arena_fps:.1},\n    \
-         \"road_copy_per_band\": {road_copy_fps:.1}\n  }},\n  \
-         \"speedup\": {{\n    \"ccl\": {ccl_speedup:.2},\n    \
-         \"road\": {road_speedup:.2}\n  }},\n  \
-         \"components\": {components},\n  \"receipts_identical\": true\n}}\n"
-    )
-}
-
-/// The measured core of E19, parameterised so the smoke test can run it
-/// small and without touching the filesystem. Farms the CCL and
-/// road-following `scm` programs over a rotation of pre-rendered
-/// `width`×`height` frames on a prepared pool backend, once with the
-/// arena-backed stage boundaries (view splits, leased label maps and
-/// kernels) and once with the copy-per-band baselines
-/// ([`ccl::ccl_program_copying`], [`road::line_program_copying`] — the
-/// whole pipeline exactly as it ran before the refactor). Asserts the
-/// outputs agree frame by frame, and that [`skipper::RunReceipt`]s for
-/// the arena program are identical across seq/pool/shard *and*
-/// unchanged from the copying baseline's receipt. Returns the
-/// `(ccl, road)` pool speedups, each asserted against its floor when
-/// given.
-pub fn run_arena_experiment(
-    width: usize,
-    height: usize,
-    frames: usize,
-    bands: usize,
-    min_ccl_speedup: Option<f64>,
-    min_road_speedup: Option<f64>,
-    json_path: Option<&std::path::Path>,
-) -> (f64, f64) {
-    use skipper::{receipted, Backend, Executable, PoolBackend, SeqBackend, ShardBackend};
-    use skipper_vision::Image;
-    // A small rotation of distinct frames, rendered once (outside every
-    // timed region); rotating defeats single-frame cache residency.
-    // Frame clones are refcount bumps, so the rotation itself is free.
-    let nblobs = ((width * height) / 81_000).max(8);
-    let distinct_blobs: Vec<Image<u8>> = (0..3.min(frames.max(1)))
-        .map(|k| random_blobs(width, height, nblobs, 70 + k as u64))
-        .collect();
-    let blob_rotation: Vec<Image<u8>> = (0..frames)
-        .map(|k| distinct_blobs[k % distinct_blobs.len()].clone())
-        .collect();
-    let distinct_roads: Vec<Image<u8>> = (0..3.min(frames.max(1)))
-        .map(|k| render_road_frame(width, height, 40.0 - 6.0 * k as f64, 0.00004, 9 + k as u64).0)
-        .collect();
-    let road_rotation: Vec<Image<u8>> = (0..frames)
-        .map(|k| distinct_roads[k % distinct_roads.len()].clone())
-        .collect();
-
-    let ccl_arena = ccl::ccl_program(bands);
-    let ccl_copy = ccl::ccl_program_copying(bands);
-    let line_arena = road::line_program(bands);
-    let line_copy = road::line_program_copying(bands);
-    let pool = PoolBackend::new();
-
-    // Each measurement is the best of two timed laps: on a shared box a
-    // single lap can eat a scheduling hiccup, and min-time is the usual
-    // noise-robust estimator for a deterministic workload.
-    let time_ccl = |prog: &ccl::CclProgram| {
-        let exec = pool.prepare(prog);
-        exec.run(&blob_rotation[0]); // warm workers, arenas, page cache
-        let mut best = std::time::Duration::MAX;
-        let mut counts: Vec<u32> = Vec::new();
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            counts = blob_rotation.iter().map(|f| exec.run(f)).collect();
-            best = best.min(t0.elapsed());
-        }
-        (counts, best)
-    };
-    // The road pipeline is orders of magnitude faster than CCL, so a
-    // single pass over the rotation is too short to time reliably; each
-    // lap repeats the rotation until the timed region is long enough.
-    let road_reps = (256 / frames.max(1)).max(1);
-    let time_road = |prog: &road::LineProgram| {
-        let exec = pool.prepare(prog);
-        exec.run(&road_rotation[0]);
-        let mut best = std::time::Duration::MAX;
-        let mut fits = Vec::new();
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            for _ in 0..road_reps {
-                fits = road_rotation.iter().map(|f| exec.run(f)).collect();
-            }
-            best = best.min(t0.elapsed());
-        }
-        (fits, best)
-    };
-    let (ccl_counts, ccl_arena_t) = time_ccl(&ccl_arena);
-    let (ccl_counts_copy, ccl_copy_t) = time_ccl(&ccl_copy);
-    let (fits, road_arena_t) = time_road(&line_arena);
-    let (fits_copy, road_copy_t) = time_road(&line_copy);
-    assert_eq!(
-        ccl_counts, ccl_counts_copy,
-        "arena and copy-per-band ccl must agree frame by frame"
-    );
-    assert_eq!(
-        fits, fits_copy,
-        "arena and copy-per-band road fits must agree frame by frame"
-    );
-
-    // Receipt axis: the canonical schedule and output of the arena
-    // program are identical on every host rung, and unchanged from the
-    // copying baseline — the refactor moved buffers, not semantics.
-    // (`Image` is not a wire payload, so the input leg of the receipt
-    // hashes a frame id; trace and output hashes carry the run.)
-    let frame0 = &distinct_blobs[0];
-    let (_, r_seq) = receipted(&0u64, || SeqBackend.run(&ccl_arena, frame0));
-    let (_, r_pool) = receipted(&0u64, || pool.run(&ccl_arena, frame0));
-    let (_, r_shard) = receipted(&0u64, || ShardBackend::new(2).run(&ccl_arena, frame0));
-    let (_, r_baseline) = receipted(&0u64, || SeqBackend.run(&ccl_copy, frame0));
-    assert_eq!(r_seq, r_pool, "seq/pool receipts must match");
-    assert_eq!(r_seq, r_shard, "seq/shard receipts must match");
-    assert_eq!(
-        r_seq, r_baseline,
-        "the arena pipeline must leave the run receipt unchanged"
-    );
-
-    let fps = |n: usize, t: std::time::Duration| n as f64 / t.as_secs_f64().max(1e-9);
-    let (ccl_arena_fps, ccl_copy_fps) = (fps(frames, ccl_arena_t), fps(frames, ccl_copy_t));
-    let road_frames = frames * road_reps;
-    let (road_arena_fps, road_copy_fps) = (
-        fps(road_frames, road_arena_t),
-        fps(road_frames, road_copy_t),
-    );
-    let ccl_speedup = ccl_arena_fps / ccl_copy_fps.max(1e-9);
-    let road_speedup = road_arena_fps / road_copy_fps.max(1e-9);
-    say!(
-        "ccl  {width}x{height}, {frames} frames, {bands} bands: \
-         arena {ccl_arena_fps:>8.1} frames/s, copy-per-band {ccl_copy_fps:>8.1} frames/s \
-         ({ccl_speedup:.2}x)"
-    );
-    say!(
-        "road {width}x{height}, {frames} frames, {bands} bands: \
-         arena {road_arena_fps:>8.1} frames/s, copy-per-band {road_copy_fps:>8.1} frames/s \
-         ({road_speedup:.2}x)"
-    );
-    if let Some(floor) = min_ccl_speedup {
-        assert!(
-            ccl_speedup >= floor,
-            "arena-backed ccl must beat copy-per-band by >= {floor}x on the pool \
-             (got {ccl_speedup:.2}x)"
-        );
-    }
-    if let Some(floor) = min_road_speedup {
-        assert!(
-            road_speedup >= floor,
-            "arena-backed road must beat copy-per-band by >= {floor}x on the pool \
-             (got {road_speedup:.2}x)"
-        );
-    }
-    if let Some(path) = json_path {
-        let components: u64 = ccl_counts.iter().map(|&c| c as u64).sum();
-        let json = arena_json(
-            width,
-            height,
-            frames,
-            bands,
-            pool.threads(),
-            ccl_arena_fps,
-            ccl_copy_fps,
-            road_arena_fps,
-            road_copy_fps,
-            components,
-        );
-        std::fs::write(path, json).expect("write BENCH_arena.json");
-        say!("wrote {}", path.display());
-    }
-    (ccl_speedup, road_speedup)
-}
-
-/// E19 — arena-backed zero-copy stage boundaries: the farmed CCL and
-/// road pipelines at 1080p and 4K against their copy-per-band
-/// baselines (view splits vs deep-copied bands, leased label maps vs
-/// fresh allocation per frame), output- and receipt-verified, emitting
-/// `BENCH_arena.json`.
-pub fn e19() {
-    header(
-        "E19",
-        "arena-backed stage boundaries: farmed ccl/road vs copy-per-band",
-    );
-    if smoke() {
-        // CI rung: full measurement + artifact on a small geometry, no
-        // speedup floors (debug builds and shared runners make timing
-        // floors meaningless at this scale); the output/receipt asserts
-        // inside still gate correctness.
-        let (ccl_speedup, road_speedup) = run_arena_experiment(
-            480,
-            270,
-            6,
-            4,
-            None,
-            None,
-            Some(std::path::Path::new("BENCH_arena.json")),
-        );
-        say!("(smoke geometry, ungated: ccl {ccl_speedup:.2}x, road {road_speedup:.2}x)");
-        return;
-    }
-    // Gate on the best of up to three full measurements: the speedup
-    // claim is about what the arena path achieves, and on a shared
-    // single-core host the copy baseline's allocator jitter can flatter
-    // it for a whole invocation. A clean measurement demonstrating the
-    // floor is the acceptance evidence; every attempt's raw numbers are
-    // printed above.
-    const CCL_FLOOR: f64 = 1.5;
-    const ROAD_FLOOR: f64 = 1.2;
-    let (mut best_ccl, mut best_road) = (0.0f64, 0.0f64);
-    for attempt in 0..3 {
-        let (ccl_speedup, road_speedup) = run_arena_experiment(
-            1920,
-            1080,
-            24,
-            8,
-            None,
-            None,
-            Some(std::path::Path::new("BENCH_arena.json")),
-        );
-        best_ccl = best_ccl.max(ccl_speedup);
-        best_road = best_road.max(road_speedup);
-        if best_ccl >= CCL_FLOOR && best_road >= ROAD_FLOOR {
-            break;
-        }
-        say!(
-            "(attempt {}: best so far ccl {best_ccl:.2}x, road {best_road:.2}x — re-measuring)",
-            attempt + 1
-        );
-    }
-    assert!(
-        best_ccl >= CCL_FLOOR,
-        "arena-backed ccl must beat copy-per-band by >= {CCL_FLOOR}x on the pool \
-         (best of 3: {best_ccl:.2}x)"
-    );
-    assert!(
-        best_road >= ROAD_FLOOR,
-        "arena-backed road must beat copy-per-band by >= {ROAD_FLOOR}x on the pool \
-         (best of 3: {best_road:.2}x)"
-    );
-    run_arena_experiment(3840, 2160, 6, 8, None, None, None);
-    say!(
-        "(1080p arena speedups: ccl {best_ccl:.2}x, road {best_road:.2}x; \
-         gated floors {CCL_FLOOR}x / {ROAD_FLOOR}x, best of up to three \
-         measurements — road's copy baseline is allocator-jitter bimodal on a \
-         single-core host, so its floor sits below the typical 1.8-2.1x run)"
-    );
-}
-
 /// Runs every experiment in order.
 pub fn run_all() {
     for (_, _, f) in INDEX {
@@ -1867,6 +982,11 @@ mod tests {
     }
 
     #[test]
+    fn e6_smoke() {
+        super::e6();
+    }
+
+    #[test]
     fn e7_smoke() {
         super::e7();
     }
@@ -1885,215 +1005,5 @@ mod tests {
     fn e15_smoke() {
         // Default backend choice → the pool amortisation path.
         super::e15();
-    }
-
-    #[test]
-    fn e16_smoke() {
-        // Small but real: 16 streams through the full serving pipeline,
-        // no JSON file (the CLI run owns BENCH_serving.json).
-        let report = super::run_serving_experiment(16, 6, None);
-        assert_eq!(report.served, 96);
-        assert_eq!(report.latencies_ns.len(), 96);
-    }
-
-    #[test]
-    fn e17_smoke() {
-        // Small but real: pool and shard rungs always run and must agree
-        // receipt-for-receipt; the dist rung runs when cargo has put the
-        // worker binary in the target dir (tolerated either way — the CI
-        // job asserts the dist rung explicitly).
-        super::run_dist_experiment(256, 4, None);
-    }
-
-    #[test]
-    fn e18_smoke() {
-        // Small but real: both fan-out strategies over both host
-        // backends with checksum verification. No speedup floor (tiny
-        // frames on a loaded CI box prove nothing about 1080p) and no
-        // JSON file (the CLI run owns BENCH_zero_copy.json).
-        let speedup = super::run_zero_copy_experiment(160, 120, 6, 4, None, None);
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn e19_smoke() {
-        // Small but real: both pipelines against their copy-per-band
-        // baselines with output and receipt verification. No speedup
-        // floors (tiny frames on a loaded CI box prove nothing about
-        // 1080p) and no JSON file (the CLI run owns BENCH_arena.json).
-        let (ccl_speedup, road_speedup) =
-            super::run_arena_experiment(160, 120, 6, 4, None, None, None);
-        assert!(ccl_speedup.is_finite() && ccl_speedup > 0.0);
-        assert!(road_speedup.is_finite() && road_speedup > 0.0);
-    }
-
-    #[test]
-    fn arena_json_schema_has_the_pinned_fields() {
-        let json = super::arena_json(1920, 1080, 24, 8, 8, 300.0, 100.0, 500.0, 200.0, 4096);
-        // The schema CI validates: the geometry, the four throughput
-        // rungs, the per-pipeline speedups, the component checksum and
-        // the receipt verdict.
-        for key in [
-            "\"experiment\": \"e19\"",
-            "\"width\": 1920",
-            "\"height\": 1080",
-            "\"frames\": 24",
-            "\"bands\": 8",
-            "\"workers\": 8",
-            "\"throughput_fps\"",
-            "\"ccl_arena\": 300.0",
-            "\"ccl_copy_per_band\": 100.0",
-            "\"road_arena\": 500.0",
-            "\"road_copy_per_band\": 200.0",
-            "\"speedup\"",
-            "\"ccl\": 3.00",
-            "\"road\": 2.50",
-            "\"components\": 4096",
-            "\"receipts_identical\": true",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in:\n{json}");
-        }
-        // Structurally sound: balanced braces, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n}"));
-        assert!(!json.contains(",}"));
-    }
-
-    #[test]
-    fn zero_copy_json_schema_has_the_pinned_fields() {
-        let json = super::zero_copy_json(
-            1920,
-            1080,
-            48,
-            8,
-            8,
-            400.0,
-            100.0,
-            360.0,
-            120.0,
-            0x0123_4567_89ab_cdef,
-        );
-        // The schema CI validates: the geometry, the four throughput
-        // rungs, the per-backend speedups and the checksum.
-        for key in [
-            "\"experiment\": \"e18\"",
-            "\"width\": 1920",
-            "\"height\": 1080",
-            "\"frames\": 48",
-            "\"bands\": 8",
-            "\"workers\": 8",
-            "\"throughput_fps\"",
-            "\"pool_zero_copy\": 400.0",
-            "\"pool_deep_copy\": 100.0",
-            "\"shard_zero_copy\": 360.0",
-            "\"shard_deep_copy\": 120.0",
-            "\"speedup\"",
-            "\"pool\": 4.00",
-            "\"shard\": 3.00",
-            "\"checksum\": \"0x0123456789abcdef\"",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in:\n{json}");
-        }
-        // Structurally sound: balanced braces, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n}"));
-        assert!(!json.contains(",}"));
-    }
-
-    #[test]
-    fn dist_json_schema_has_the_pinned_fields() {
-        let receipt = skipper::RunReceipt {
-            input_hash: 0x0123_4567_89ab_cdef,
-            trace_hash: 0x1122_3344_5566_7788,
-            output_hash: 0xfeed_face_cafe_f00d,
-        };
-        let json = super::dist_json(
-            4096,
-            64,
-            4,
-            8,
-            Some(2),
-            950.5,
-            900.25,
-            Some(420.0),
-            true,
-            &receipt,
-        );
-        for key in [
-            "\"experiment\": \"e17\"",
-            "\"items_per_frame\": 4096",
-            "\"frames\": 64",
-            "\"shards\": 4",
-            "\"workers\": 8",
-            "\"dist_workers\": 2",
-            "\"throughput_fps\"",
-            "\"pool\": 950.5",
-            "\"shard\": 900.2",
-            "\"dist\": 420.0",
-            "\"receipts_match\": true",
-            "\"receipt\"",
-            "\"input_hash\": \"0x0123456789abcdef\"",
-            "\"trace_hash\": \"0x1122334455667788\"",
-            "\"output_hash\": \"0xfeedfacecafef00d\"",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in:\n{json}");
-        }
-        // The dist-less layout emits nulls, not absent keys: the schema
-        // is fixed either way.
-        let skipped = super::dist_json(16, 2, 4, 8, None, 1.0, 1.0, None, true, &receipt);
-        assert!(skipped.contains("\"dist_workers\": null"));
-        assert!(skipped.contains("\"dist\": null"));
-        for json in [&json, &skipped] {
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert!(!json.contains(",\n}"));
-            assert!(!json.contains(",}"));
-        }
-    }
-
-    #[test]
-    fn serving_json_schema_has_the_pinned_fields() {
-        let mut report = skipper::ServeReport::default();
-        report.served = 5120;
-        report.rejected = 0;
-        report.batches = 400;
-        report.elapsed_ns = 1_000_000_000;
-        report.latencies_ns = (1..=100u64).map(|i| i * 1000).collect();
-        let json = super::serving_json(
-            4,
-            128,
-            40,
-            &report,
-            0x0123_4567_89ab_cdef,
-            0xfeed_face_cafe_f00d,
-        );
-        // The schema CI validates: top-level counters, the latency
-        // object (percentiles + mean) and the receipt hashes.
-        for key in [
-            "\"experiment\": \"e16\"",
-            "\"backend\": \"pool\"",
-            "\"policy\": \"block\"",
-            "\"workers\": 4",
-            "\"streams\": 128",
-            "\"frames_per_stream\": 40",
-            "\"served\": 5120",
-            "\"rejected\": 0",
-            "\"batches\": 400",
-            "\"elapsed_ns\": 1000000000",
-            "\"throughput_fps\": 5120.0",
-            "\"latency_ns\"",
-            "\"p50\": 50000",
-            "\"p95\": 95000",
-            "\"p99\": 99000",
-            "\"mean\": 50500.0",
-            "\"receipt\"",
-            "\"input_hash\": \"0x0123456789abcdef\"",
-            "\"output_hash\": \"0xfeedfacecafef00d\"",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in:\n{json}");
-        }
-        // Structurally sound: balanced braces, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n}"));
-        assert!(!json.contains(",}"));
     }
 }

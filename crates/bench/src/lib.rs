@@ -3,8 +3,8 @@
 //! [`experiments`] reproduces every figure and quantitative claim of the
 //! paper (`experiments --list` prints the index); [`pipeline`] is the
 //! end-to-end environment demo used by E2/E7 and the integration tests. The
-//! `experiments` binary runs them from the command line; Criterion
-//! micro-benchmarks live under `benches/`.
+//! `experiments` binary runs them from the command line; wall-clock
+//! performance is measured by the separate `perfbench` package.
 
 /// `println!` that shrugs off a closed stdout: `experiments … | head`
 /// and `skipperc … | head` stop printing quietly when the reader goes

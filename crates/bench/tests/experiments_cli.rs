@@ -3,7 +3,9 @@
 //! stdout" panic, whether the pipe closes after the first line or before
 //! anything is written. E1 alone prints all its lines before a reader
 //! could go away; E2 prints after a compile and a simulated run, so its
-//! lines meet a closed pipe.
+//! lines meet a closed pipe. The binary also refuses the backend and
+//! options of the retired wall-clock rungs, exiting nonzero before it
+//! runs anything.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
@@ -62,5 +64,41 @@ fn a_closed_stdout_does_not_panic() {
             !stderr.contains("panicked"),
             "{args:?} with no reader:\n{stderr}"
         );
+    }
+}
+
+#[test]
+fn retired_backends_and_options_are_refused() {
+    for (args, message) in [
+        (&["--backend", "dist", "e9"][..], "unknown backend `dist`"),
+        (&["--smoke", "e1"][..], "unknown experiment `--smoke`"),
+        (
+            &["--streams", "4", "e1"][..],
+            "unknown experiment `--streams`",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("experiments binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
+fn the_index_lists_no_host_wall_clock_rungs() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--list")
+        .output()
+        .expect("experiments binary runs");
+    assert!(out.status.success());
+    let index = String::from_utf8_lossy(&out.stdout);
+    assert!(index.contains("e15"), "{index}");
+    for gone in ["e16", "e17", "e18", "e19", "--streams", "--smoke", "dist"] {
+        assert!(!index.contains(gone), "--list still names {gone}:\n{index}");
     }
 }

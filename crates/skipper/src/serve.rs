@@ -58,7 +58,8 @@
 //! Frame arrivals are [`TimedFrame`]s pulled from any
 //! [`FrameSource`]; [`traffic`] generates open-loop
 //! arrival processes (Poisson, bursty, skewed rate ladders) on the
-//! deterministic `rand` shim for saturation experiments (E16).
+//! deterministic `rand` shim for saturation runs (perfbench's
+//! `serve_64cam`, the saturation case of the unit tests).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -586,7 +587,7 @@ where
 }
 
 /// Open-loop arrival-process generators on the deterministic `rand`
-/// shim — the traffic side of the serving experiments (E16).
+/// shim — the traffic side of the serving benchmarks and tests.
 pub mod traffic {
     use super::TimedFrame;
     use rand::prelude::*;
@@ -1092,6 +1093,37 @@ mod tests {
             let (z_ref, y_ref) = sequential(&body, 0, &frames);
             assert_eq!(outcome.streams[s as usize].state, z_ref);
             assert_eq!(outcome.streams[s as usize].outputs, y_ref);
+        }
+
+        // Saturation: 128 streams on a skewed rate ladder (hot head, long
+        // cool tail), every fourth one bursty, far above what the pool
+        // serves. Block stays lossless and every stream equals its fold.
+        let (streams_n, n) = (128, 4);
+        let rates = traffic::skewed_rates_hz(200_000.0, streams_n, 0.05);
+        let frames_of = |s: usize| (0..n as u64).map(move |k| 31 * s as u64 + 7 * k);
+        let streams: Vec<StreamSpec<u64, u64>> = (0..streams_n)
+            .map(|s| {
+                let arrivals = if s % 4 == 3 {
+                    traffic::bursty_arrivals_ns(s as u64, rates[s], 8, n)
+                } else {
+                    traffic::poisson_arrivals_ns(s as u64, rates[s], n)
+                };
+                StreamSpec::timed(0u64, traffic::timed(&arrivals, frames_of(s)))
+            })
+            .collect();
+        let cfg = ServeConfig {
+            max_in_flight: 256,
+            per_stream_queue: 4,
+            max_batch: 16,
+            admission: AdmissionPolicy::Block,
+        };
+        let outcome = serve(&backend(), &body, streams, cfg);
+        assert_eq!(outcome.report.served, (streams_n * n) as u64);
+        assert_eq!(outcome.report.rejected, 0);
+        for (s, got) in outcome.streams.iter().enumerate() {
+            let (z_ref, y_ref) = sequential(&body, 0, &frames_of(s).collect::<Vec<_>>());
+            assert_eq!(got.state, z_ref, "stream {s}");
+            assert_eq!(got.outputs, y_ref, "stream {s}");
         }
     }
 }

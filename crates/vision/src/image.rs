@@ -178,8 +178,7 @@ impl<T: Copy + Default> Image<T> {
 
     /// An owned copy of this image's pixels in a fresh private buffer.
     /// `clone()` shares storage (refcount bump); `deep_clone` never does —
-    /// it is the explicit copy the pre-Arc `clone()` used to be, and what
-    /// the copy-per-band benchmark baselines call to model that cost.
+    /// it is the explicit copy the pre-Arc `clone()` used to be.
     pub fn deep_clone(&self) -> Image<T> {
         let len = self.width * self.height;
         note_pixel_alloc(len);

@@ -138,8 +138,7 @@ pub fn label_components(img: &Image<u8>, conn: Connectivity) -> Image<u32> {
 
 /// The original per-pixel two-pass labelling, kept as the executable
 /// specification: [`label_components`] (the row-slice strip path) must be
-/// byte-identical to it for every image and connectivity, and the E19
-/// benchmark uses it as the pre-arena baseline. Prefer
+/// byte-identical to it for every image and connectivity. Prefer
 /// [`label_components`] everywhere else — this walks the image with
 /// bounds-checked per-pixel accesses and allocates its label map fresh.
 pub fn label_components_reference(img: &Image<u8>, conn: Connectivity) -> Image<u32> {
@@ -515,6 +514,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tiled_labelling_equals_sequential_on_a_1080p_frame() {
+        let img = crate::synth::random_blobs(1920, 1080, 160, 18);
+        let tiled = label_components_tiled(&img, Connectivity::Eight, 8);
+        assert_eq!(tiled, label_components(&img, Connectivity::Eight));
     }
 
     #[test]

@@ -410,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn band_views_match_the_copying_crop() {
+    fn band_views_match_a_copied_crop() {
         let img = ramp(9, 14);
         for (n, halo) in [(1, 0), (3, 1), (4, 3), (14, 2)] {
             for v in split_rows_view(&img, n, halo) {
