@@ -194,14 +194,15 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_on_random_blobs() {
         let pool = PoolBackend::new();
-        for seed in 0..6 {
-            let img = random_blobs(96, 96, 14, seed);
+        let square = (0..6).map(|seed| random_blobs(96, 96, 14, seed));
+        let wide = (0..4).map(|seed| random_blobs(80, 64, 10, seed));
+        for (i, img) in square.chain(wide).enumerate() {
             let expected = count_components_seq(&img);
-            for n in [1, 2, 3, 5, 8] {
+            for n in [1, 2, 3, 4, 5, 8] {
                 assert_eq!(
                     count_components_on(&pool, &img, n),
                     expected,
-                    "seed={seed} n={n}"
+                    "image {i} n={n}"
                 );
                 assert_eq!(count_components_scm_seq(&img, n), expected);
             }
@@ -238,35 +239,27 @@ mod tests {
     }
 
     #[test]
-    fn copying_baseline_matches_the_arena_pipeline() {
-        let backend = PoolBackend::new();
-        for seed in 0..4 {
-            let img = random_blobs(80, 64, 10, seed);
-            let expected = count_components_seq(&img);
-            for n in [1, 3, 4] {
-                assert_eq!(
-                    count_components_on(&backend, &img, n),
-                    expected,
-                    "seed={seed} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn receipts_agree_across_backends_and_with_the_pre_arena_golden() {
+        use skipper::receipt::{begin_trace, fnv1a};
+        use skipper::wire::{canonical_bytes, ToWire};
         use skipper::{receipted, RunReceipt, ShardBackend};
         // The receipts the copy-per-band pipeline (bands deep-copied, the
         // per-pixel reference labeller) produced on this frame: moving
         // band pixels into shared views and leased label maps changed
-        // where the buffers live, not the run.
-        const INPUT: u64 = 0x796e_d797_b92b_1fd2;
-        const OUTPUT: u64 = 0x334f_81cd_fac6_dc98;
-        let golden = [(1, 0xa232_b3ec_4451_82c9), (4, 0xd0f8_5d0a_a784_94d5)];
+        // where the buffers live, not the run. Pinned under the word
+        // hash of wire version 2 ...
+        const INPUT: u64 = 0x93eb_ee5d_aa75_4890;
+        const OUTPUT: u64 = 0x8682_94ea_bc48_4007;
+        let golden = [(1, 0xd29a_a177_ce73_bb14), (4, 0x4639_f6f5_fd9f_996b)];
+        // ... and, from the same canonical bytes and trace events, under
+        // the FNV-1a receipts of version 1 they were first pinned in.
+        const V1_INPUT: u64 = 0x796e_d797_b92b_1fd2;
+        const V1_OUTPUT: u64 = 0x334f_81cd_fac6_dc98;
+        let v1_golden = [0xa232_b3ec_4451_82c9, 0xd0f8_5d0a_a784_94d5];
         let img = random_blobs(160, 120, 12, 70);
         let pool = PoolBackend::new();
         let shards = ShardBackend::new(2);
-        for (n, trace_hash) in golden {
+        for ((n, trace_hash), v1_trace_hash) in golden.into_iter().zip(v1_golden) {
             let prog = ccl_program(n);
             // `Image` is not a wire payload: the input leg hashes a frame id.
             let (count, seq) = receipted(&0u64, || SeqBackend.run(&prog, &img));
@@ -281,6 +274,26 @@ mod tests {
                 output_hash: OUTPUT,
             };
             assert_eq!(seq, baseline, "receipt moved from the baseline's, n={n}");
+
+            let scope = begin_trace();
+            SeqBackend.run(&prog, &img);
+            let mut events = Vec::new();
+            scope
+                .finish()
+                .events
+                .iter()
+                .for_each(|ev| ev.hash_into(&mut events));
+            let v1 = RunReceipt {
+                input_hash: fnv1a(&canonical_bytes(&0u64.to_wire())),
+                trace_hash: fnv1a(&events),
+                output_hash: fnv1a(&canonical_bytes(&count.to_wire())),
+            };
+            let v1_baseline = RunReceipt {
+                input_hash: V1_INPUT,
+                trace_hash: v1_trace_hash,
+                output_hash: V1_OUTPUT,
+            };
+            assert_eq!(v1, v1_baseline, "version 1 receipt moved, n={n}");
         }
     }
 

@@ -825,12 +825,6 @@ impl SimBackend {
         SimBackend::ring(1)
     }
 
-    /// Replaces the simulated machine timing model.
-    pub fn with_sim_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Selects the farm PNT shape programs are lowered with:
     /// [`FarmShape::Star`] (the default) addresses workers point-to-point
     /// over the simulator's store-and-forward links, while
@@ -993,7 +987,7 @@ impl OneShotSlots {
 impl Compiled<OneShotSlots> {
     /// One online run: rebind the input slot, interpret the cached
     /// macro-code for a single graph iteration, take the output slot.
-    fn run_value(&self, encoded: Value) -> Result<Value, ExecError> {
+    fn run_value(&self, encoded: Value) -> Result<(Value, ExecReport), ExecError> {
         let _guard = self.run_lock.lock().expect("run lock");
         *self.slots.input.lock().expect("input slot") = Some(encoded);
         self.slots.output.lock().expect("output slot").take();
@@ -1006,9 +1000,10 @@ impl Compiled<OneShotSlots> {
         // Unbind the frame either way: a slot must never pin a frame's
         // payload past its run.
         self.slots.input.lock().expect("input slot").take();
-        run?;
+        let report = run?;
         let v = self.slots.output.lock().expect("output slot").take();
-        v.ok_or_else(|| ExecError::Internal("program produced no output".into()))
+        v.map(|v| (v, report))
+            .ok_or_else(|| ExecError::Internal("program produced no output".into()))
     }
 }
 
@@ -1151,6 +1146,19 @@ impl<Shape, Out> SimExecutable<Shape, Out> {
     pub fn statics(&self) -> Result<&SimStatics, ExecError> {
         self.inner.as_ref().map(|c| &*c.stat).map_err(Clone::clone)
     }
+
+    /// Runs one input and returns the output **together with the
+    /// executive report** (virtual-time trace, end time, processor
+    /// utilisations): the measurement face of [`Executable::run`].
+    pub fn run_with_report<In>(&self, input: In) -> Result<(Out, ExecReport), ExecError>
+    where
+        In: SimInput<Shape = Shape>,
+        Out: SimValue,
+    {
+        let compiled = self.inner.as_ref().map_err(Clone::clone)?;
+        let (out, report) = compiled.run_value(input.encode_input())?;
+        Ok((decode(&out, "prepared program result")?, report))
+    }
 }
 
 impl<Shape, Out> std::fmt::Debug for SimExecutable<Shape, Out> {
@@ -1169,9 +1177,7 @@ where
     type Output = Result<Out, ExecError>;
 
     fn run(&self, input: In) -> Result<Out, ExecError> {
-        let compiled = self.inner.as_ref().map_err(Clone::clone)?;
-        let out = compiled.run_value(input.encode_input())?;
-        decode(&out, "prepared program result")
+        self.run_with_report(input).map(|(out, _)| out)
     }
 }
 

@@ -167,11 +167,6 @@ impl ExecReport {
         }
         self.latencies_ns.iter().sum::<Ns>() / self.latencies_ns.len() as Ns
     }
-
-    /// Maximum per-iteration latency.
-    pub fn max_latency_ns(&self) -> Ns {
-        self.latencies_ns.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Per-farm runtime information derived from the network + schedule.

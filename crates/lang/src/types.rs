@@ -58,11 +58,6 @@ impl Type {
         Type::Fun(Box::new(a), Box::new(b))
     }
 
-    /// Curried function type `a1 -> a2 -> … -> r`.
-    pub fn fun_n(args: Vec<Type>, r: Type) -> Type {
-        args.into_iter().rev().fold(r, |acc, a| Type::fun(a, acc))
-    }
-
     /// List type.
     pub fn list(t: Type) -> Type {
         Type::List(Box::new(t))

@@ -48,7 +48,7 @@
 use crate::backend::{Backend, Dispatch};
 use crate::pool::{PoolBackend, WorkerPool};
 use crate::program::Workers;
-use crate::receipt::{partition, receipted, wire_hash, Fnv64, RunReceipt, TraceEvent};
+use crate::receipt::{partition, receipted, wire_hash, RunReceipt, TraceEvent, WordHasher};
 use crate::wire::{self, Cursor, FromWire, ToWire, WireValue};
 use std::io::{self, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -446,7 +446,7 @@ struct RoundPlan {
 impl RoundPlan {
     fn new(items: usize, workers: usize) -> Self {
         let mut by_worker = vec![Vec::new(); workers];
-        let mut trace = Fnv64::new();
+        let mut trace = WordHasher::new();
         for seq in 0..items as u64 {
             let part = partition(seq);
             TraceEvent::Assign { seq, part }.hash_into(&mut trace);
@@ -605,7 +605,7 @@ impl DistBackend {
         }
         let id = master.next_id;
         master.next_id += 1;
-        let expected_input_hash = crate::receipt::fnv1a(&wire::canonical_bytes(input));
+        let expected_input_hash = wire_hash(input);
         let w = (expected_input_hash % master.workers.len() as u64) as usize;
         let link = &mut master.workers[w];
         send(

@@ -28,10 +28,15 @@
 //! ([`trace_active`]); [`receipted`] wraps any run in a trace scope and
 //! folds the result into `RunReceipt { input_hash, trace_hash,
 //! output_hash }`, hashing input and output through their canonical
-//! wire encoding ([`crate::wire::ToWire`]). Hashes are 64-bit FNV-1a —
-//! std-only, deterministic across platforms, and strong enough to make
-//! schedule or data divergence between cooperating (non-adversarial)
-//! backends visible.
+//! wire encoding ([`crate::wire::ToWire`]). Hashes are 64-bit
+//! [`WordHasher`] values: a folded multiply over 8-byte words in four
+//! lanes, std-only, deterministic across platforms, and strong enough to
+//! make schedule or data divergence between cooperating
+//! (non-adversarial) backends visible. It is not a cryptographic digest
+//! and does not resist inputs crafted to collide. The hash function is
+//! part of the wire contract: changing it bumps
+//! [`crate::wire::VERSION`] (version 1 hashed receipts with byte-serial
+//! FNV-1a, [`fnv1a`], which still routes farm items to [`partition`]s).
 //!
 //! ```
 //! use skipper::receipt::receipted;
@@ -47,66 +52,163 @@
 use crate::wire::{ByteSink, Encoder, ToWire, WireValue};
 use std::cell::RefCell;
 
-/// The FNV-1a 64-bit offset basis (also the hash of empty input).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The receipt hash of the empty byte stream (and so of the empty
+/// trace): [`WordHasher::new`]`().finish()`.
+pub const EMPTY_HASH: u64 = 0x344e_0a6f_f0d8_e804;
 
-/// The FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes one round of the four lanes consumes: two words per lane.
+const BLOCK: usize = 64;
 
-/// An incremental FNV-1a 64-bit hasher (std-only; see the module docs
-/// for why FNV rather than a cryptographic digest).
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
+/// The hasher's constants: odd 64-bit words with exactly 32 bits set,
+/// as in wyhash's and rapidhash's secret tables. Lanes start at the
+/// first four; block words are keyed with the last four.
+const SECRET: [u64; 8] = [
+    0x2d35_8dcc_aa6c_78a5,
+    0x8bb8_4b93_962e_acc9,
+    0x4b33_a62e_d433_d4a3,
+    0x4d5a_2da5_1de1_aa47,
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
 
-impl Fnv64 {
-    /// A fresh hasher at the offset basis.
-    pub fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
+/// The folded multiply: the 128-bit product of `a` and `b`, its two
+/// halves xored.
+#[inline(always)]
+fn mix(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
 
-    /// Feeds `bytes` into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
+/// Folds one block into the four lanes: lane `i` multiplies its first
+/// word (keyed) by its second word xored with the lane's state, so the
+/// lanes' multiplies are independent of one another.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], block: &[u8; BLOCK]) {
+    let word = |i: usize| {
+        let mut w = [0; 8];
+        w.copy_from_slice(&block[8 * i..8 * i + 8]);
+        u64::from_le_bytes(w)
+    };
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = mix(word(2 * i) ^ SECRET[4 + i], word(2 * i + 1) ^ *lane);
     }
 }
 
-impl Default for Fnv64 {
+/// The receipt hasher: a wyhash-style folded multiply over 8-byte
+/// little-endian words, four independent lanes wide, so a block costs
+/// four multiplies that do not wait on one another (byte-serial FNV-1a
+/// costs one dependent multiply per byte). Bytes are gathered into
+/// 64-byte blocks at absolute stream offsets, the tail is zero-padded
+/// and the finalizer mixes in the stream length, so the value depends
+/// only on the byte stream, never on how it was split into
+/// [`WordHasher::write`] calls. Std-only and platform-independent. Like
+/// wyhash it has a blind spot only crafted input finds: a block word
+/// equal to its key, or to its lane's state, zeroes the lane (see the
+/// module docs for why that is acceptable here).
+#[derive(Debug, Clone)]
+pub struct WordHasher {
+    lanes: [u64; 4],
+    /// The partial block; its first `held` bytes are pending.
+    buf: [u8; BLOCK],
+    held: usize,
+    /// Bytes fed so far.
+    len: u64,
+}
+
+impl WordHasher {
+    /// A fresh hasher (its [`WordHasher::finish`] is [`EMPTY_HASH`]).
+    pub fn new() -> Self {
+        WordHasher {
+            lanes: [SECRET[0], SECRET[1], SECRET[2], SECRET[3]],
+            buf: [0; BLOCK],
+            held: 0,
+            len: 0,
+        }
+    }
+
+    /// Feeds `bytes` into the hash.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.held > 0 {
+            let take = bytes.len().min(BLOCK - self.held);
+            self.buf[self.held..self.held + take].copy_from_slice(&bytes[..take]);
+            self.held += take;
+            bytes = &bytes[take..];
+            if self.held < BLOCK {
+                return;
+            }
+            absorb(&mut self.lanes, &self.buf);
+            self.held = 0;
+        }
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            absorb(&mut self.lanes, block.try_into().expect("a whole block"));
+        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
+    }
+
+    /// The hash of the bytes fed so far.
+    pub fn finish(&self) -> u64 {
+        let mut lanes = self.lanes;
+        if self.held > 0 {
+            let mut last = [0; BLOCK];
+            last[..self.held].copy_from_slice(&self.buf[..self.held]);
+            absorb(&mut lanes, &last);
+        }
+        let a = mix(lanes[0] ^ SECRET[4], lanes[1] ^ self.len);
+        let b = mix(lanes[2] ^ SECRET[5], lanes[3] ^ SECRET[6]);
+        mix(a ^ SECRET[7], b ^ self.len)
+    }
+}
+
+impl Default for WordHasher {
     fn default() -> Self {
-        Fnv64::new()
+        WordHasher::new()
     }
 }
 
 /// Hashing is encoding into the hasher: [`wire_hash`] streams canonical
 /// bytes straight in.
-impl ByteSink for Fnv64 {
+impl ByteSink for WordHasher {
     fn put(&mut self, bytes: &[u8]) {
         self.write(bytes);
     }
 }
 
-/// One-shot FNV-1a 64-bit hash of `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
+/// One-shot receipt hash of `bytes`.
+pub fn word_hash(bytes: &[u8]) -> u64 {
+    let mut h = WordHasher::new();
     h.write(bytes);
     h.finish()
 }
 
-/// The canonical wire hash of any encodable value: FNV-1a over its
+/// The canonical wire hash of any encodable value: [`word_hash`] of its
 /// headerless [`crate::wire::canonical_bytes`], streamed through the
 /// [`Encoder`] into the hasher without building a byte buffer. This is
 /// the `input_hash`/`output_hash` function of every [`RunReceipt`].
 pub fn wire_hash<T: ToWire + ?Sized>(value: &T) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = WordHasher::new();
     value.encode(&mut Encoder::new(&mut h));
     h.finish()
+}
+
+/// The FNV-1a 64-bit offset basis (also the hash of empty input).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash of `bytes`: the [`partition`] function, and the
+/// receipt hash of wire version 1 (receipts pinned under it can be
+/// re-checked from the same canonical bytes).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Number of logical partitions farm traffic is hashed into. Shards map
@@ -142,19 +244,22 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Feeds this event's canonical bytes into `h`: [`Trace::hash`] is
-    /// these bytes for every event in order, so a dispatcher can hash
-    /// its trace as it goes without collecting the events.
-    pub fn hash_into(&self, h: &mut Fnv64) {
+    /// Feeds this event's canonical bytes into `h` (a [`WordHasher`],
+    /// or a byte buffer): [`Trace::hash`] hashes these bytes for every
+    /// event in order, so a dispatcher can hash its trace as it goes
+    /// without collecting the events.
+    pub fn hash_into<S: ByteSink + ?Sized>(&self, h: &mut S) {
         match self {
             TraceEvent::Assign { seq, part } => {
-                h.write(&[0x01]);
-                h.write(&seq.to_le_bytes());
-                h.write(&part.to_le_bytes());
+                let mut bytes = [0x01; 17];
+                bytes[1..9].copy_from_slice(&seq.to_le_bytes());
+                bytes[9..].copy_from_slice(&part.to_le_bytes());
+                h.put(&bytes);
             }
             TraceEvent::Frame { seq } => {
-                h.write(&[0x02]);
-                h.write(&seq.to_le_bytes());
+                let mut bytes = [0x02; 9];
+                bytes[1..].copy_from_slice(&seq.to_le_bytes());
+                h.put(&bytes);
             }
         }
     }
@@ -168,10 +273,10 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Folds the event list into a single FNV-1a hash (the empty trace
-    /// hashes to [`FNV_OFFSET`]).
+    /// Folds the event list into a single receipt hash (the empty trace
+    /// hashes to [`EMPTY_HASH`]).
     pub fn hash(&self) -> u64 {
-        let mut h = Fnv64::new();
+        let mut h = WordHasher::new();
         self.events.iter().for_each(|ev| ev.hash_into(&mut h));
         h.finish()
     }
@@ -190,18 +295,6 @@ thread_local! {
 /// see `false`.
 pub fn trace_active() -> bool {
     SINK.with(|s| s.borrow().is_some())
-}
-
-/// Records one farm-unit assignment (no-op without an open scope).
-pub fn record_assign(seq: u64) {
-    SINK.with(|s| {
-        if let Some(trace) = s.borrow_mut().as_mut() {
-            trace.events.push(TraceEvent::Assign {
-                seq,
-                part: partition(seq),
-            });
-        }
-    });
 }
 
 /// Records the canonical assignment round for `count` farm units
@@ -283,11 +376,13 @@ impl Drop for TraceScope {
 /// executed equivalent runs produce **equal** receipts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReceipt {
-    /// FNV-1a over the input's canonical wire bytes.
+    /// [`wire_hash`] of the input: [`word_hash`] over its canonical
+    /// wire bytes.
     pub input_hash: u64,
     /// [`Trace::hash`] of the canonical trace.
     pub trace_hash: u64,
-    /// FNV-1a over the output's canonical wire bytes.
+    /// [`wire_hash`] of the output: [`word_hash`] over its canonical
+    /// wire bytes.
     pub output_hash: u64,
 }
 
@@ -295,9 +390,9 @@ impl RunReceipt {
     /// Folds per-part receipts (per frame, per shard) into one aggregate
     /// receipt, componentwise and order-sensitively.
     pub fn fold(parts: &[RunReceipt]) -> RunReceipt {
-        let mut input = Fnv64::new();
-        let mut trace = Fnv64::new();
-        let mut output = Fnv64::new();
+        let mut input = WordHasher::new();
+        let mut trace = WordHasher::new();
+        let mut output = WordHasher::new();
         for r in parts {
             input.write(&r.input_hash.to_le_bytes());
             trace.write(&r.trace_hash.to_le_bytes());
@@ -365,6 +460,92 @@ mod tests {
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
+    /// A pseudo-random byte stream (splitmix64 words, little-endian).
+    fn stream(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len.div_ceil(8))
+            .flat_map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)).to_le_bytes()
+            })
+            .take(len)
+            .collect()
+    }
+
+    /// The canonical bytes of a 4096-item `i64` list.
+    fn ints_document() -> (Vec<i64>, Vec<u8>) {
+        let xs: Vec<i64> = (0..4096).map(|i| i * -7919 + 3).collect();
+        let bytes = crate::wire::canonical_bytes(&xs.to_wire());
+        (xs, bytes)
+    }
+
+    #[test]
+    fn word_hash_matches_the_pinned_vectors() {
+        assert_eq!(WordHasher::new().finish(), EMPTY_HASH);
+        assert_eq!(word_hash(b""), EMPTY_HASH);
+        assert_eq!(word_hash(b"a"), 0xba7f_0218_b833_ddc6);
+        let (xs, bytes) = ints_document();
+        assert_eq!(bytes.len(), 5 + 9 * 4096);
+        assert_eq!(word_hash(&bytes), 0xf881_4b88_4100_d6b5);
+        assert_eq!(wire_hash(&xs), word_hash(&bytes));
+    }
+
+    #[test]
+    fn the_hash_depends_on_the_bytes_not_on_the_puts() {
+        let bytes = stream(1300, 1);
+        let whole = word_hash(&bytes);
+        for cut in 0..=bytes.len() {
+            let mut h = WordHasher::new();
+            h.write(&bytes[..cut]);
+            h.write(&bytes[cut..]);
+            assert_eq!(h.finish(), whole, "split at {cut}");
+        }
+        for put in [1, 9, 576] {
+            for lead in 0..put {
+                let mut h = WordHasher::new();
+                h.write(&bytes[..lead]);
+                bytes[lead..].chunks(put).for_each(|c| h.write(c));
+                assert_eq!(h.finish(), whole, "{put}-byte puts after {lead}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_bit_flip_near_either_end_changes_the_hash() {
+        let (_, mut bytes) = ints_document();
+        let whole = word_hash(&bytes);
+        let n = bytes.len();
+        let mut seen = std::collections::BTreeSet::from([whole]);
+        for at in (0..64).chain(n - 64..n) {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                assert!(seen.insert(word_hash(&bytes)), "byte {at} bit {bit}");
+                bytes[at] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_zeros_and_lengths_are_told_apart() {
+        // The tail block is zero-padded; the length keeps these apart.
+        let hashes: std::collections::BTreeSet<u64> =
+            (0..=130).map(|n| word_hash(&vec![0; n])).collect();
+        assert_eq!(hashes.len(), 131);
+    }
+
+    #[test]
+    fn partitions_keep_their_version_1_values() {
+        // Routing stays FNV-1a of the sequence number: shard routing, the
+        // fleet's round plans and `Assign` events do not move with the
+        // receipt hash.
+        let parts: Vec<u8> = (0..4096).map(|seq| partition(seq) as u8).collect();
+        assert_eq!(parts[..8], [5, 36, 7, 38, 1, 32, 3, 34]);
+        assert_eq!(fnv1a(&parts), 0xb8ec_f248_f9bb_0d25);
+    }
+
     #[test]
     fn partition_is_deterministic_and_in_range() {
         for seq in 0..512u64 {
@@ -379,7 +560,7 @@ mod tests {
 
     #[test]
     fn the_empty_trace_hashes_to_the_offset_basis() {
-        assert_eq!(Trace::default().hash(), FNV_OFFSET);
+        assert_eq!(Trace::default().hash(), EMPTY_HASH);
     }
 
     #[test]
@@ -388,7 +569,7 @@ mod tests {
         record_assigns(5);
         record_frame(0);
         let (_, receipt) = receipted(&0i64, || 0i64);
-        assert_eq!(receipt.trace_hash, FNV_OFFSET, "nothing leaked in");
+        assert_eq!(receipt.trace_hash, EMPTY_HASH, "nothing leaked in");
     }
 
     #[test]
@@ -427,7 +608,7 @@ mod tests {
         let (out_pool, plr) = receipted(&xs, || pool.run(&farm, &xs[..]));
         assert_eq!(out_seq, out_pool);
         assert_eq!(seq, plr);
-        assert_ne!(seq.trace_hash, FNV_OFFSET, "the farm round was traced");
+        assert_ne!(seq.trace_hash, EMPTY_HASH, "the farm round was traced");
     }
 
     #[test]

@@ -231,15 +231,6 @@ impl ServeReport {
         sorted[rank.clamp(1, sorted.len()) - 1]
     }
 
-    /// Arithmetic mean of the per-frame latencies in nanoseconds; 0.0
-    /// when nothing was served.
-    pub fn latency_mean_ns(&self) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        self.latencies_ns.iter().sum::<u64>() as f64 / self.latencies_ns.len() as f64
-    }
-
     /// Served frames per second of wall-clock time.
     pub fn throughput_fps(&self) -> f64 {
         if self.elapsed_ns == 0 {

@@ -37,7 +37,13 @@
 //! # Versioning rules
 //!
 //! [`VERSION`] must be bumped whenever the encoded bytes of any value
-//! change — a new tag, a changed payload layout, a changed header. The
+//! change — a new tag, a changed payload layout, a changed header — and
+//! whenever the receipt hash function
+//! ([`crate::receipt::WordHasher`]) changes: peers exchange receipts and
+//! check each other's input hashes, so a master and a worker from
+//! builds that hash differently must fail the handshake, not the first
+//! job. Version 2 replaced version 1's byte-serial FNV-1a receipt hash
+//! with the word hash; the value encoding itself is unchanged. The
 //! golden fixtures under `tests/fixtures/wire/` pin the current bytes;
 //! CI fails if they drift while `VERSION` stands still. Decoders reject
 //! any other version with [`WireError::BadVersion`] (there is no
@@ -52,9 +58,10 @@
 //!
 //! The format is written in one place and read in one place. The
 //! streaming [`Encoder`] writes canonical bytes field by field into any
-//! [`ByteSink`]: a frame buffer, or an FNV-1a hasher, so
-//! [`crate::receipt::wire_hash`] hashes a value without buffering its
-//! bytes. The [`Cursor`] decoder reads a document in place.
+//! [`ByteSink`]: a frame buffer, or the receipt hasher
+//! ([`crate::receipt::WordHasher`]), so [`crate::receipt::wire_hash`]
+//! hashes a value without buffering its bytes. The [`Cursor`] decoder
+//! reads a document in place.
 //! [`encode_document`], [`canonical_bytes`] and [`decode_document`] are
 //! thin wrappers over the two, as are [`ToWire::encode`] and the frame
 //! functions ([`write_frame_with`] encodes into a reused per-link
@@ -65,8 +72,10 @@
 //! dist farm's `map-df` request and `map-ok` reply never build one: the
 //! sender streams its `i64` items through [`Encoder::ints`], which fills
 //! a stack block of 64 tagged fields and hands the sink one 576-byte
-//! write per block (the same bytes as one [`Encoder::int`] per item, so
-//! neither the fixtures nor [`VERSION`] change), and the
+//! write per block (the same bytes as one [`Encoder::int`] per item).
+//! `[i64]` and `Vec<i64>` encode through it too
+//! ([`ToWire::encode_slice`]), so hashing a farm's input feeds the
+//! hasher whole blocks. The
 //! receiver reads them with the cursor's typed reads ([`Cursor::tuple`],
 //! [`Cursor::str`], [`Cursor::int`], [`Cursor::ints`]) straight into a
 //! `Vec<i64>`. A typed read that meets another shape consumes nothing,
@@ -90,7 +99,8 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 4] = *b"SKIP";
 
 /// The current wire-format version. Bump on **any** change to the
-/// encoded bytes (see the module docs for the rules).
+/// encoded bytes or to the receipt hash (see the module docs for the
+/// rules).
 pub const VERSION: u16 = 1;
 
 /// Upper bound on a single framed document (64 MiB): a corrupt length
@@ -208,8 +218,9 @@ impl std::error::Error for WireError {}
 
 /// Where an [`Encoder`] writes: a growable buffer (documents, frames,
 /// [`canonical_bytes`]) or a hasher that consumes the bytes as they
-/// come ([`crate::receipt::Fnv64`], so [`crate::receipt::wire_hash`]
-/// needs no buffer at all).
+/// come ([`crate::receipt::WordHasher`], so
+/// [`crate::receipt::wire_hash`] needs no buffer at all). A sink sees
+/// the same bytes however the encoder splits them into `put`s.
 pub trait ByteSink {
     /// Appends `bytes`.
     fn put(&mut self, bytes: &[u8]);
@@ -660,11 +671,37 @@ pub trait ToWire {
     fn to_wire(&self) -> WireValue;
 
     /// Streams this value's canonical bytes into `e`: always the bytes
-    /// of `e.value(&self.to_wire())`, which is the default. Only `i64`
-    /// and lists override it, so hashing an `i64` list (a farm's input)
-    /// builds no [`WireValue`] tree.
+    /// of `e.value(&self.to_wire())`, which is the default. Only `i64`,
+    /// lists and [`WireValue`] override it, so hashing an `i64` list (a
+    /// farm's input) builds no [`WireValue`] tree.
     fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
         e.value(&self.to_wire());
+    }
+
+    /// Streams the `List` of `xs` into `e`: what `[T]` and `Vec<T>`
+    /// encode through. The default is [`Encoder::list`], then one
+    /// [`ToWire::encode`] per item; `i64` writes [`Encoder::ints`]'
+    /// 576-byte blocks instead (the same bytes), so a hasher sink takes
+    /// a farm's input in whole blocks rather than one 9-byte write per
+    /// item.
+    fn encode_slice<S: ByteSink + ?Sized>(xs: &[Self], e: &mut Encoder<'_, S>)
+    where
+        Self: Sized,
+    {
+        e.list(xs.len());
+        xs.iter().for_each(|x| x.encode(e));
+    }
+}
+
+/// A tree encodes as itself: [`crate::receipt::wire_hash`] of a
+/// [`WireValue`] is the hash of its [`canonical_bytes`].
+impl ToWire for WireValue {
+    fn to_wire(&self) -> WireValue {
+        self.clone()
+    }
+
+    fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
+        e.value(self);
     }
 }
 
@@ -710,6 +747,10 @@ impl ToWire for i64 {
 
     fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
         e.int(*self);
+    }
+
+    fn encode_slice<S: ByteSink + ?Sized>(xs: &[Self], e: &mut Encoder<'_, S>) {
+        e.ints(xs.iter().copied());
     }
 }
 
@@ -796,8 +837,7 @@ impl<T: ToWire> ToWire for [T] {
     }
 
     fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
-        e.list(self.len());
-        self.iter().for_each(|x| x.encode(e));
+        T::encode_slice(self, e);
     }
 }
 
@@ -807,7 +847,7 @@ impl<T: ToWire> ToWire for Vec<T> {
     }
 
     fn encode<S: ByteSink + ?Sized>(&self, e: &mut Encoder<'_, S>) {
-        self.as_slice().encode(e);
+        T::encode_slice(self, e);
     }
 }
 
@@ -1021,7 +1061,7 @@ mod tests {
 
     #[test]
     fn block_encoded_ints_are_the_per_item_bytes() {
-        use crate::receipt::{fnv1a, wire_hash, Fnv64};
+        use crate::receipt::{wire_hash, word_hash, WordHasher};
         let mut lists: Vec<Vec<i64>> = [0usize, 1, 63, 64, 65, 129, 4096]
             .iter()
             .map(|&n| (0..n as i64).map(|i| i * -7919 + 3).collect())
@@ -1037,9 +1077,12 @@ mod tests {
             Encoder::new(&mut got).ints(xs.iter().copied());
             assert_eq!(got, want, "{} item(s)", xs.len());
             assert_eq!(got, canonical_bytes(&xs.to_wire()), "{} item(s)", xs.len());
-            let mut h = Fnv64::new();
+            let mut via_encode = Vec::new();
+            xs.encode(&mut Encoder::new(&mut via_encode));
+            assert_eq!(via_encode, want, "{} item(s)", xs.len());
+            let mut h = WordHasher::new();
             Encoder::new(&mut h).ints(xs.iter().copied());
-            assert_eq!(h.finish(), fnv1a(&want), "{} item(s)", xs.len());
+            assert_eq!(h.finish(), word_hash(&want), "{} item(s)", xs.len());
             assert_eq!(wire_hash(xs), h.finish(), "{} item(s)", xs.len());
         }
     }

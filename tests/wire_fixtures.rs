@@ -12,7 +12,7 @@
 //! must fail to decode with exactly the documented error message.
 
 use proptest::prelude::*;
-use skipper::receipt::{fnv1a, wire_hash};
+use skipper::receipt::{wire_hash, word_hash, WordHasher};
 use skipper::wire::{
     canonical_bytes, decode_document, encode_document, Cursor, Encoder, FromWire, ToWire,
     WireError, WireValue,
@@ -157,7 +157,7 @@ fn golden_fixtures_have_not_drifted() {
             .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
         assert_eq!(
             encoded, committed,
-            "`{name}` encodes differently from the committed v1 bytes — \
+            "`{name}` encodes differently from the committed bytes — \
              this is a wire format change; bump skipper::wire::VERSION \
              (then regenerate with REGEN_WIRE_FIXTURES=1)"
         );
@@ -206,7 +206,8 @@ fn typed_decode(bytes: &[u8]) -> Result<WireValue, WireError> {
 /// The three identities of the `i64`-list fast path: the streaming
 /// encoder writes `encode_document`'s bytes, the typed `ints()` read
 /// returns what `decode_document` + `from_wire` return, and the
-/// streamed `wire_hash` is FNV-1a over `canonical_bytes`.
+/// streamed `wire_hash` is the one-shot `word_hash` of
+/// `canonical_bytes`.
 fn check_int_list(xs: &[i64]) {
     let tree = xs.to_wire();
     let mut streamed = Vec::new();
@@ -223,9 +224,87 @@ fn check_int_list(xs: &[i64]) {
 
     assert_eq!(
         wire_hash(xs),
-        fnv1a(&canonical_bytes(&tree)),
+        word_hash(&canonical_bytes(&tree)),
         "hash of {xs:?}"
     );
+}
+
+#[test]
+fn int_slices_hash_as_their_canonical_bytes() {
+    for n in [0i64, 1, 63, 64, 65, 4096] {
+        let xs: Vec<i64> = (0..n)
+            .map(|i| i.wrapping_mul(-7_046_029_254_386_353_131))
+            .collect();
+        let want = word_hash(&canonical_bytes(&xs.to_wire()));
+        assert_eq!(wire_hash(&xs[..]), want, "slice of {n}");
+        assert_eq!(wire_hash(&xs), want, "Vec of {n}");
+    }
+}
+
+/// Every fixture document and canonical value, hashed whole and in 1-,
+/// 9- and 576-byte puts: the receipt hash sees bytes, not writes.
+#[test]
+fn fixture_hashes_do_not_depend_on_put_sizes() {
+    let docs = fixture_corpus();
+    for bytes in &docs {
+        let whole = word_hash(bytes);
+        for put in [1, 9, 576] {
+            let mut h = WordHasher::new();
+            bytes.chunks(put).for_each(|c| h.write(c));
+            assert_eq!(h.finish(), whole, "{put}-byte puts of {bytes:02x?}");
+        }
+    }
+}
+
+/// The fixture files and the golden values' canonical bytes.
+fn fixture_corpus() -> Vec<Vec<u8>> {
+    let mut docs: Vec<Vec<u8>> = golden_values()
+        .iter()
+        .map(|(_, v)| canonical_bytes(v))
+        .collect();
+    for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir") {
+        docs.push(std::fs::read(entry.expect("fixture entry").path()).expect("fixture"));
+    }
+    docs
+}
+
+/// splitmix64: the seeded word stream of the random corpus.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// No two distinct documents share a receipt hash: the fixture corpus
+/// plus 10^5 distinct seeded random canonical encodings.
+#[test]
+fn distinct_documents_hash_apart() {
+    let mut by_hash = std::collections::HashMap::new();
+    let mut add = |bytes: Vec<u8>| -> bool {
+        match by_hash.entry(word_hash(&bytes)) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                assert_eq!(e.get(), &bytes, "hash collision");
+                false
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(bytes);
+                true
+            }
+        }
+    };
+    for bytes in fixture_corpus() {
+        add(bytes);
+    }
+    let mut state = 31;
+    let mut distinct = 0;
+    while distinct < 100_000 {
+        let words: Vec<u64> = (0..1 + splitmix(&mut state) % 48)
+            .map(|_| splitmix(&mut state))
+            .collect();
+        distinct += usize::from(add(canonical_bytes(&arb_value(&words))));
+    }
 }
 
 #[test]
