@@ -101,7 +101,7 @@ pub const MAGIC: [u8; 4] = *b"SKIP";
 /// The current wire-format version. Bump on **any** change to the
 /// encoded bytes or to the receipt hash (see the module docs for the
 /// rules).
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Upper bound on a single framed document (64 MiB): a corrupt length
 /// prefix must not look like a request to allocate gigabytes.

@@ -2,7 +2,7 @@
 //!
 //! The encoding is a **network contract**: a master and a worker built
 //! from different checkouts must agree on every byte. The committed
-//! fixtures in `tests/fixtures/wire/` pin the bytes of version 1 —
+//! fixtures in `tests/fixtures/wire/` pin the bytes of version 2 —
 //! any codec change that shifts them is a drift this file catches, and
 //! the correct response is to bump [`skipper::wire::VERSION`], not to
 //! regenerate quietly. (Regeneration, for a deliberate version bump:
@@ -77,7 +77,7 @@ fn negative_fixtures() -> Vec<(&'static str, Vec<u8>, &'static str)> {
                 b[4..6].copy_from_slice(&99u16.to_le_bytes());
                 b
             },
-            "wire version mismatch: got 99, want 1",
+            "wire version mismatch: got 99, want 2",
         ),
         (
             "bad_tag",
