@@ -802,7 +802,6 @@ impl_owned_sim_input!(
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     nprocs: usize,
-    config: SimConfig,
     farm_shape: FarmShape,
 }
 
@@ -814,7 +813,6 @@ impl SimBackend {
     pub fn ring(nprocs: usize) -> Self {
         SimBackend {
             nprocs,
-            config: SimConfig::default(),
             farm_shape: FarmShape::Star,
         }
     }
@@ -907,7 +905,6 @@ impl SimBackend {
         )?;
         Ok(Compiled {
             stat: Arc::new(stat),
-            config: self.config,
             slots,
             run_lock: Mutex::new(()),
         })
@@ -937,7 +934,6 @@ pub fn lowering_count() -> usize {
 /// contract, pinned by the `registry_probe` test).
 struct Compiled<S> {
     stat: Arc<SimStatics>,
-    config: SimConfig,
     slots: S,
     /// Runs share the slots, so concurrent `run` calls on one executable
     /// are serialised (the contract stays `&self`).
@@ -994,7 +990,7 @@ impl Compiled<OneShotSlots> {
         let config = ExecConfig {
             iterations: 1,
             frame_clock: None,
-            sim: self.config,
+            sim: SimConfig::default(),
         };
         let run = run_prepared(&self.stat, &HashMap::new(), &config);
         // Unbind the frame either way: a slot must never pin a frame's
@@ -1098,7 +1094,7 @@ impl Compiled<LoopSlots> {
         let config = ExecConfig {
             iterations,
             frame_clock: None,
-            sim: self.config,
+            sim: SimConfig::default(),
         };
         let run = run_prepared(&self.stat, &mem_init, &config);
         // Release the frame payloads either way: the slot must never pin

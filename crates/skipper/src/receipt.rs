@@ -460,21 +460,6 @@ mod tests {
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
-    /// A pseudo-random byte stream (splitmix64 words, little-endian).
-    fn stream(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed;
-        (0..len.div_ceil(8))
-            .flat_map(|_| {
-                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z ^ (z >> 31)).to_le_bytes()
-            })
-            .take(len)
-            .collect()
-    }
-
     /// The canonical bytes of a 4096-item `i64` list.
     fn ints_document() -> (Vec<i64>, Vec<u8>) {
         let xs: Vec<i64> = (0..4096).map(|i| i * -7919 + 3).collect();
@@ -495,7 +480,9 @@ mod tests {
 
     #[test]
     fn the_hash_depends_on_the_bytes_not_on_the_puts() {
-        let bytes = stream(1300, 1);
+        let bytes: Vec<u8> = (0..1300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
         let whole = word_hash(&bytes);
         for cut in 0..=bytes.len() {
             let mut h = WordHasher::new();

@@ -12,7 +12,7 @@
 //! must fail to decode with exactly the documented error message.
 
 use proptest::prelude::*;
-use skipper::receipt::{wire_hash, word_hash, WordHasher};
+use skipper::receipt::{wire_hash, word_hash};
 use skipper::wire::{
     canonical_bytes, decode_document, encode_document, Cursor, Encoder, FromWire, ToWire,
     WireError, WireValue,
@@ -241,46 +241,12 @@ fn int_slices_hash_as_their_canonical_bytes() {
     }
 }
 
-/// Every fixture document and canonical value, hashed whole and in 1-,
-/// 9- and 576-byte puts: the receipt hash sees bytes, not writes.
-#[test]
-fn fixture_hashes_do_not_depend_on_put_sizes() {
-    let docs = fixture_corpus();
-    for bytes in &docs {
-        let whole = word_hash(bytes);
-        for put in [1, 9, 576] {
-            let mut h = WordHasher::new();
-            bytes.chunks(put).for_each(|c| h.write(c));
-            assert_eq!(h.finish(), whole, "{put}-byte puts of {bytes:02x?}");
-        }
-    }
-}
-
-/// The fixture files and the golden values' canonical bytes.
-fn fixture_corpus() -> Vec<Vec<u8>> {
-    let mut docs: Vec<Vec<u8>> = golden_values()
-        .iter()
-        .map(|(_, v)| canonical_bytes(v))
-        .collect();
-    for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir") {
-        docs.push(std::fs::read(entry.expect("fixture entry").path()).expect("fixture"));
-    }
-    docs
-}
-
-/// splitmix64: the seeded word stream of the random corpus.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// No two distinct documents share a receipt hash: the fixture corpus
-/// plus 10^5 distinct seeded random canonical encodings.
+/// No two distinct documents share a receipt hash: the fixture files,
+/// the golden values' canonical bytes and 10^5 distinct seeded random
+/// canonical encodings.
 #[test]
 fn distinct_documents_hash_apart() {
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
     let mut by_hash = std::collections::HashMap::new();
     let mut add = |bytes: Vec<u8>| -> bool {
         match by_hash.entry(word_hash(&bytes)) {
@@ -294,14 +260,17 @@ fn distinct_documents_hash_apart() {
             }
         }
     };
-    for bytes in fixture_corpus() {
-        add(bytes);
+    for (_, value) in golden_values() {
+        add(canonical_bytes(&value));
     }
-    let mut state = 31;
+    for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir") {
+        add(std::fs::read(entry.expect("fixture entry").path()).expect("fixture"));
+    }
+    let mut rng = StdRng::seed_from_u64(31);
     let mut distinct = 0;
     while distinct < 100_000 {
-        let words: Vec<u64> = (0..1 + splitmix(&mut state) % 48)
-            .map(|_| splitmix(&mut state))
+        let words: Vec<u64> = (0..1 + rng.next_u64() % 48)
+            .map(|_| rng.next_u64())
             .collect();
         distinct += usize::from(add(canonical_bytes(&arb_value(&words))));
     }
