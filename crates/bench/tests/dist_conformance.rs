@@ -74,13 +74,14 @@ fn sharded_df_receipts_equal_pool_receipts_at_edge_sizes() {
 
 #[test]
 fn a_shut_down_fleet_returns_errors_and_stays_usable() {
-    use skipper::wire::ToWire;
+    use skipper::conformance::scm_case;
+    use skipper::Backend;
     let dist = fleet(2);
     dist.shutdown().expect("orderly fleet shutdown");
     let xs: Vec<i64> = (0..64).collect();
     let shut = "dist protocol violation: fleet is shut down";
     for _ in 0..2 {
-        let err = dist.run_case("df", 4, &xs.to_wire()).unwrap_err();
+        let err = Backend::run(&dist, &scm_case(4), &xs).unwrap_err();
         assert_eq!(err.to_string(), shut);
         for items in [&xs[..], &[]] {
             let err = dist.run_df_sharded(4, items).unwrap_err();

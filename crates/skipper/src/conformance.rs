@@ -14,18 +14,20 @@
 //! `SKIPPER_WORKERS` when set). Golden results always come from
 //! [`SeqBackend`].
 //!
-//! A backend plugs in by implementing [`ConformanceHarness`] — `name`
-//! plus one short method per program case, run fresh and prepared
-//! (nineteen in all), because a `Backend` impl is per program type and a
-//! generic suite cannot quantify over all of them. The
-//! [`host_harness!`](crate::host_harness) macro writes them from the
-//! backend's `Backend` impls: for [`SeqBackend`] (self-check),
-//! [`crate::PoolBackend`], [`crate::ShardBackend`] and
-//! [`crate::HostBackend`] here, and for `SimBackend` in `skipper_exec`,
-//! whose runs return a `Result`. The program cases are deliberately built
-//! from plain `fn` pointers so their types are nameable and lowerable by every backend,
-//! and the farm accumulators are commutative-associative (the paper's
-//! stated side condition for farm equivalence).
+//! Any backend is checked through the [`Backend`] impls it already has:
+//! the kit takes every [`Conformant`] backend — one that can prepare and
+//! run each case program — and needs no harness code from it. A run may
+//! return its output bare (the host backends), as a `Result` (`SimBackend`
+//! in `skipper_exec`, whose lowering can fail), or together with the
+//! receipt the run computed itself ([`crate::DistBackend`], whose worker
+//! processes compute it); [`Outcome`] reads all three, and a failed run
+//! fails its case. Each case program implements [`Catalog`] once: its
+//! name on a process fleet's wire, its farm degree, and how an entry of
+//! its input matrix becomes a run's input. The program cases are
+//! deliberately built from plain `fn` pointers so their types are
+//! nameable and lowerable by every backend, and the farm accumulators are
+//! commutative-associative (the paper's stated side condition for farm
+//! equivalence).
 //!
 //! ```
 //! use skipper::conformance::assert_backend_conforms;
@@ -35,10 +37,13 @@
 //! ```
 
 use crate::backend::{Backend, Dispatch, Executable};
+use crate::dist::{DistBackend, DistError};
 use crate::pool::PoolBackend;
-use crate::program::{default_workers, Workers};
-use crate::receipt::{receipted, RunReceipt};
+use crate::program::{default_workers, Skeleton, Workers};
+use crate::receipt::{receipted, Receipted, RunReceipt};
+use crate::wire::{FromWire, ToWire};
 use crate::{Df, IterLoop, Pure, Scm, SeqBackend, Tf, Then};
+use std::fmt::{Debug, Display};
 
 /// The `df` conformance program type.
 pub type DfProg = Df<fn(&i64) -> i64, fn(i64, i64) -> i64, i64>;
@@ -219,292 +224,386 @@ pub fn itermem_then_case(workers: usize) -> LoopThenProg {
     )
 }
 
-/// One backend's adapter into the conformance suite.
-///
-/// Each method runs the given conformance program on this backend and
-/// returns the plain output (fallible backends are expected to unwrap —
-/// failing to execute a conformance case *is* a conformance failure).
-///
-/// The `*_prepared` methods are the **prepared-equivalence axis**: each
-/// must call `Backend::prepare` exactly once for the given program and
-/// run every input of `runs` through that one executable (in order,
-/// returning one output per input). The kit passes each input of the
-/// matrix twice, so an executable that leaks state between runs — or
-/// re-derives it wrongly — diverges from the golden results.
-pub trait ConformanceHarness {
-    /// Backend name used in assertion messages.
-    fn name(&self) -> String;
+/// A program of the case catalog, implemented once by each of the nine
+/// case program types: the name a process fleet's `job` message gives it,
+/// how it is built and at what farm degree, and how an entry of its input
+/// matrix becomes a run's input. The kit, the fleet master
+/// ([`DistBackend`]'s [`Backend`] impl) and the fleet worker
+/// ([`crate::dist::serve_connection`]) all read it.
+pub trait Catalog: Sized + for<'a> Skeleton<Self::Input<'a>, Output = Self::Out> {
+    /// The case's name on the wire.
+    const CASE: &'static str;
+    /// Builds the case at a farm degree (e.g. [`df_case`]).
+    const BUILD: fn(usize) -> Self;
+    /// An entry of the case's input matrix, as the wire carries it.
+    type Entry: Debug + ToWire + FromWire;
+    /// The input a run takes.
+    type Input<'a>: ToWire;
+    /// What a run returns.
+    type Out: PartialEq + Debug + ToWire + FromWire;
 
-    /// Runs the [`df_case`] program.
-    fn run_df(&self, prog: &DfProg, xs: &[i64]) -> i64;
+    /// The farm degree the case was built with.
+    fn degree(&self) -> usize;
 
-    /// Runs the [`scm_case`] program.
-    #[allow(clippy::ptr_arg)] // `&Vec` is the program's input type: `Skeleton<&I>` needs `I: Sized`.
-    fn run_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> Vec<i64>;
+    /// The run input `entry` stands for.
+    fn input(entry: &Self::Entry) -> Self::Input<'_>;
 
-    /// Runs the [`tf_case`] program.
-    fn run_tf(&self, prog: &TfProg, roots: Vec<u64>) -> u64;
-
-    /// Runs the [`then_case`] pipeline.
-    fn run_then(&self, prog: &ThenProg, xs: &[i64]) -> (i64, i64);
-
-    /// Runs the [`itermem_case`] stream loop.
-    fn run_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> (i64, Vec<i64>);
-
-    /// Runs the [`itermem_df_case`] stream loop (a farm as the body).
-    fn run_itermem_df(&self, prog: &LoopDfProg, frames: Vec<Vec<i64>>) -> (i64, Vec<i64>);
-
-    /// Runs the [`itermem_tf_case`] stream loop (a task farm as the body).
-    fn run_itermem_tf(&self, prog: &LoopTfProg, frames: Vec<Vec<u64>>) -> (u64, Vec<u64>);
-
-    /// Runs the [`nested_loop_case`] (a stream loop as the body of
-    /// another).
-    fn run_nested_loop(&self, prog: &NestedLoopProg, bursts: Vec<Vec<i64>>)
-        -> (i64, Vec<Vec<i64>>);
-
-    /// Runs the [`itermem_then_case`] (a `then` pipeline as the body).
-    fn run_itermem_then(&self, prog: &LoopThenProg, frames: Vec<i64>) -> (i64, Vec<i64>);
-
-    /// Prepares the [`df_case`] program once and runs every input of
-    /// `runs` on the one executable.
-    fn run_df_prepared(&self, prog: &DfProg, runs: &[Vec<i64>]) -> Vec<i64>;
-
-    /// Prepares the [`scm_case`] program once and runs every input.
-    fn run_scm_prepared(&self, prog: &ScmProg, runs: &[Vec<i64>]) -> Vec<Vec<i64>>;
-
-    /// Prepares the [`tf_case`] program once and runs every input.
-    fn run_tf_prepared(&self, prog: &TfProg, runs: &[Vec<u64>]) -> Vec<u64>;
-
-    /// Prepares the [`then_case`] pipeline once and runs every input.
-    fn run_then_prepared(&self, prog: &ThenProg, runs: &[Vec<i64>]) -> Vec<(i64, i64)>;
-
-    /// Prepares the [`itermem_case`] loop once and runs every stream.
-    fn run_itermem_prepared(&self, prog: &LoopProg, runs: &[Vec<i64>]) -> Vec<(i64, Vec<i64>)>;
-
-    /// Prepares the [`itermem_df_case`] loop once and runs every stream.
-    fn run_itermem_df_prepared(
+    /// Runs the case on a process fleet: by default, as one job on one
+    /// worker process.
+    fn run_on_fleet(
         &self,
-        prog: &LoopDfProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<i64>)>;
-
-    /// Prepares the [`itermem_tf_case`] loop once and runs every stream.
-    fn run_itermem_tf_prepared(
-        &self,
-        prog: &LoopTfProg,
-        runs: &[Vec<Vec<u64>>],
-    ) -> Vec<(u64, Vec<u64>)>;
-
-    /// Prepares the [`nested_loop_case`] once and runs every burst
-    /// stream.
-    fn run_nested_loop_prepared(
-        &self,
-        prog: &NestedLoopProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<Vec<i64>>)>;
-
-    /// Prepares the [`itermem_then_case`] once and runs every stream.
-    fn run_itermem_then_prepared(
-        &self,
-        prog: &LoopThenProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<(i64, Vec<i64>)>;
+        fleet: &DistBackend,
+        input: Self::Input<'_>,
+    ) -> Result<Receipted<Self::Out>, DistError> {
+        fleet.run_case(Self::CASE, self.degree(), &input)
+    }
 }
 
-/// Implements [`ConformanceHarness`] for a backend type by running each
-/// case through its [`Backend`] impls: fresh cases with `Backend::run`,
-/// the `*_prepared` ones on one `Backend::prepare`d executable.
-///
-/// `host_harness!(Ty, "Name")` is for backends whose runs return the
-/// output itself. A backend whose runs return a `Result` names itself
-/// from `self` and passes an adapter that turns each run's result into
-/// the output (panicking on an error, which the kit reports as a
-/// failure): `host_harness!(Ty, |b| format!("Ty({})", b.n), adapter)`,
-/// where `adapter` is a path to a function generic over the output.
-/// Implements [`ConformanceHarness`] for a backend type by running each
-/// case through its [`Backend`] impls: fresh cases with `Backend::run`,
-/// the `*_prepared` ones on one `Backend::prepare`d executable.
-///
-/// `host_harness!(Ty, "Name")` is for backends whose runs return the
-/// output itself. A backend whose runs return a `Result` names itself
-/// from `self` and passes the path of an adapter, generic over the
-/// output, that unwraps each run's result (panicking on an error, which
-/// the kit reports as a failure):
-/// `host_harness!(Ty, |b| format!("Ty({})", b.n), adapter)`.
-#[macro_export]
-macro_rules! host_harness {
-    ($ty:ty, $name:expr) => {
-        $crate::host_harness!($ty, |_b| String::from($name), ::std::convert::identity);
-    };
-    ($ty:ty, |$b:ident| $name:expr, $out:path) => {
-        impl $crate::conformance::ConformanceHarness for $ty {
-            fn name(&self) -> String {
-                let $b = self;
-                $name
-            }
+impl Catalog for DfProg {
+    const CASE: &'static str = "df";
+    const BUILD: fn(usize) -> Self = df_case;
+    type Entry = Vec<i64>;
+    type Input<'a> = &'a [i64];
+    type Out = i64;
 
-            fn run_df(&self, prog: &$crate::conformance::DfProg, xs: &[i64]) -> i64 {
-                $out($crate::Backend::run(self, prog, xs))
-            }
+    fn degree(&self) -> usize {
+        self.workers()
+    }
 
-            fn run_scm(&self, prog: &$crate::conformance::ScmProg, input: &Vec<i64>) -> Vec<i64> {
-                $out($crate::Backend::run(self, prog, input))
-            }
+    fn input(entry: &Vec<i64>) -> &[i64] {
+        entry
+    }
 
-            fn run_tf(&self, prog: &$crate::conformance::TfProg, roots: Vec<u64>) -> u64 {
-                $out($crate::Backend::run(self, prog, roots))
-            }
-
-            fn run_then(&self, prog: &$crate::conformance::ThenProg, xs: &[i64]) -> (i64, i64) {
-                $out($crate::Backend::run(self, prog, xs))
-            }
-
-            fn run_itermem(
-                &self,
-                prog: &$crate::conformance::LoopProg,
-                frames: Vec<i64>,
-            ) -> (i64, Vec<i64>) {
-                $out($crate::Backend::run(self, prog, frames))
-            }
-
-            fn run_itermem_df(
-                &self,
-                prog: &$crate::conformance::LoopDfProg,
-                frames: Vec<Vec<i64>>,
-            ) -> (i64, Vec<i64>) {
-                $out($crate::Backend::run(self, prog, frames))
-            }
-
-            fn run_itermem_tf(
-                &self,
-                prog: &$crate::conformance::LoopTfProg,
-                frames: Vec<Vec<u64>>,
-            ) -> (u64, Vec<u64>) {
-                $out($crate::Backend::run(self, prog, frames))
-            }
-
-            fn run_nested_loop(
-                &self,
-                prog: &$crate::conformance::NestedLoopProg,
-                bursts: Vec<Vec<i64>>,
-            ) -> (i64, Vec<Vec<i64>>) {
-                $out($crate::Backend::run(self, prog, bursts))
-            }
-
-            fn run_itermem_then(
-                &self,
-                prog: &$crate::conformance::LoopThenProg,
-                frames: Vec<i64>,
-            ) -> (i64, Vec<i64>) {
-                $out($crate::Backend::run(self, prog, frames))
-            }
-
-            fn run_df_prepared(
-                &self,
-                prog: &$crate::conformance::DfProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<i64> {
-                let exec = <Self as $crate::Backend<_, &[i64]>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, &x[..])))
-                    .collect()
-            }
-
-            fn run_scm_prepared(
-                &self,
-                prog: &$crate::conformance::ScmProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<Vec<i64>> {
-                let exec = <Self as $crate::Backend<_, &Vec<i64>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x)))
-                    .collect()
-            }
-
-            fn run_tf_prepared(
-                &self,
-                prog: &$crate::conformance::TfProg,
-                runs: &[Vec<u64>],
-            ) -> Vec<u64> {
-                let exec = <Self as $crate::Backend<_, Vec<u64>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-
-            fn run_then_prepared(
-                &self,
-                prog: &$crate::conformance::ThenProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<(i64, i64)> {
-                let exec = <Self as $crate::Backend<_, &[i64]>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, &x[..])))
-                    .collect()
-            }
-
-            fn run_itermem_prepared(
-                &self,
-                prog: &$crate::conformance::LoopProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as $crate::Backend<_, Vec<i64>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-
-            fn run_itermem_df_prepared(
-                &self,
-                prog: &$crate::conformance::LoopDfProg,
-                runs: &[Vec<Vec<i64>>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as $crate::Backend<_, Vec<Vec<i64>>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-
-            fn run_itermem_tf_prepared(
-                &self,
-                prog: &$crate::conformance::LoopTfProg,
-                runs: &[Vec<Vec<u64>>],
-            ) -> Vec<(u64, Vec<u64>)> {
-                let exec = <Self as $crate::Backend<_, Vec<Vec<u64>>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-
-            fn run_nested_loop_prepared(
-                &self,
-                prog: &$crate::conformance::NestedLoopProg,
-                runs: &[Vec<Vec<i64>>],
-            ) -> Vec<(i64, Vec<Vec<i64>>)> {
-                let exec = <Self as $crate::Backend<_, Vec<Vec<i64>>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-
-            fn run_itermem_then_prepared(
-                &self,
-                prog: &$crate::conformance::LoopThenProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                let exec = <Self as $crate::Backend<_, Vec<i64>>>::prepare(self, prog);
-                runs.iter()
-                    .map(|x| $out($crate::Executable::run(&exec, x.clone())))
-                    .collect()
-            }
-        }
-    };
+    /// The farm's items are spread over every worker process
+    /// ([`DistBackend::run_df_sharded`]).
+    fn run_on_fleet(&self, fleet: &DistBackend, xs: &[i64]) -> Result<Receipted<i64>, DistError> {
+        let (output, receipt) = fleet.run_df_sharded(self.workers(), xs)?;
+        Ok(Receipted { output, receipt })
+    }
 }
 
-host_harness!(SeqBackend, "SeqBackend");
-host_harness!(PoolBackend, "PoolBackend");
-host_harness!(crate::HostBackend, "HostBackend");
-host_harness!(crate::dist::ShardBackend, "ShardBackend");
+impl Catalog for ScmProg {
+    const CASE: &'static str = "scm";
+    const BUILD: fn(usize) -> Self = scm_case;
+    type Entry = Vec<i64>;
+    type Input<'a> = &'a Vec<i64>;
+    type Out = Vec<i64>;
+
+    fn degree(&self) -> usize {
+        self.workers()
+    }
+
+    fn input(entry: &Vec<i64>) -> &Vec<i64> {
+        entry
+    }
+}
+
+impl Catalog for TfProg {
+    const CASE: &'static str = "tf";
+    const BUILD: fn(usize) -> Self = tf_case;
+    type Entry = Vec<u64>;
+    type Input<'a> = Vec<u64>;
+    type Out = u64;
+
+    fn degree(&self) -> usize {
+        self.workers()
+    }
+
+    fn input(entry: &Vec<u64>) -> Vec<u64> {
+        entry.clone()
+    }
+}
+
+impl Catalog for ThenProg {
+    const CASE: &'static str = "then";
+    const BUILD: fn(usize) -> Self = then_case;
+    type Entry = Vec<i64>;
+    type Input<'a> = &'a [i64];
+    type Out = (i64, i64);
+
+    fn degree(&self) -> usize {
+        self.first().workers()
+    }
+
+    fn input(entry: &Vec<i64>) -> &[i64] {
+        entry
+    }
+}
+
+impl Catalog for LoopProg {
+    const CASE: &'static str = "itermem";
+    const BUILD: fn(usize) -> Self = itermem_case;
+    type Entry = Vec<i64>;
+    type Input<'a> = Vec<i64>;
+    type Out = (i64, Vec<i64>);
+
+    fn degree(&self) -> usize {
+        self.body().workers()
+    }
+
+    fn input(entry: &Vec<i64>) -> Vec<i64> {
+        entry.clone()
+    }
+}
+
+impl Catalog for LoopDfProg {
+    const CASE: &'static str = "itermem_df";
+    const BUILD: fn(usize) -> Self = itermem_df_case;
+    type Entry = Vec<Vec<i64>>;
+    type Input<'a> = Vec<Vec<i64>>;
+    type Out = (i64, Vec<i64>);
+
+    fn degree(&self) -> usize {
+        self.body().workers()
+    }
+
+    fn input(entry: &Vec<Vec<i64>>) -> Vec<Vec<i64>> {
+        entry.clone()
+    }
+}
+
+impl Catalog for LoopTfProg {
+    const CASE: &'static str = "itermem_tf";
+    const BUILD: fn(usize) -> Self = itermem_tf_case;
+    type Entry = Vec<Vec<u64>>;
+    type Input<'a> = Vec<Vec<u64>>;
+    type Out = (u64, Vec<u64>);
+
+    fn degree(&self) -> usize {
+        self.body().workers()
+    }
+
+    fn input(entry: &Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+        entry.clone()
+    }
+}
+
+impl Catalog for NestedLoopProg {
+    const CASE: &'static str = "nested_loop";
+    const BUILD: fn(usize) -> Self = nested_loop_case;
+    type Entry = Vec<Vec<i64>>;
+    type Input<'a> = Vec<Vec<i64>>;
+    type Out = (i64, Vec<Vec<i64>>);
+
+    fn degree(&self) -> usize {
+        self.body().body().workers()
+    }
+
+    fn input(entry: &Vec<Vec<i64>>) -> Vec<Vec<i64>> {
+        entry.clone()
+    }
+}
+
+impl Catalog for LoopThenProg {
+    const CASE: &'static str = "itermem_then";
+    const BUILD: fn(usize) -> Self = itermem_then_case;
+    type Entry = Vec<i64>;
+    type Input<'a> = Vec<i64>;
+    type Out = (i64, Vec<i64>);
+
+    fn degree(&self) -> usize {
+        self.body().first().workers()
+    }
+
+    fn input(entry: &Vec<i64>) -> Vec<i64> {
+        entry.clone()
+    }
+}
+
+/// How the kit reads what one run returned: the output, with the receipt
+/// the run computed itself if it returned one, or the error that failed
+/// the run (failing to execute a case *is* a conformance failure).
+pub trait Outcome<T> {
+    /// The output and the run's own receipt, or the run's error.
+    fn settle(self) -> Result<(T, Option<RunReceipt>), String>;
+}
+
+/// A bare output, as the host backends return it.
+impl<T> Outcome<T> for T {
+    fn settle(self) -> Result<(T, Option<RunReceipt>), String> {
+        Ok((self, None))
+    }
+}
+
+/// A fallible run's result, e.g. `SimBackend`'s.
+impl<T, E: Display> Outcome<T> for Result<T, E> {
+    fn settle(self) -> Result<(T, Option<RunReceipt>), String> {
+        self.map(|out| (out, None)).map_err(|e| e.to_string())
+    }
+}
+
+/// A fallible run that brings its own receipt, e.g. [`DistBackend`]'s.
+impl<T, E: Display> Outcome<T> for Result<Receipted<T>, E> {
+    fn settle(self) -> Result<(T, Option<RunReceipt>), String> {
+        self.map(|r| (r.output, Some(r.receipt)))
+            .map_err(|e| e.to_string())
+    }
+}
+
+/// A backend that can prepare and run every program of the case catalog,
+/// with a run result [`Outcome`] can read: the kit's bound. It is
+/// implemented for every such backend, so a backend conforms through the
+/// [`Backend`] impls it already has. `Debug` names the backend in failure
+/// messages.
+pub trait Conformant:
+    Debug
+    + for<'a> Backend<DfProg, &'a [i64], Output: Outcome<i64>>
+    + for<'a> Backend<ScmProg, &'a Vec<i64>, Output: Outcome<Vec<i64>>>
+    + Backend<TfProg, Vec<u64>, Output: Outcome<u64>>
+    + for<'a> Backend<ThenProg, &'a [i64], Output: Outcome<(i64, i64)>>
+    + Backend<LoopProg, Vec<i64>, Output: Outcome<(i64, Vec<i64>)>>
+    + Backend<LoopDfProg, Vec<Vec<i64>>, Output: Outcome<(i64, Vec<i64>)>>
+    + Backend<LoopTfProg, Vec<Vec<u64>>, Output: Outcome<(u64, Vec<u64>)>>
+    + Backend<NestedLoopProg, Vec<Vec<i64>>, Output: Outcome<(i64, Vec<Vec<i64>>)>>
+    + Backend<LoopThenProg, Vec<i64>, Output: Outcome<(i64, Vec<i64>)>>
+{
+}
+
+impl<B> Conformant for B where
+    B: ?Sized
+        + Debug
+        + for<'a> Backend<DfProg, &'a [i64], Output: Outcome<i64>>
+        + for<'a> Backend<ScmProg, &'a Vec<i64>, Output: Outcome<Vec<i64>>>
+        + Backend<TfProg, Vec<u64>, Output: Outcome<u64>>
+        + for<'a> Backend<ThenProg, &'a [i64], Output: Outcome<(i64, i64)>>
+        + Backend<LoopProg, Vec<i64>, Output: Outcome<(i64, Vec<i64>)>>
+        + Backend<LoopDfProg, Vec<Vec<i64>>, Output: Outcome<(i64, Vec<i64>)>>
+        + Backend<LoopTfProg, Vec<Vec<u64>>, Output: Outcome<(u64, Vec<u64>)>>
+        + Backend<NestedLoopProg, Vec<Vec<i64>>, Output: Outcome<(i64, Vec<Vec<i64>>)>>
+        + Backend<LoopThenProg, Vec<i64>, Output: Outcome<(i64, Vec<i64>)>>
+{
+}
+
+/// Runs one case on `backend` and asserts every output equal to
+/// [`SeqBackend`]'s: each entry of `matrix` fresh through
+/// [`Backend::run`], under a receipt scope, then — the
+/// **prepared-equivalence axis** — the matrix twice on one
+/// [`Backend::prepare`]d executable, so state leaking from one run into
+/// the next, or a per-run re-derivation going wrong, shows. Returns each
+/// fresh run's receipt: the one the run brought back itself if any, else
+/// the scope's.
+fn check<P, B>(prog: &P, backend: &B, matrix: &[P::Entry]) -> Vec<RunReceipt>
+where
+    P: Catalog,
+    B: ?Sized + Debug + for<'a> Backend<P, P::Input<'a>, Output: Outcome<P::Out>>,
+{
+    let (case, workers) = (P::CASE, prog.degree());
+    let on = |entry: &P::Entry| format!("on `{backend:?}` (workers={workers}, input {entry:?})");
+    let golden = |entry: &P::Entry| SeqBackend.run(prog, P::input(entry));
+    let receipts = matrix
+        .iter()
+        .map(|entry| {
+            let mut own = None;
+            let (out, scoped) = receipted(entry, || {
+                let (out, receipt) = backend
+                    .run(prog, P::input(entry))
+                    .settle()
+                    .unwrap_or_else(|e| panic!("{case} run failed {}: {e}", on(entry)));
+                own = receipt;
+                out
+            });
+            assert_eq!(
+                out,
+                golden(entry),
+                "{case} conformance failed {}",
+                on(entry)
+            );
+            own.unwrap_or(scoped)
+        })
+        .collect();
+    let exec = backend.prepare(prog);
+    for (k, entry) in matrix.iter().chain(matrix).enumerate() {
+        let (out, _) = exec
+            .run(P::input(entry))
+            .settle()
+            .unwrap_or_else(|e| panic!("{case} prepared run #{k} failed {}: {e}", on(entry)));
+        assert_eq!(
+            out,
+            golden(entry),
+            "{case} prepared-conformance failed {}, run #{k}: a prepared executable must keep \
+             matching fresh golden runs",
+            on(entry)
+        );
+    }
+    receipts
+}
+
+/// [`check`]s one case on `a` and, when given, on `b`, and asserts their
+/// receipts equal entry by entry.
+fn check_pair<P, A, B>(prog: &P, a: &A, b: Option<&B>, matrix: &[P::Entry])
+where
+    P: Catalog,
+    A: ?Sized + Debug + for<'a> Backend<P, P::Input<'a>, Output: Outcome<P::Out>>,
+    B: ?Sized + Debug + for<'a> Backend<P, P::Input<'a>, Output: Outcome<P::Out>>,
+{
+    let receipts = check(prog, a, matrix);
+    let Some(b) = b else {
+        return;
+    };
+    let pairs = receipts.into_iter().zip(check(prog, b, matrix));
+    for (entry, (ra, rb)) in matrix.iter().zip(pairs) {
+        assert_eq!(
+            ra,
+            rb,
+            "{} receipts diverged between `{a:?}` and `{b:?}` (workers={}, input {entry:?})",
+            P::CASE,
+            prog.degree()
+        );
+    }
+}
+
+/// Every case of the catalog, at every [`worker_counts`] entry, on `a`
+/// and, when given, on `b` ([`check_pair`]).
+fn sweep<A, B>(a: &A, b: Option<&B>)
+where
+    A: ?Sized + Conformant,
+    B: ?Sized + Conformant,
+{
+    for &w in &worker_counts() {
+        check_pair(&df_case(w), a, b, &list_inputs());
+        check_pair(&scm_case(w), a, b, &list_inputs());
+        check_pair(&tf_case(w), a, b, &root_inputs());
+        check_pair(&then_case(w), a, b, &list_inputs());
+        check_pair(&itermem_case(w), a, b, &frame_inputs());
+        check_pair(&itermem_df_case(w), a, b, &list_frame_inputs());
+        check_pair(&itermem_tf_case(w), a, b, &root_frame_inputs());
+        check_pair(&nested_loop_case(w), a, b, &burst_inputs());
+        check_pair(&itermem_then_case(w), a, b, &frame_inputs());
+    }
+}
+
+/// Runs the full contract: every skeleton and composition case —
+/// including `df`/`tf` as stream-loop bodies, nested loops and
+/// then-inside-loop pipelines — across the whole input matrix and every
+/// [`worker_counts`] entry, asserting agreement with [`SeqBackend`]
+/// golden results; then the **prepared-equivalence axis**, where each
+/// case is prepared once and its whole input matrix is run **twice** on
+/// the one executable. Panics on the first divergence, naming the case,
+/// the backend, the worker count and the input.
+pub fn assert_backend_conforms<B: ?Sized + Conformant>(backend: &B) {
+    sweep(backend, None::<&SeqBackend>);
+}
+
+/// The **receipt axis** of the contract: both backends must pass
+/// [`assert_backend_conforms`], and for every case, every input of the
+/// matrix and every [`worker_counts`] entry their fresh runs must leave
+/// the same full [`RunReceipt`] — equal `input_hash` (they hashed the
+/// same canonical bytes), equal `trace_hash` (they made the same logical
+/// scheduling decisions) and equal `output_hash`.
+///
+/// Each run is made under a [`crate::receipt`] scope on the calling
+/// thread, which is right for every in-process backend: the canonical
+/// trace is recorded at dispatch on the master thread. A run that brings
+/// its own receipt wins over the scope: [`DistBackend`]'s runs return
+/// the receipts its worker *processes* computed and shipped back over the
+/// wire, and the axis holds those to equality too.
+pub fn assert_receipts_match<A, B>(a: &A, b: &B)
+where
+    A: ?Sized + Conformant,
+    B: ?Sized + Conformant,
+{
+    sweep(a, Some(b));
+}
 
 /// The worker counts the suite sweeps: 1 (degenerate scheduling), 2, the
 /// host default ([`default_workers`]) and the environment override
@@ -585,518 +684,6 @@ fn burst_inputs() -> Vec<Vec<Vec<i64>>> {
         vec![vec![7]],
         vec![vec![1, -2], Vec::new(), vec![3, -4, 5]],
     ]
-}
-
-/// Checks the `df` contract for one worker count.
-pub fn check_df<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = df_case(workers);
-    for xs in list_inputs() {
-        let golden = SeqBackend.run(&prog, &xs[..]);
-        let got = h.run_df(&prog, &xs[..]);
-        assert_eq!(
-            got,
-            golden,
-            "df conformance failed on `{}` (workers={workers}, {} item(s))",
-            h.name(),
-            xs.len()
-        );
-    }
-}
-
-/// Checks the `scm` contract for one worker count.
-pub fn check_scm<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = scm_case(workers);
-    for xs in list_inputs() {
-        let golden = SeqBackend.run(&prog, &xs);
-        let got = h.run_scm(&prog, &xs);
-        assert_eq!(
-            got,
-            golden,
-            "scm conformance failed on `{}` (workers={workers}, {} item(s))",
-            h.name(),
-            xs.len()
-        );
-    }
-}
-
-/// Checks the `tf` contract for one worker count.
-pub fn check_tf<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = tf_case(workers);
-    for roots in root_inputs() {
-        let golden = SeqBackend.run(&prog, roots.clone());
-        let got = h.run_tf(&prog, roots.clone());
-        assert_eq!(
-            got,
-            golden,
-            "tf conformance failed on `{}` (workers={workers}, {} root(s))",
-            h.name(),
-            roots.len()
-        );
-    }
-}
-
-/// Checks the `then`-composition contract for one worker count.
-pub fn check_then<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = then_case(workers);
-    for xs in list_inputs() {
-        let golden = SeqBackend.run(&prog, &xs[..]);
-        let got = h.run_then(&prog, &xs[..]);
-        assert_eq!(
-            got,
-            golden,
-            "then conformance failed on `{}` (workers={workers}, {} item(s))",
-            h.name(),
-            xs.len()
-        );
-    }
-}
-
-/// Checks the `itermem`-nesting contract for one worker count.
-pub fn check_itermem<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_case(workers);
-    for frames in frame_inputs() {
-        let golden = SeqBackend.run(&prog, frames.clone());
-        let got = h.run_itermem(&prog, frames.clone());
-        assert_eq!(
-            got,
-            golden,
-            "itermem conformance failed on `{}` (workers={workers}, {} frame(s))",
-            h.name(),
-            frames.len()
-        );
-    }
-}
-
-/// Checks the `itermem(df)` contract for one worker count.
-pub fn check_itermem_df<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_df_case(workers);
-    for frames in list_frame_inputs() {
-        let golden = SeqBackend.run(&prog, frames.clone());
-        let got = h.run_itermem_df(&prog, frames.clone());
-        assert_eq!(
-            got,
-            golden,
-            "itermem(df) conformance failed on `{}` (workers={workers}, {} frame(s))",
-            h.name(),
-            frames.len()
-        );
-    }
-}
-
-/// Checks the `itermem(tf)` contract for one worker count.
-pub fn check_itermem_tf<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_tf_case(workers);
-    for frames in root_frame_inputs() {
-        let golden = SeqBackend.run(&prog, frames.clone());
-        let got = h.run_itermem_tf(&prog, frames.clone());
-        assert_eq!(
-            got,
-            golden,
-            "itermem(tf) conformance failed on `{}` (workers={workers}, {} frame(s))",
-            h.name(),
-            frames.len()
-        );
-    }
-}
-
-/// Checks the nested-loop contract for one worker count.
-pub fn check_nested_loop<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = nested_loop_case(workers);
-    for bursts in burst_inputs() {
-        let golden = SeqBackend.run(&prog, bursts.clone());
-        let got = h.run_nested_loop(&prog, bursts.clone());
-        assert_eq!(
-            got,
-            golden,
-            "nested-loop conformance failed on `{}` (workers={workers}, {} burst(s))",
-            h.name(),
-            bursts.len()
-        );
-    }
-}
-
-/// Checks the then-inside-loop contract for one worker count.
-pub fn check_itermem_then<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_then_case(workers);
-    for frames in frame_inputs() {
-        let golden = SeqBackend.run(&prog, frames.clone());
-        let got = h.run_itermem_then(&prog, frames.clone());
-        assert_eq!(
-            got,
-            golden,
-            "then-inside-loop conformance failed on `{}` (workers={workers}, {} frame(s))",
-            h.name(),
-            frames.len()
-        );
-    }
-}
-
-/// Doubles an input matrix: the prepared axis runs every input twice on
-/// one executable, so state leaking from any run into the next — or a
-/// per-run re-derivation going wrong — shows up as a divergence.
-fn doubled<T: Clone>(inputs: Vec<T>) -> Vec<T> {
-    let mut runs = inputs.clone();
-    runs.extend(inputs);
-    runs
-}
-
-/// Shared assertion for the prepared axis: one output per run, each
-/// matching the per-input [`SeqBackend`] golden result.
-fn check_prepared_outputs<In, Out>(
-    name: &str,
-    case: &str,
-    workers: usize,
-    runs: &[In],
-    got: &[Out],
-    golden: impl Fn(&In) -> Out,
-) where
-    Out: PartialEq + std::fmt::Debug,
-{
-    assert_eq!(
-        got.len(),
-        runs.len(),
-        "{case} prepared-conformance on `{name}` returned {} output(s) for {} run(s) \
-         (workers={workers})",
-        got.len(),
-        runs.len()
-    );
-    for (k, (input, out)) in runs.iter().zip(got).enumerate() {
-        assert_eq!(
-            *out,
-            golden(input),
-            "{case} prepared-conformance failed on `{name}` (workers={workers}, run #{k}): \
-             a prepared executable must keep matching fresh golden runs",
-        );
-    }
-}
-
-/// Checks the prepared-equivalence contract for the `df` case.
-pub fn check_df_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = df_case(workers);
-    let runs = doubled(list_inputs());
-    let got = h.run_df_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "df", workers, &runs, &got, |xs| {
-        SeqBackend.run(&prog, &xs[..])
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `scm` case.
-pub fn check_scm_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = scm_case(workers);
-    let runs = doubled(list_inputs());
-    let got = h.run_scm_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "scm", workers, &runs, &got, |xs| {
-        SeqBackend.run(&prog, xs)
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `tf` case.
-pub fn check_tf_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = tf_case(workers);
-    let runs = doubled(root_inputs());
-    let got = h.run_tf_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "tf", workers, &runs, &got, |roots| {
-        SeqBackend.run(&prog, roots.clone())
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `then` case.
-pub fn check_then_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = then_case(workers);
-    let runs = doubled(list_inputs());
-    let got = h.run_then_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "then", workers, &runs, &got, |xs| {
-        SeqBackend.run(&prog, &xs[..])
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `itermem` case.
-pub fn check_itermem_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_case(workers);
-    let runs = doubled(frame_inputs());
-    let got = h.run_itermem_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "itermem", workers, &runs, &got, |frames| {
-        SeqBackend.run(&prog, frames.clone())
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `itermem(df)` case.
-pub fn check_itermem_df_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_df_case(workers);
-    let runs = doubled(list_frame_inputs());
-    let got = h.run_itermem_df_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "itermem(df)", workers, &runs, &got, |frames| {
-        SeqBackend.run(&prog, frames.clone())
-    });
-}
-
-/// Checks the prepared-equivalence contract for the `itermem(tf)` case.
-pub fn check_itermem_tf_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_tf_case(workers);
-    let runs = doubled(root_frame_inputs());
-    let got = h.run_itermem_tf_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "itermem(tf)", workers, &runs, &got, |frames| {
-        SeqBackend.run(&prog, frames.clone())
-    });
-}
-
-/// Checks the prepared-equivalence contract for the nested-loop case.
-pub fn check_nested_loop_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = nested_loop_case(workers);
-    let runs = doubled(burst_inputs());
-    let got = h.run_nested_loop_prepared(&prog, &runs);
-    check_prepared_outputs(&h.name(), "nested-loop", workers, &runs, &got, |bursts| {
-        SeqBackend.run(&prog, bursts.clone())
-    });
-}
-
-/// Checks the prepared-equivalence contract for the then-inside-loop
-/// case.
-pub fn check_itermem_then_prepared<H: ConformanceHarness>(h: &H, workers: usize) {
-    let prog = itermem_then_case(workers);
-    let runs = doubled(frame_inputs());
-    let got = h.run_itermem_then_prepared(&prog, &runs);
-    check_prepared_outputs(
-        &h.name(),
-        "then-inside-loop",
-        workers,
-        &runs,
-        &got,
-        |frames| SeqBackend.run(&prog, frames.clone()),
-    );
-}
-
-/// Runs the full contract: every skeleton and composition case —
-/// including `df`/`tf` as stream-loop bodies, nested loops and
-/// then-inside-loop pipelines — across the whole input matrix and every
-/// [`worker_counts`] entry, asserting agreement with [`SeqBackend`]
-/// golden results; then the **prepared-equivalence axis**, where each
-/// case is prepared once and its whole input matrix is run **twice** on
-/// the one executable. Panics with a case-identifying message on the
-/// first divergence.
-pub fn assert_backend_conforms<H: ConformanceHarness>(h: &H) {
-    for &workers in &worker_counts() {
-        check_df(h, workers);
-        check_scm(h, workers);
-        check_tf(h, workers);
-        check_then(h, workers);
-        check_itermem(h, workers);
-        check_itermem_df(h, workers);
-        check_itermem_tf(h, workers);
-        check_nested_loop(h, workers);
-        check_itermem_then(h, workers);
-        check_df_prepared(h, workers);
-        check_scm_prepared(h, workers);
-        check_tf_prepared(h, workers);
-        check_then_prepared(h, workers);
-        check_itermem_prepared(h, workers);
-        check_itermem_df_prepared(h, workers);
-        check_itermem_tf_prepared(h, workers);
-        check_nested_loop_prepared(h, workers);
-        check_itermem_then_prepared(h, workers);
-    }
-}
-
-/// The **receipt axis** of the contract: every conformance case run
-/// under a [`crate::receipt`] scope, yielding the output *plus* a
-/// [`RunReceipt`].
-///
-/// The default methods wrap the plain [`ConformanceHarness`] runs in
-/// [`receipted`] on the calling thread — correct for every in-process
-/// backend, because the canonical trace is recorded at dispatch on the
-/// master thread. [`crate::DistBackend`] overrides them to return the
-/// receipts its worker *processes* computed and shipped back over the
-/// wire — which is the whole point of the axis: the receipts must still
-/// be identical.
-pub trait ReceiptHarness: ConformanceHarness {
-    /// Runs the [`df_case`] under a receipt scope.
-    fn receipt_df(&self, prog: &DfProg, xs: &[i64]) -> (i64, RunReceipt) {
-        receipted(xs, || self.run_df(prog, xs))
-    }
-
-    /// Runs the [`scm_case`] under a receipt scope.
-    #[allow(clippy::ptr_arg)] // `&Vec` is the program's input type.
-    fn receipt_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> (Vec<i64>, RunReceipt) {
-        receipted(input, || self.run_scm(prog, input))
-    }
-
-    /// Runs the [`tf_case`] under a receipt scope.
-    fn receipt_tf(&self, prog: &TfProg, roots: Vec<u64>) -> (u64, RunReceipt) {
-        receipted(&roots, || self.run_tf(prog, roots.clone()))
-    }
-
-    /// Runs the [`then_case`] under a receipt scope.
-    fn receipt_then(&self, prog: &ThenProg, xs: &[i64]) -> ((i64, i64), RunReceipt) {
-        receipted(xs, || self.run_then(prog, xs))
-    }
-
-    /// Runs the [`itermem_case`] under a receipt scope.
-    fn receipt_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> ((i64, Vec<i64>), RunReceipt) {
-        receipted(&frames, || self.run_itermem(prog, frames.clone()))
-    }
-
-    /// Runs the [`itermem_df_case`] under a receipt scope.
-    fn receipt_itermem_df(
-        &self,
-        prog: &LoopDfProg,
-        frames: Vec<Vec<i64>>,
-    ) -> ((i64, Vec<i64>), RunReceipt) {
-        receipted(&frames, || self.run_itermem_df(prog, frames.clone()))
-    }
-
-    /// Runs the [`itermem_tf_case`] under a receipt scope.
-    fn receipt_itermem_tf(
-        &self,
-        prog: &LoopTfProg,
-        frames: Vec<Vec<u64>>,
-    ) -> ((u64, Vec<u64>), RunReceipt) {
-        receipted(&frames, || self.run_itermem_tf(prog, frames.clone()))
-    }
-
-    /// Runs the [`nested_loop_case`] under a receipt scope.
-    fn receipt_nested_loop(
-        &self,
-        prog: &NestedLoopProg,
-        bursts: Vec<Vec<i64>>,
-    ) -> ((i64, Vec<Vec<i64>>), RunReceipt) {
-        receipted(&bursts, || self.run_nested_loop(prog, bursts.clone()))
-    }
-
-    /// Runs the [`itermem_then_case`] under a receipt scope.
-    fn receipt_itermem_then(
-        &self,
-        prog: &LoopThenProg,
-        frames: Vec<i64>,
-    ) -> ((i64, Vec<i64>), RunReceipt) {
-        receipted(&frames, || self.run_itermem_then(prog, frames.clone()))
-    }
-}
-
-impl ReceiptHarness for SeqBackend {}
-impl ReceiptHarness for PoolBackend {}
-impl ReceiptHarness for crate::HostBackend {}
-impl ReceiptHarness for crate::dist::ShardBackend {}
-
-/// Asserts the receipt axis across two harnesses: for every conformance
-/// case, every input of the matrix and every [`worker_counts`] entry,
-/// both backends must produce the same output **and** the same full
-/// [`RunReceipt`] — equal `input_hash` (they hashed the same canonical
-/// bytes), equal `trace_hash` (they made the same logical scheduling
-/// decisions) and equal `output_hash`. Panics with a case-identifying
-/// message on the first divergence.
-pub fn assert_receipts_match<A: ReceiptHarness, B: ReceiptHarness>(a: &A, b: &B) {
-    fn check<O: PartialEq + std::fmt::Debug>(
-        case: &str,
-        workers: usize,
-        names: (&str, &str),
-        (ao, ar): (O, RunReceipt),
-        (bo, br): (O, RunReceipt),
-    ) {
-        assert_eq!(
-            ao, bo,
-            "{case} outputs diverged between `{}` and `{}` (workers={workers})",
-            names.0, names.1
-        );
-        assert_eq!(
-            ar, br,
-            "{case} receipts diverged between `{}` and `{}` (workers={workers})",
-            names.0, names.1
-        );
-    }
-    let names = (a.name(), b.name());
-    let names = (names.0.as_str(), names.1.as_str());
-    for &workers in &worker_counts() {
-        let prog = df_case(workers);
-        for xs in list_inputs() {
-            check(
-                "df",
-                workers,
-                names,
-                a.receipt_df(&prog, &xs),
-                b.receipt_df(&prog, &xs),
-            );
-        }
-        let prog = scm_case(workers);
-        for xs in list_inputs() {
-            check(
-                "scm",
-                workers,
-                names,
-                a.receipt_scm(&prog, &xs),
-                b.receipt_scm(&prog, &xs),
-            );
-        }
-        let prog = tf_case(workers);
-        for roots in root_inputs() {
-            check(
-                "tf",
-                workers,
-                names,
-                a.receipt_tf(&prog, roots.clone()),
-                b.receipt_tf(&prog, roots),
-            );
-        }
-        let prog = then_case(workers);
-        for xs in list_inputs() {
-            check(
-                "then",
-                workers,
-                names,
-                a.receipt_then(&prog, &xs),
-                b.receipt_then(&prog, &xs),
-            );
-        }
-        let prog = itermem_case(workers);
-        for frames in frame_inputs() {
-            check(
-                "itermem",
-                workers,
-                names,
-                a.receipt_itermem(&prog, frames.clone()),
-                b.receipt_itermem(&prog, frames),
-            );
-        }
-        let prog = itermem_df_case(workers);
-        for frames in list_frame_inputs() {
-            check(
-                "itermem(df)",
-                workers,
-                names,
-                a.receipt_itermem_df(&prog, frames.clone()),
-                b.receipt_itermem_df(&prog, frames),
-            );
-        }
-        let prog = itermem_tf_case(workers);
-        for frames in root_frame_inputs() {
-            check(
-                "itermem(tf)",
-                workers,
-                names,
-                a.receipt_itermem_tf(&prog, frames.clone()),
-                b.receipt_itermem_tf(&prog, frames),
-            );
-        }
-        let prog = nested_loop_case(workers);
-        for bursts in burst_inputs() {
-            check(
-                "nested loop",
-                workers,
-                names,
-                a.receipt_nested_loop(&prog, bursts.clone()),
-                b.receipt_nested_loop(&prog, bursts),
-            );
-        }
-        let prog = itermem_then_case(workers);
-        for frames in frame_inputs() {
-            check(
-                "itermem(then)",
-                workers,
-                names,
-                a.receipt_itermem_then(&prog, frames.clone()),
-                b.receipt_itermem_then(&prog, frames),
-            );
-        }
-    }
 }
 
 /// The serving conformance axis: N streams served *concurrently* through
@@ -1213,6 +800,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, UnwindSafe};
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + UnwindSafe) -> String {
+        let payload = catch_unwind(f).expect_err("the kit must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
 
     #[test]
     fn seq_backend_conforms_to_itself() {
@@ -1254,122 +852,110 @@ mod tests {
         assert_eq!(itermem_case(4).body().workers(), 4);
     }
 
+    /// A deliberately broken `df` backend. With `drop_seed`, fresh runs
+    /// lose the accumulator's initial value. Its prepared executable runs
+    /// true over the first pass of the matrix, then drifts, as one that
+    /// leaks state from run to run would.
+    #[derive(Debug)]
+    struct Broken {
+        drop_seed: bool,
+    }
+
+    struct Drifting<'p> {
+        prog: &'p DfProg,
+        runs: Cell<usize>,
+    }
+
+    impl<'a> Executable<&'a [i64]> for Drifting<'_> {
+        type Output = i64;
+
+        fn run(&self, xs: &'a [i64]) -> i64 {
+            let k = self.runs.replace(self.runs.get() + 1);
+            SeqBackend.run(self.prog, xs) + (k / list_inputs().len()) as i64
+        }
+    }
+
+    impl<'a> Backend<DfProg, &'a [i64]> for Broken {
+        type Output = i64;
+
+        type Prepared<'p> = Drifting<'p>;
+
+        fn prepare<'p>(&'p self, prog: &'p DfProg) -> Drifting<'p> {
+            let runs = Cell::new(0);
+            Drifting { prog, runs }
+        }
+
+        fn run(&self, prog: &DfProg, xs: &'a [i64]) -> i64 {
+            let seed = if self.drop_seed { *prog.init() } else { 0 };
+            self.prepare(prog).run(xs) - seed
+        }
+    }
+
     #[test]
     fn a_divergent_backend_is_caught() {
-        // A deliberately broken harness: drops the df initial accumulator.
-        struct Broken;
-        impl ConformanceHarness for Broken {
-            fn name(&self) -> String {
-                "Broken".into()
-            }
-            fn run_df(&self, prog: &DfProg, xs: &[i64]) -> i64 {
-                SeqBackend.run(prog, xs) - prog.init()
-            }
-            fn run_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> Vec<i64> {
-                SeqBackend.run(prog, input)
-            }
-            fn run_tf(&self, prog: &TfProg, roots: Vec<u64>) -> u64 {
-                SeqBackend.run(prog, roots)
-            }
-            fn run_then(&self, prog: &ThenProg, xs: &[i64]) -> (i64, i64) {
-                SeqBackend.run(prog, xs)
-            }
-            fn run_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-                SeqBackend.run(prog, frames)
-            }
-            fn run_itermem_df(&self, prog: &LoopDfProg, frames: Vec<Vec<i64>>) -> (i64, Vec<i64>) {
-                SeqBackend.run(prog, frames)
-            }
-            fn run_itermem_tf(&self, prog: &LoopTfProg, frames: Vec<Vec<u64>>) -> (u64, Vec<u64>) {
-                SeqBackend.run(prog, frames)
-            }
-            fn run_nested_loop(
-                &self,
-                prog: &NestedLoopProg,
-                bursts: Vec<Vec<i64>>,
-            ) -> (i64, Vec<Vec<i64>>) {
-                SeqBackend.run(prog, bursts)
-            }
-            fn run_itermem_then(&self, prog: &LoopThenProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-                SeqBackend.run(prog, frames)
-            }
-            fn run_df_prepared(&self, prog: &DfProg, runs: &[Vec<i64>]) -> Vec<i64> {
-                // Divergent on the prepared axis only: the second pass
-                // over the matrix drifts, as a state-leaking executable
-                // would.
-                runs.iter()
-                    .enumerate()
-                    .map(|(k, xs)| SeqBackend.run(prog, &xs[..]) + (k / 4) as i64)
-                    .collect()
-            }
-            fn run_scm_prepared(&self, prog: &ScmProg, runs: &[Vec<i64>]) -> Vec<Vec<i64>> {
-                runs.iter().map(|xs| SeqBackend.run(prog, xs)).collect()
-            }
-            fn run_tf_prepared(&self, prog: &TfProg, runs: &[Vec<u64>]) -> Vec<u64> {
-                runs.iter()
-                    .map(|roots| SeqBackend.run(prog, roots.clone()))
-                    .collect()
-            }
-            fn run_then_prepared(&self, prog: &ThenProg, runs: &[Vec<i64>]) -> Vec<(i64, i64)> {
-                runs.iter()
-                    .map(|xs| SeqBackend.run(prog, &xs[..]))
-                    .collect()
-            }
-            fn run_itermem_prepared(
-                &self,
-                prog: &LoopProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                runs.iter()
-                    .map(|frames| SeqBackend.run(prog, frames.clone()))
-                    .collect()
-            }
-            fn run_itermem_df_prepared(
-                &self,
-                prog: &LoopDfProg,
-                runs: &[Vec<Vec<i64>>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                runs.iter()
-                    .map(|frames| SeqBackend.run(prog, frames.clone()))
-                    .collect()
-            }
-            fn run_itermem_tf_prepared(
-                &self,
-                prog: &LoopTfProg,
-                runs: &[Vec<Vec<u64>>],
-            ) -> Vec<(u64, Vec<u64>)> {
-                runs.iter()
-                    .map(|frames| SeqBackend.run(prog, frames.clone()))
-                    .collect()
-            }
-            fn run_nested_loop_prepared(
-                &self,
-                prog: &NestedLoopProg,
-                runs: &[Vec<Vec<i64>>],
-            ) -> Vec<(i64, Vec<Vec<i64>>)> {
-                runs.iter()
-                    .map(|bursts| SeqBackend.run(prog, bursts.clone()))
-                    .collect()
-            }
-            fn run_itermem_then_prepared(
-                &self,
-                prog: &LoopThenProg,
-                runs: &[Vec<i64>],
-            ) -> Vec<(i64, Vec<i64>)> {
-                runs.iter()
-                    .map(|frames| SeqBackend.run(prog, frames.clone()))
-                    .collect()
-            }
-        }
-        let caught = std::panic::catch_unwind(|| check_df(&Broken, 2));
-        assert!(caught.is_err(), "the kit must flag a divergent backend");
-        // The prepared axis catches state leaking across runs of one
-        // executable: the first matrix pass is golden, the second drifts.
-        let caught = std::panic::catch_unwind(|| check_df_prepared(&Broken, 2));
+        let prog = df_case(2);
+        let broken = Broken { drop_seed: true };
+        let msg = panic_message(|| drop(check(&prog, &broken, &list_inputs())));
+        assert!(msg.contains("df conformance failed"), "{msg}");
+        assert!(msg.contains("Broken") && msg.contains("workers=2"), "{msg}");
+        // The prepared axis alone: every fresh run is right, and the
+        // first pass over the matrix too; the second pass drifts.
+        let leaky = Broken { drop_seed: false };
+        let msg = panic_message(|| drop(check(&prog, &leaky, &list_inputs())));
         assert!(
-            caught.is_err(),
-            "the prepared axis must flag run-to-run divergence"
+            msg.contains("df prepared-conformance failed") && msg.contains("run #4"),
+            "{msg}"
         );
+    }
+
+    /// Runs every program declaratively, as [`SeqBackend`] does in the
+    /// caller's receipt scope, and brings back its own receipt: Seq's,
+    /// with one output-hash bit flipped.
+    #[derive(Debug)]
+    struct Flipped;
+
+    struct FlippedRun<'p, P>(&'p P);
+
+    impl<P, I> Executable<I> for FlippedRun<'_, P>
+    where
+        P: Skeleton<I, Output: ToWire>,
+        I: Clone + ToWire,
+    {
+        type Output = Result<Receipted<P::Output>, std::convert::Infallible>;
+
+        fn run(&self, input: I) -> Self::Output {
+            let (_, mut receipt) = receipted(&input, || SeqBackend.run(self.0, input.clone()));
+            receipt.output_hash ^= 1;
+            let output = SeqBackend.run(self.0, input);
+            Ok(Receipted { output, receipt })
+        }
+    }
+
+    impl<P, I> Backend<P, I> for Flipped
+    where
+        P: Skeleton<I, Output: ToWire>,
+        I: Clone + ToWire,
+    {
+        type Output = Result<Receipted<P::Output>, std::convert::Infallible>;
+
+        type Prepared<'p>
+            = FlippedRun<'p, P>
+        where
+            P: 'p;
+
+        fn prepare<'p>(&'p self, prog: &'p P) -> FlippedRun<'p, P> {
+            FlippedRun(prog)
+        }
+    }
+
+    #[test]
+    fn the_receipt_axis_catches_one_flipped_output_hash_bit() {
+        // Its outputs are right, so the backend conforms, and the kit's
+        // scope records what Seq's would; only its own receipts, which
+        // win over the scope's, are off.
+        assert_backend_conforms(&Flipped);
+        let msg = panic_message(|| assert_receipts_match(&SeqBackend, &Flipped));
+        assert!(msg.contains("df receipts diverged"), "{msg}");
     }
 
     #[test]

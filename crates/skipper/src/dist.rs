@@ -23,10 +23,12 @@
 //!   with an orderly `shutdown`/`bye`. Every result carries the worker's
 //!   own [`RunReceipt`], so the master can
 //!   verify — not assume — that the remote schedule and output match the
-//!   local contract. Closures cannot cross a process boundary, so dist
-//!   jobs name programs from the [`crate::conformance`] case catalog
-//!   (`df`, `scm`, `tf`, `then`, `itermem`, ...) plus the worker degree;
-//!   the `df` case additionally supports a *map* path
+//!   local contract. Closures cannot cross a process boundary, so the
+//!   fleet runs the programs of the [`crate::conformance`] case catalog:
+//!   `DistBackend` is a [`Backend`] for each [`Catalog`] program, and a
+//!   job names the case (`df`, `scm`, `tf`, `then`, `itermem`, ...) plus
+//!   its farm degree. A run returns the output with the receipt the
+//!   worker computed. The `df` case runs on a *map* path
 //!   ([`DistBackend::run_df_sharded`]) that really spreads one farm's
 //!   items over all worker processes.
 //!
@@ -45,10 +47,13 @@
 //! dist.shutdown().unwrap();
 //! ```
 
-use crate::backend::{Backend, Dispatch};
+use crate::backend::{Backend, Dispatch, Executable};
+use crate::conformance::Catalog;
 use crate::pool::{PoolBackend, WorkerPool};
 use crate::program::Workers;
-use crate::receipt::{partition, receipted, wire_hash, RunReceipt, TraceEvent, WordHasher};
+use crate::receipt::{
+    partition, receipted, wire_hash, Receipted, RunReceipt, TraceEvent, WordHasher,
+};
 use crate::wire::{self, Cursor, FromWire, ToWire, WireValue};
 use std::io::{self, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -186,67 +191,39 @@ fn run_catalog(
     degree: usize,
     input: &WireValue,
 ) -> Result<(WireValue, RunReceipt), String> {
-    use crate::conformance as cases;
-    fn decode<T: FromWire>(input: &WireValue, case: &str) -> Result<T, String> {
-        T::from_wire(input).ok_or_else(|| format!("malformed input for case `{case}`"))
+    use crate::conformance::*;
+    type Reply = Result<(WireValue, RunReceipt), String>;
+    type Serve = fn(&PoolBackend, &str, usize, &WireValue) -> Option<Reply>;
+    /// Runs catalog case `P` if `case` names it.
+    fn serve<P: Catalog>(
+        pool: &PoolBackend,
+        case: &str,
+        degree: usize,
+        input: &WireValue,
+    ) -> Option<Reply> {
+        (case == P::CASE).then(|| {
+            let entry = P::Entry::from_wire(input)
+                .ok_or_else(|| format!("malformed input for case `{case}`"))?;
+            let prog = (P::BUILD)(degree);
+            let (out, receipt) = receipted(&entry, || pool.run(&prog, P::input(&entry)));
+            Ok((out.to_wire(), receipt))
+        })
     }
-    match case {
-        "df" => {
-            let xs: Vec<i64> = decode(input, case)?;
-            let prog = cases::df_case(degree);
-            let (out, r) = receipted(&xs, || pool.run(&prog, &xs[..]));
-            Ok((out.to_wire(), r))
-        }
-        "scm" => {
-            let xs: Vec<i64> = decode(input, case)?;
-            let prog = cases::scm_case(degree);
-            let (out, r) = receipted(&xs, || pool.run(&prog, &xs));
-            Ok((out.to_wire(), r))
-        }
-        "tf" => {
-            let roots: Vec<u64> = decode(input, case)?;
-            let prog = cases::tf_case(degree);
-            let (out, r) = receipted(&roots, || pool.run(&prog, roots.clone()));
-            Ok((out.to_wire(), r))
-        }
-        "then" => {
-            let xs: Vec<i64> = decode(input, case)?;
-            let prog = cases::then_case(degree);
-            let (out, r) = receipted(&xs, || pool.run(&prog, &xs[..]));
-            Ok((out.to_wire(), r))
-        }
-        "itermem" => {
-            let frames: Vec<i64> = decode(input, case)?;
-            let prog = cases::itermem_case(degree);
-            let (out, r) = receipted(&frames, || pool.run(&prog, frames.clone()));
-            Ok((out.to_wire(), r))
-        }
-        "itermem_df" => {
-            let frames: Vec<Vec<i64>> = decode(input, case)?;
-            let prog = cases::itermem_df_case(degree);
-            let (out, r) = receipted(&frames, || pool.run(&prog, frames.clone()));
-            Ok((out.to_wire(), r))
-        }
-        "itermem_tf" => {
-            let frames: Vec<Vec<u64>> = decode(input, case)?;
-            let prog = cases::itermem_tf_case(degree);
-            let (out, r) = receipted(&frames, || pool.run(&prog, frames.clone()));
-            Ok((out.to_wire(), r))
-        }
-        "nested_loop" => {
-            let bursts: Vec<Vec<i64>> = decode(input, case)?;
-            let prog = cases::nested_loop_case(degree);
-            let (out, r) = receipted(&bursts, || pool.run(&prog, bursts.clone()));
-            Ok((out.to_wire(), r))
-        }
-        "itermem_then" => {
-            let frames: Vec<i64> = decode(input, case)?;
-            let prog = cases::itermem_then_case(degree);
-            let (out, r) = receipted(&frames, || pool.run(&prog, frames.clone()));
-            Ok((out.to_wire(), r))
-        }
-        other => Err(format!("unknown case `{other}`")),
-    }
+    let cases: [Serve; 9] = [
+        serve::<DfProg>,
+        serve::<ScmProg>,
+        serve::<TfProg>,
+        serve::<ThenProg>,
+        serve::<LoopProg>,
+        serve::<LoopDfProg>,
+        serve::<LoopTfProg>,
+        serve::<NestedLoopProg>,
+        serve::<LoopThenProg>,
+    ];
+    cases
+        .iter()
+        .find_map(|serve| serve(pool, case, degree, input))
+        .unwrap_or_else(|| Err(format!("unknown case `{case}`")))
 }
 
 /// Parallel in-order map of the `df` case's compute function over this
@@ -471,9 +448,10 @@ fn shut_down() -> DistError {
 }
 
 /// The master of a fleet of worker **processes** speaking the canonical
-/// wire protocol over stdin/stdout pipes. Jobs name programs from the
-/// conformance catalog (closures cannot cross a process boundary);
-/// whole runs are routed to one worker by input hash, and
+/// wire protocol over stdin/stdout pipes. Closures cannot cross a
+/// process boundary, so it is a [`Backend`] for the programs of the
+/// conformance catalog ([`Catalog`]), and jobs name them; whole runs are
+/// routed to one worker by input hash, and
 /// [`DistBackend::run_df_sharded`] spreads a farm's items across every
 /// worker. Every result carries the worker's [`RunReceipt`], which the
 /// master checks against its own canonical input hash.
@@ -590,22 +568,23 @@ impl DistBackend {
     }
 
     /// Runs one whole catalog case on one worker (chosen by the input's
-    /// canonical hash), returning the decoded-on-the-wire output and
+    /// canonical hash), returning the output decoded off the wire and
     /// the worker's receipt. The worker's `input_hash` is verified
     /// against the master's own hash of the input it sent.
-    pub fn run_case(
+    pub(crate) fn run_case<O: FromWire>(
         &self,
         case: &str,
         degree: usize,
-        input: &WireValue,
-    ) -> Result<(WireValue, RunReceipt), DistError> {
+        input: &impl ToWire,
+    ) -> Result<Receipted<O>, DistError> {
         let mut master = self.inner.lock().expect("dist master poisoned");
         if master.workers.is_empty() {
             return Err(shut_down());
         }
         let id = master.next_id;
         master.next_id += 1;
-        let expected_input_hash = wire_hash(input);
+        let input = input.to_wire();
+        let expected_input_hash = wire_hash(&input);
         let w = (expected_input_hash % master.workers.len() as u64) as usize;
         let link = &mut master.workers[w];
         send(
@@ -615,7 +594,7 @@ impl DistBackend {
                 WireValue::Int(id),
                 s(case),
                 WireValue::Int(degree as i64),
-                input.clone(),
+                input,
             ]),
         )?;
         let reply = read_reply(link)?;
@@ -634,7 +613,10 @@ impl DistBackend {
                         receipt.input_hash, expected_input_hash
                     )));
                 }
-                Ok((output.clone(), receipt))
+                let output = O::from_wire(output).ok_or_else(|| {
+                    DistError::Protocol(format!("malformed output for case `{case}`"))
+                })?;
+                Ok(Receipted { output, receipt })
             }
             Some(("err", [_, WireValue::Str(msg)])) => Err(DistError::Worker(msg.clone())),
             _ => Err(DistError::Protocol(format!("unexpected reply: {reply:?}"))),
@@ -788,278 +770,39 @@ impl Drop for DistBackend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// DistBackend as a conformance harness
-// ---------------------------------------------------------------------------
-
-use crate::conformance::{
-    ConformanceHarness, DfProg, LoopDfProg, LoopProg, LoopTfProg, LoopThenProg, NestedLoopProg,
-    ReceiptHarness, ScmProg, TfProg, ThenProg,
-};
-
-/// Ships one catalog job to the fleet and decodes the reply, panicking
-/// on any protocol or worker error (failing to execute a conformance
-/// case *is* a conformance failure).
-macro_rules! dist_job {
-    ($self:ident, $case:literal, $degree:expr, $input:expr, $out:ty) => {{
-        let (out, receipt) = $self
-            .run_case($case, $degree, &$input.to_wire())
-            .unwrap_or_else(|e| panic!("dist case `{}` failed: {e}", $case));
-        let decoded =
-            <$out as FromWire>::from_wire(&out).expect("dist worker output decodes on the wire");
-        (decoded, receipt)
-    }};
+/// A catalog program prepared on a fleet. The persistent worker
+/// processes are the prepared state, so preparing pins only the fleet
+/// and the program.
+#[derive(Debug)]
+pub struct DistExecutable<'p, P> {
+    fleet: &'p DistBackend,
+    prog: &'p P,
 }
 
-/// The process-level harness: every case is shipped over the wire to a
-/// worker process (whole runs routed by input hash; `df` spread over the
-/// whole fleet via [`DistBackend::run_df_sharded`]). The *prepared*
-/// variants loop over the inputs on the same fleet — the persistent
-/// worker processes **are** the prepared state.
-impl ConformanceHarness for DistBackend {
-    fn name(&self) -> String {
-        format!("DistBackend({} workers)", self.n_workers())
-    }
+impl<'a, P: Catalog> Executable<P::Input<'a>> for DistExecutable<'_, P> {
+    type Output = Result<Receipted<P::Out>, DistError>;
 
-    fn run_df(&self, prog: &DfProg, xs: &[i64]) -> i64 {
-        self.run_df_sharded(prog.workers(), xs)
-            .unwrap_or_else(|e| panic!("dist case `df` failed: {e}"))
-            .0
-    }
-
-    fn run_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> Vec<i64> {
-        dist_job!(self, "scm", prog.workers(), input, Vec<i64>).0
-    }
-
-    fn run_tf(&self, prog: &TfProg, roots: Vec<u64>) -> u64 {
-        dist_job!(self, "tf", prog.workers(), &roots, u64).0
-    }
-
-    fn run_then(&self, prog: &ThenProg, xs: &[i64]) -> (i64, i64) {
-        dist_job!(
-            self,
-            "then",
-            prog.first().workers(),
-            &xs.to_vec(),
-            (i64, i64)
-        )
-        .0
-    }
-
-    fn run_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-        dist_job!(
-            self,
-            "itermem",
-            prog.body().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
-        .0
-    }
-
-    fn run_itermem_df(&self, prog: &LoopDfProg, frames: Vec<Vec<i64>>) -> (i64, Vec<i64>) {
-        dist_job!(
-            self,
-            "itermem_df",
-            prog.body().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
-        .0
-    }
-
-    fn run_itermem_tf(&self, prog: &LoopTfProg, frames: Vec<Vec<u64>>) -> (u64, Vec<u64>) {
-        dist_job!(
-            self,
-            "itermem_tf",
-            prog.body().workers(),
-            &frames,
-            (u64, Vec<u64>)
-        )
-        .0
-    }
-
-    fn run_nested_loop(
-        &self,
-        prog: &NestedLoopProg,
-        bursts: Vec<Vec<i64>>,
-    ) -> (i64, Vec<Vec<i64>>) {
-        dist_job!(
-            self,
-            "nested_loop",
-            prog.body().body().workers(),
-            &bursts,
-            (i64, Vec<Vec<i64>>)
-        )
-        .0
-    }
-
-    fn run_itermem_then(&self, prog: &LoopThenProg, frames: Vec<i64>) -> (i64, Vec<i64>) {
-        dist_job!(
-            self,
-            "itermem_then",
-            prog.body().first().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
-        .0
-    }
-
-    fn run_df_prepared(&self, prog: &DfProg, runs: &[Vec<i64>]) -> Vec<i64> {
-        runs.iter().map(|xs| self.run_df(prog, xs)).collect()
-    }
-
-    fn run_scm_prepared(&self, prog: &ScmProg, runs: &[Vec<i64>]) -> Vec<Vec<i64>> {
-        runs.iter().map(|xs| self.run_scm(prog, xs)).collect()
-    }
-
-    fn run_tf_prepared(&self, prog: &TfProg, runs: &[Vec<u64>]) -> Vec<u64> {
-        runs.iter().map(|r| self.run_tf(prog, r.clone())).collect()
-    }
-
-    fn run_then_prepared(&self, prog: &ThenProg, runs: &[Vec<i64>]) -> Vec<(i64, i64)> {
-        runs.iter().map(|xs| self.run_then(prog, xs)).collect()
-    }
-
-    fn run_itermem_prepared(&self, prog: &LoopProg, runs: &[Vec<i64>]) -> Vec<(i64, Vec<i64>)> {
-        runs.iter()
-            .map(|f| self.run_itermem(prog, f.clone()))
-            .collect()
-    }
-
-    fn run_itermem_df_prepared(
-        &self,
-        prog: &LoopDfProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<i64>)> {
-        runs.iter()
-            .map(|f| self.run_itermem_df(prog, f.clone()))
-            .collect()
-    }
-
-    fn run_itermem_tf_prepared(
-        &self,
-        prog: &LoopTfProg,
-        runs: &[Vec<Vec<u64>>],
-    ) -> Vec<(u64, Vec<u64>)> {
-        runs.iter()
-            .map(|f| self.run_itermem_tf(prog, f.clone()))
-            .collect()
-    }
-
-    fn run_nested_loop_prepared(
-        &self,
-        prog: &NestedLoopProg,
-        runs: &[Vec<Vec<i64>>],
-    ) -> Vec<(i64, Vec<Vec<i64>>)> {
-        runs.iter()
-            .map(|b| self.run_nested_loop(prog, b.clone()))
-            .collect()
-    }
-
-    fn run_itermem_then_prepared(
-        &self,
-        prog: &LoopThenProg,
-        runs: &[Vec<i64>],
-    ) -> Vec<(i64, Vec<i64>)> {
-        runs.iter()
-            .map(|f| self.run_itermem_then(prog, f.clone()))
-            .collect()
+    fn run(&self, input: P::Input<'a>) -> Self::Output {
+        self.prog.run_on_fleet(self.fleet, input)
     }
 }
 
-/// The receipt axis, distributed: instead of wrapping the run in a
-/// master-side receipt scope, every override returns the receipt the
-/// worker **process** computed — equality with an in-process backend's
-/// receipt is then a genuine cross-process schedule-and-output check.
-impl ReceiptHarness for DistBackend {
-    fn receipt_df(&self, prog: &DfProg, xs: &[i64]) -> (i64, RunReceipt) {
-        self.run_df_sharded(prog.workers(), xs)
-            .unwrap_or_else(|e| panic!("dist case `df` failed: {e}"))
-    }
+/// A fleet runs the programs of the case catalog: each run is one job on
+/// one worker process, except that the `df` farm spreads its items over
+/// every worker ([`DistBackend::run_df_sharded`]). A run returns the
+/// output with the receipt the worker process (for `df`, the master)
+/// computed, or the [`DistError`] that stopped it.
+impl<'a, P: Catalog> Backend<P, P::Input<'a>> for DistBackend {
+    type Output = Result<Receipted<P::Out>, DistError>;
 
-    fn receipt_scm(&self, prog: &ScmProg, input: &Vec<i64>) -> (Vec<i64>, RunReceipt) {
-        dist_job!(self, "scm", prog.workers(), input, Vec<i64>)
-    }
+    type Prepared<'p>
+        = DistExecutable<'p, P>
+    where
+        Self: 'p,
+        P: 'p;
 
-    fn receipt_tf(&self, prog: &TfProg, roots: Vec<u64>) -> (u64, RunReceipt) {
-        dist_job!(self, "tf", prog.workers(), &roots, u64)
-    }
-
-    fn receipt_then(&self, prog: &ThenProg, xs: &[i64]) -> ((i64, i64), RunReceipt) {
-        dist_job!(
-            self,
-            "then",
-            prog.first().workers(),
-            &xs.to_vec(),
-            (i64, i64)
-        )
-    }
-
-    fn receipt_itermem(&self, prog: &LoopProg, frames: Vec<i64>) -> ((i64, Vec<i64>), RunReceipt) {
-        dist_job!(
-            self,
-            "itermem",
-            prog.body().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
-    }
-
-    fn receipt_itermem_df(
-        &self,
-        prog: &LoopDfProg,
-        frames: Vec<Vec<i64>>,
-    ) -> ((i64, Vec<i64>), RunReceipt) {
-        dist_job!(
-            self,
-            "itermem_df",
-            prog.body().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
-    }
-
-    fn receipt_itermem_tf(
-        &self,
-        prog: &LoopTfProg,
-        frames: Vec<Vec<u64>>,
-    ) -> ((u64, Vec<u64>), RunReceipt) {
-        dist_job!(
-            self,
-            "itermem_tf",
-            prog.body().workers(),
-            &frames,
-            (u64, Vec<u64>)
-        )
-    }
-
-    fn receipt_nested_loop(
-        &self,
-        prog: &NestedLoopProg,
-        bursts: Vec<Vec<i64>>,
-    ) -> ((i64, Vec<Vec<i64>>), RunReceipt) {
-        dist_job!(
-            self,
-            "nested_loop",
-            prog.body().body().workers(),
-            &bursts,
-            (i64, Vec<Vec<i64>>)
-        )
-    }
-
-    fn receipt_itermem_then(
-        &self,
-        prog: &LoopThenProg,
-        frames: Vec<i64>,
-    ) -> ((i64, Vec<i64>), RunReceipt) {
-        dist_job!(
-            self,
-            "itermem_then",
-            prog.body().first().workers(),
-            &frames,
-            (i64, Vec<i64>)
-        )
+    fn prepare<'p>(&'p self, prog: &'p P) -> DistExecutable<'p, P> {
+        DistExecutable { fleet: self, prog }
     }
 }
 

@@ -62,7 +62,10 @@
 //! - [`DistBackend`] runs master and workers as
 //!   **separate OS processes** speaking the canonical [`wire`] encoding
 //!   over stdin/stdout pipes, with handshake, version check and orderly
-//!   shutdown (see [`dist`]).
+//!   shutdown (see [`dist`]). Closures cannot cross a process boundary,
+//!   so it is a [`Backend`] for the programs of the case catalog
+//!   ([`conformance::Catalog`]), and each run returns the receipt its
+//!   worker process computed.
 //!
 //! [`HostBackend`] selects among the host strategies at runtime (e.g.
 //! from a CLI flag), and every backend is validated against the shared
@@ -119,7 +122,7 @@ pub use program::{
     default_workers, df, itermem, pure, scm, tf, Compose, CostModel, IterLoop, Pure, Skeleton,
     Then, Workers,
 };
-pub use receipt::{receipted, RunReceipt};
+pub use receipt::{receipted, Receipted, RunReceipt};
 pub use scm::Scm;
 pub use serve::{
     serve, AdmissionPolicy, ServeConfig, ServeOutcome, ServeReport, StreamResult, StreamSpec,

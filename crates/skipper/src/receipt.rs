@@ -406,6 +406,17 @@ impl RunReceipt {
     }
 }
 
+/// A run's output together with the receipt the run computed itself —
+/// on a fleet, in the worker process (or, for a sharded farm, at the
+/// master) — rather than one a local [`receipted`] scope recorded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Receipted<T> {
+    /// The run's output.
+    pub output: T,
+    /// The receipt that came back with it.
+    pub receipt: RunReceipt,
+}
+
 impl ToWire for RunReceipt {
     fn to_wire(&self) -> WireValue {
         WireValue::Tuple(vec![
